@@ -164,6 +164,24 @@ def expected_rates(inst: Instance) -> Rates:
     return Rates(tuple(mcf), cw, inst.base_dim - n_w - cw)
 
 
+def make_keyed_instance(rng: random.Random, shape: Shape, set_aside: list) -> tuple[Instance, Rates]:
+    """make_instance drawn again until the referee gives cw >= 1.
+
+    On a cw = 0 instance some edge is fully absorbed by the eavesdropper,
+    and the program's reduction refuses it (ReductionError), so every op
+    on it would fail.  The benchmark times only instances with a key; each
+    cw = 0 draw is appended to set_aside, and the traced run puts those
+    through reduce_full once and reports how many it refuses.  The choice
+    uses the referee, not the program, so the parent commit and a change
+    time the same instances."""
+    while True:
+        inst = make_instance(rng, shape)
+        rates = expected_rates(inst)
+        if rates.cw_dims:
+            return inst, rates
+        set_aside.append(inst)
+
+
 def digest(parts) -> str:
     """sha256 over an ordered sequence of strings, 16 hex digits."""
     h = hashlib.sha256()

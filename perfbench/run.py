@@ -290,6 +290,7 @@ def worker(args) -> int:
         "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "kernel": track.points,
         "input_digest": wl.input_digest(),
+        "set_aside": len(wl.set_aside),
         "n_ops": wl.n_ops,
         "why": wl.why,
         "numpy": numpy.__version__,
@@ -350,19 +351,21 @@ def end_to_end(args) -> int:
     print(f"workload = {args.workload}: {first['why']}")
     print(f"seed = {args.seed}  seconds = {args.seconds}  trace = 0  workers = {WORKERS}")
     _print_env(first["numpy"])
-    print(f"input_digest = {first['input_digest']}  ({first['n_ops']} distinct ops)")
+    print(f"input_digest = {first['input_digest']}  ({first['n_ops']} distinct ops, "
+          f"{first['set_aside']} cw = 0 draws set aside)")
     print(f"output_digest = {_sha(repr(sorted(outputs.items(), key=lambda kv: int(kv[0]))))}"
           f"  ({len(outputs)} of {first['n_ops']} ops completed at least once)")
     for key, c in sorted(errors.items()):
         print(f"failed op: {c} x {key}")
     print(f"speed: {len(kernel)} kernel timings, median {statistics.median(kernel)!r} s, "
           f"min {min(kernel)!r} s, max {max(kernel)!r} s; reference {speed.REF_S} s")
+    print(f"failed_share = {1 - ok_share!r} share  (distinct ops that failed, over one pass; "
+          f"{failed} of {attempted} attempted ops failed)")
     print(f"raw (unscaled): ops_per_s = {raw[0]!r}  op_s_p50 = {raw[1]!r}  op_s_tail = {raw[2]!r}")
     metrics = dict([
         _emit("ops_per_s", ops_per_s, "1/s", f"{n} completed of {attempted} attempted"),
         _emit("op_s_p50", p50, "s", f"n = {n}"),
         _emit("op_s_tail", tail, "s", f"p{p:g}, n = {n}"),
-        _emit("ok_share", ok_share, "share", f"failed_share = {1 - ok_share!r}"),
         _emit("setup_s", statistics.median(setups), "s",
               "median of " + ", ".join(f"{s:.3f}" for s in setups)),
         _emit("peak_rss_mb", max(r["rss_mb"] for r in results), "MB", "largest worker"),
@@ -387,7 +390,8 @@ def traced(args) -> int:
     print(f"workload = {wl.name}: {wl.why}")
     print(f"seed = {args.seed}  seconds = {args.seconds}  trace = 1")
     _print_env(numpy.__version__)
-    print(f"input_digest = {wl.input_digest()}  ({wl.n_ops} distinct ops)")
+    print(f"input_digest = {wl.input_digest()}  ({wl.n_ops} distinct ops, "
+          f"{len(wl.set_aside)} cw = 0 draws set aside)")
     print(f"set-up: {setup_s!r} s, of which {wl.field_s!r} s building field contexts")
 
     tracer = Tracer()
@@ -441,8 +445,12 @@ def traced(args) -> int:
     metrics.update([_emit("simulate.trials_per_s", done_trials / loop_s if loop_s > 0 else 0.0, "1/s",
                           f"{done_trials} trials")])
     counts = wl.counts()
+    refused = wl.set_aside_errors()
+    print(f"set aside: reduce_full refused {refused} of {len(wl.set_aside)} cw = 0 draws")
+    counts["reduce.errors"] = counts.get("reduce.errors", 0) + refused
     for name in COUNT_METRICS:
-        metrics.update([_emit(name, counts.get(name, 0), "count", "over the distinct ops seen")])
+        note = "timed ops and set-aside draws" if name == "reduce.errors" else "over the distinct ops seen"
+        metrics.update([_emit(name, counts.get(name, 0), "count", note)])
     probe_metrics, probe_lines = run_probes(wl.probe_material())
     for line in probe_lines:
         print(line)

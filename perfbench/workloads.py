@@ -5,7 +5,9 @@ A workload owns a fixed list of ops, cycled by the closed loop in run.py.
 (or the no-op tracer) whose spans wrap each call into a layer.  `check(i,
 result)` runs untimed, raises WrongAnswer on a wrong output, and returns the
 text that goes into the output digest.  A raised error inside `run` is a
-failed op; `failed(i, exc)` records it.
+failed op; `failed(i, exc)` records it.  Instances are drawn with
+`make_keyed_instance`, so none has cw = 0; the cw = 0 draws it sets aside
+are counted by `set_aside_errors` in the traced run.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from treepin import (
     EdgeSpec,
     FMatrix,
     TreePinSource,
+    ReductionError,
     Wiretapper,
     capacity_report,
     choose_extension_degree,
@@ -42,7 +45,7 @@ from gen import (
     digest,
     expected_rates,
     instance_text,
-    make_instance,
+    make_keyed_instance,
     parse_instance_text,
 )
 from probes import ProbeMaterial
@@ -100,6 +103,7 @@ class Workload:
         self.rng = random.Random(f"{self.name}:{seed}")
         self.field_s = 0.0
         self.info: dict[int, dict] = {}   # per op index, first outcome
+        self.set_aside: list = []         # cw = 0 draws, never timed
 
     def setup(self) -> None: ...
 
@@ -134,6 +138,17 @@ class Workload:
     def counts(self) -> dict[str, int]:
         return {}
 
+    def set_aside_errors(self) -> int:
+        """Run reduce_full once on each cw = 0 draw set aside; returns how
+        many it refuses with ReductionError."""
+        refused = 0
+        for inst in self.set_aside:
+            try:
+                reduce_full(*_build(inst))
+            except ReductionError:
+                refused += 1
+        return refused
+
     def trials(self, i: int) -> int:
         """Protocol trials op i runs."""
         return 0
@@ -162,8 +177,8 @@ class Rates(Workload):
             v = 26
             q = self.QS[k % 3]
             mults = _balanced((1, 2, 3), v - 1)
-            inst = make_instance(self.rng, Shape(q, v, mults, sum(mults) // 6))
-            self.items.append((inst, instance_text(inst), expected_rates(inst)))
+            inst, exp = make_keyed_instance(self.rng, Shape(q, v, mults, sum(mults) // 6), self.set_aside)
+            self.items.append((inst, instance_text(inst), exp))
         self.n_ops = len(self.items)
         self.field_s = warm_fields((q, 1) for q in self.QS)
 
@@ -235,14 +250,15 @@ class Schemes(Workload):
 
     def setup(self):
         self.items = []
-        # every (V, q) pair for V = 18..26 twice, sizes mixed
-        for k in range(9 * 3 * 2):
+        # every (V, q) pair for V = 18..26 four times, sizes mixed; the p90
+        # tail then rests on about ten distinct instances, not five
+        for k in range(9 * 3 * 4):
             v = 18 + (4 * k) % 9
             q = self.QS[(k + k // 9) % 3]
             mults = _balanced((1, 2, 3) if k % 2 == 0 else (2, 3), v - 1)
-            inst = make_instance(self.rng, Shape(q, v, mults, 1 + (k // 2) % 2))
+            inst, exp = make_keyed_instance(self.rng, Shape(q, v, mults, 1 + (k // 2) % 2), self.set_aside)
             src, wt = _build(inst)
-            self.items.append((inst, src, wt, expected_rates(inst)))
+            self.items.append((inst, src, wt, exp))
         self.n_ops = len(self.items)
         keys = [(q, 1) for q in self.QS]
         keys += [(s.q, choose_extension_degree(s)) for _, s, _, _ in self.items]
@@ -313,9 +329,11 @@ class Protocol(Workload):
 
     def setup(self):
         shapes = []
-        # 75 small (V = 6..8) and 15 wide (V = 15..17) trees, sizes and
-        # fields cycling, one wide after every five small
-        for k in range(75):
+        # 150 small (V = 6..8) and 30 wide (V = 15..17) trees, sizes and
+        # fields cycling, one wide after every five small.  Decoder set-up
+        # cost varies with the tree's node degrees, so the p95 tail needs
+        # more wide trees than the fifteen that one in six of 90 would give
+        for k in range(150):
             v, q = 6 + k % 3, self.QS[(k + k // 3) % 3]
             shapes.append((Shape(q, v, _balanced((1, 2), v - 1), 1), self.SMALL_TRIALS))
             if k % 5 == 4:
@@ -325,7 +343,7 @@ class Protocol(Workload):
         self.field_s = warm_fields((q, 1) for q in (2, 3, 5))
         self.items = []
         for i, (shape, trials) in enumerate(shapes):
-            inst = make_instance(self.rng, shape)
+            inst, _ = make_keyed_instance(self.rng, shape, self.set_aside)
             src, wt = _build(inst)
             try:
                 src, wt = reduce_full(src, wt).final
@@ -432,7 +450,7 @@ class CliSmall(Workload):
         self.files = []
         for k in range(self.FILES):
             q, mults, n_w = self.SLOTS[k % len(self.SLOTS)]
-            inst = make_instance(self.rng, Shape(q, len(mults) + 1, mults, n_w))
+            inst, exp = make_keyed_instance(self.rng, Shape(q, len(mults) + 1, mults, n_w), self.set_aside)
             paths = {
                 "in": os.path.join(self.dir, f"i{k}.txt"),
                 "red": os.path.join(self.dir, f"r{k}.txt"),
@@ -440,7 +458,7 @@ class CliSmall(Workload):
             }
             with open(paths["in"], "w", encoding="utf-8") as fh:
                 fh.write(instance_text(inst))
-            self.files.append((inst, paths, expected_rates(inst)))
+            self.files.append((inst, paths, exp))
         self.ops = [(k, c) for k in range(self.FILES) for c in COMMANDS]
         self.n_ops = len(self.ops)
         self.broken: set[int] = set()
