@@ -213,6 +213,7 @@ def _cmd_oracle_check(args) -> int:
 
     if args.scheme:
         scheme = load_scheme(_read(args.scheme))
+        scheme.check_owners(source)
         n = scheme.ext_ctx.n
         fb = expand_to_base(scheme.comm_matrix)
         wb = expand_to_base(lift(wiretapper.matrix, scheme.ext_ctx))

@@ -1,9 +1,17 @@
 """Dense exact linear algebra over finite field contexts.
 
-Matrices are immutable row-major grids of FieldElem sharing one context.
-Everything here is plain Gaussian elimination with deterministic pivoting
-(first nonzero entry scanning top to bottom), so repeated runs produce
-identical results.  No floats anywhere.
+Matrices are immutable row-major grids over one context.  They store each
+row as a tuple of integer element codes (see `gfield`); `FieldElem` objects
+appear only at the API edge: the public constructors take and validate
+them, and `m[i, j]`, `row` and `col` hand them out.  Everything inside works
+on the codes with the context's bound code operations.
+
+`rref`, `rank` and `det` share one elimination kernel, `_eliminate`: plain
+Gaussian elimination with deterministic pivoting (first nonzero entry
+scanning top to bottom), so repeated runs produce identical results.  One
+kernel over integer codes, with the field arithmetic supplied by the
+context, follows the design of the galois package
+(https://github.com/mhostetter/galois).  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ __all__ = [
     "right_nullspace_basis",
     "left_nullspace_basis",
     "col_space_intersect",
+    "completion_indices",
     "in_col_span",
     "lift",
     "expand_to_base",
@@ -32,67 +41,83 @@ __all__ = [
 ]
 
 
-class FMatrix:
-    """Immutable matrix over one ExtFieldCtx."""
+def _mat(ctx: ExtFieldCtx, rows: Iterable[Sequence[int]], cols: int) -> "FMatrix":
+    """Matrix from rows of codes known to be valid in ctx; no per-entry
+    checks.  Every internal result is built here."""
+    m = object.__new__(FMatrix)
+    m.ctx = ctx
+    m._codes = tuple(map(tuple, rows))
+    m.rows = len(m._codes)
+    m.cols = cols
+    return m
 
-    __slots__ = ("ctx", "rows", "cols", "_data")
+
+def _code(ctx: ExtFieldCtx, value) -> int:
+    """Code of an integer code, coefficient sequence or element of ctx."""
+    if type(value) is int and 0 <= value < ctx.order:
+        return value
+    return ctx(value).code
+
+
+def _width(grid: Sequence[Sequence], cols: int | None) -> int:
+    """Row width of a grid; rejects ragged rows and a width that differs
+    from cols when cols is given (it is the width of a grid with no rows)."""
+    if not grid:
+        return 0 if cols is None else cols
+    width = len(grid[0])
+    if any(len(row) != width for row in grid):
+        raise ValueError("ragged rows")
+    if cols is not None and cols != width:
+        raise ValueError("cols does not match row width")
+    return width
+
+
+class FMatrix:
+    """Immutable matrix over one ExtFieldCtx, stored as rows of codes."""
+
+    __slots__ = ("ctx", "rows", "cols", "_codes")
 
     def __init__(self, ctx: ExtFieldCtx, data: Iterable[Iterable[FieldElem]], cols: int | None = None):
         grid = tuple(tuple(row) for row in data)
-        if grid:
-            width = len(grid[0])
-            for row in grid:
-                if len(row) != width:
-                    raise ValueError("ragged rows")
-                for e in row:
-                    if not isinstance(e, FieldElem) or e.ctx.key != ctx.key:
-                        raise ValueError("entry does not belong to the matrix field")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row width")
-            cols = width
-        elif cols is None:
-            cols = 0
+        cols = _width(grid, cols)
+        for row in grid:
+            for e in row:
+                if not isinstance(e, FieldElem) or e.ctx.key != ctx.key:
+                    raise ValueError("entry does not belong to the matrix field")
         self.ctx = ctx
         self.rows = len(grid)
         self.cols = cols
-        self._data = grid
+        self._codes = tuple(tuple(e.code for e in row) for row in grid)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_rows(cls, ctx: ExtFieldCtx, rows: Sequence[Sequence], cols: int | None = None) -> "FMatrix":
         """Build from rows whose entries are coerced through ctx(...)."""
-        return cls(ctx, [[ctx(v) for v in row] for row in rows], cols=cols)
+        grid = [[_code(ctx, v) for v in row] for row in rows]
+        return _mat(ctx, grid, _width(grid, cols))
 
     @classmethod
     def from_cols(cls, ctx: ExtFieldCtx, cols: Sequence[Sequence], rows: int | None = None) -> "FMatrix":
-        grid = [[ctx(v) for v in col] for col in cols]
-        if grid:
-            return cls(ctx, list(zip(*grid)), cols=len(grid))
+        if cols:
+            return cls.from_rows(ctx, list(zip(*cols)), cols=len(cols))
         if rows is None:
             raise ValueError("rows required for a matrix with no columns")
-        return cls(ctx, [[] for _ in range(rows)], cols=0)
+        return _mat(ctx, [()] * rows, 0)
 
     @classmethod
     def zeros(cls, ctx: ExtFieldCtx, rows: int, cols: int) -> "FMatrix":
-        z = ctx.zero
-        return cls(ctx, [[z] * cols for _ in range(rows)], cols=cols)
+        return _mat(ctx, [(0,) * cols] * rows, cols)
 
     @classmethod
     def identity(cls, ctx: ExtFieldCtx, n: int) -> "FMatrix":
-        z, o = ctx.zero, ctx.one
-        return cls(ctx, [[o if i == j else z for j in range(n)] for i in range(n)], cols=n)
+        return cls.basis_columns(ctx, n, range(n))
 
     @classmethod
     def basis_columns(cls, ctx: ExtFieldCtx, rows: int, indices: Sequence[int]) -> "FMatrix":
         """Selector matrix whose j-th column is the standard basis vector
         at indices[j]."""
-        z, o = ctx.zero, ctx.one
-        return cls(
-            ctx,
-            [[o if i == r else z for r in indices] for i in range(rows)],
-            cols=len(indices),
-        )
+        return _mat(ctx, [[1 if i == r else 0 for r in indices] for i in range(rows)], len(indices))
 
     @classmethod
     def build(cls, ctx: ExtFieldCtx, rows: int, cols: int, fn: Callable[[int, int], FieldElem]) -> "FMatrix":
@@ -102,41 +127,38 @@ class FMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> FieldElem:
         i, j = key
-        return self._data[i][j]
+        return FieldElem(self.ctx, self._codes[i][j])
 
     def row(self, i: int) -> tuple[FieldElem, ...]:
-        return self._data[i]
+        ctx = self.ctx
+        return tuple(FieldElem(ctx, c) for c in self._codes[i])
 
     def col(self, j: int) -> tuple[FieldElem, ...]:
-        return tuple(r[j] for r in self._data)
-
-    def row_list(self) -> list[list[FieldElem]]:
-        """Mutable copy of the grid, for elimination kernels."""
-        return [list(r) for r in self._data]
+        ctx = self.ctx
+        return tuple(FieldElem(ctx, r[j]) for r in self._codes)
 
     def to_code_rows(self) -> list[list[int]]:
-        return [[e.code for e in r] for r in self._data]
+        """The stored codes, as fresh lists."""
+        return [list(r) for r in self._codes]
 
     # -- shape surgery -----------------------------------------------------
 
     def transpose(self) -> "FMatrix":
         if self.rows == 0:
-            return FMatrix(self.ctx, [[] for _ in range(self.cols)], cols=0)
-        return FMatrix(self.ctx, list(zip(*self._data)), cols=self.rows)
+            return _mat(self.ctx, [()] * self.cols, 0)
+        return _mat(self.ctx, zip(*self._codes), self.rows)
 
     def hstack(self, *others: "FMatrix") -> "FMatrix":
-        mats = (self, *others)
         for m in others:
             if m.rows != self.rows:
                 raise ValueError("row count mismatch in hstack")
             if m.ctx.key != self.ctx.key:
                 raise ValueError("field mismatch in hstack")
-        total = sum(m.cols for m in mats)
-        grid = [
-            tuple(e for m in mats for e in (m._data[i] if m.cols else ()))
-            for i in range(self.rows)
-        ]
-        return FMatrix(self.ctx, grid, cols=total)
+        blocks = [m._codes for m in (self, *others) if m.cols]
+        total = sum(m.cols for m in others) + self.cols
+        if not blocks:
+            return _mat(self.ctx, [()] * self.rows, 0)
+        return _mat(self.ctx, [sum(parts, ()) for parts in zip(*blocks)], total)
 
     def vstack(self, *others: "FMatrix") -> "FMatrix":
         for m in others:
@@ -144,20 +166,14 @@ class FMatrix:
                 raise ValueError("column count mismatch in vstack")
             if m.ctx.key != self.ctx.key:
                 raise ValueError("field mismatch in vstack")
-        grid = list(self._data)
-        for m in others:
-            grid.extend(m._data)
-        return FMatrix(self.ctx, grid, cols=self.cols)
+        return _mat(self.ctx, sum((m._codes for m in others), self._codes), self.cols)
 
     def take_rows(self, indices: Iterable[int]) -> "FMatrix":
-        return FMatrix(self.ctx, [self._data[i] for i in indices], cols=self.cols)
+        codes = self._codes
+        return _mat(self.ctx, [codes[i] for i in indices], self.cols)
 
     def take_cols(self, indices: Sequence[int]) -> "FMatrix":
-        return FMatrix(
-            self.ctx,
-            [[r[j] for j in indices] for r in self._data],
-            cols=len(indices),
-        )
+        return _mat(self.ctx, [[r[j] for j in indices] for r in self._codes], len(indices))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -168,49 +184,41 @@ class FMatrix:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         if self.ctx.key != other.ctx.key:
             raise ValueError("field mismatch in matmul")
-        ctx = self.ctx
-        zero = ctx.zero
-        if self.cols == 0 or other.cols == 0:
-            return FMatrix.zeros(ctx, self.rows, other.cols)
-        ocols = list(zip(*other._data))
-        grid = []
-        for arow in self._data:
-            out = []
-            for bcol in ocols:
-                acc = zero
-                for a, b in zip(arow, bcol):
-                    if a.code and b.code:
-                        acc = acc + a * b
-                out.append(acc)
-            grid.append(tuple(out))
-        return FMatrix(ctx, grid, cols=other.cols)
+        add, mul = self.ctx.add_code, self.ctx.mul_code
+        width = other.cols
+        out = []
+        for arow in self._codes:
+            acc = [0] * width
+            for a, brow in zip(arow, other._codes):
+                if a:
+                    acc = [add(x, mul(a, b)) if b else x for x, b in zip(acc, brow)]
+            out.append(acc)
+        return _mat(self.ctx, out, width)
 
     def __add__(self, other: "FMatrix") -> "FMatrix":
         if not isinstance(other, FMatrix):
             return NotImplemented
         if self.shape != other.shape or self.ctx.key != other.ctx.key:
             raise ValueError("shape or field mismatch in add")
-        return FMatrix(
+        add = self.ctx.add_code
+        return _mat(
             self.ctx,
-            [
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self._data, other._data)
-            ],
-            cols=self.cols,
+            [map(add, r1, r2) for r1, r2 in zip(self._codes, other._codes)],
+            self.cols,
         )
 
     def __neg__(self) -> "FMatrix":
-        return FMatrix(
-            self.ctx, [tuple(-e for e in r) for r in self._data], cols=self.cols
-        )
+        neg = self.ctx.neg_code
+        return _mat(self.ctx, [map(neg, r) for r in self._codes], self.cols)
 
     def __sub__(self, other: "FMatrix") -> "FMatrix":
         return self.__add__(-other)
 
     def scale(self, f: FieldElem) -> "FMatrix":
-        return FMatrix(
-            self.ctx, [tuple(f * e for e in r) for r in self._data], cols=self.cols
-        )
+        if f.ctx.key != self.ctx.key:
+            raise ValueError(f"field mismatch: {f.ctx!r} vs {self.ctx!r}")
+        mul, fc = self.ctx.mul_code, f.code
+        return _mat(self.ctx, [[mul(fc, e) for e in r] for r in self._codes], self.cols)
 
     # -- misc ----------------------------------------------------------------
 
@@ -219,7 +227,7 @@ class FMatrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(not e for r in self._data for e in r)
+        return not any(any(r) for r in self._codes)
 
     def __eq__(self, other):
         if not isinstance(other, FMatrix):
@@ -227,15 +235,11 @@ class FMatrix:
         return (
             self.shape == other.shape
             and self.ctx.key == other.ctx.key
-            and all(
-                a.code == b.code
-                for r1, r2 in zip(self._data, other._data)
-                for a, b in zip(r1, r2)
-            )
+            and self._codes == other._codes
         )
 
     def __hash__(self):
-        return hash((self.shape, self.ctx.key, tuple(e.code for r in self._data for e in r)))
+        return hash((self.shape, self.ctx.key, self._codes))
 
     def __repr__(self):
         return f"FMatrix({self.rows}x{self.cols} over GF({self.ctx.q}^{self.ctx.n}))"
@@ -247,6 +251,59 @@ class RrefResult(NamedTuple):
     rank: int
 
 
+def _eliminate(ctx: ExtFieldCtx, rows: list, limit: int, full: bool) -> tuple[list[int], int]:
+    """The elimination kernel, in place on a list of code rows.
+
+    Columns 0..limit-1 are scanned in order; the pivot of a column is the
+    first row at or below the current pivot row with a nonzero entry there.
+    It is swapped up, scaled to a leading 1, and the column is cleared in
+    every row below it, and also above it when `full` (Gauss-Jordan, which
+    leaves the reduced row echelon form).  Whole rows are updated, so an
+    augmented [A | B] block is carried along.
+
+    Returns the pivot columns and the product of the pivot values, negated
+    once per row swap: the determinant when the block is square and every
+    column has a pivot.
+    """
+    mul, sub, inv = ctx.mul_code, ctx.sub_code, ctx.inv_code
+    nrows = len(rows)
+    pivots: list[int] = []
+    det = 1
+    swapped = False
+    prow = 0
+    for c in range(limit):
+        if prow == nrows:
+            break
+        for pr in range(prow, nrows):
+            if rows[pr][c]:
+                break
+        else:
+            continue
+        if pr != prow:
+            rows[prow], rows[pr] = rows[pr], rows[prow]
+            swapped = not swapped
+        p = rows[prow]
+        pv = p[c]
+        if pv != 1:
+            det = mul(det, pv)
+            pinv = inv(pv)
+            p = rows[prow] = [mul(pinv, b) for b in p]
+        for i in range(0 if full else prow + 1, nrows):
+            r = rows[i]
+            f = r[c]
+            if f and i != prow:
+                # f == 1 saves the multiply; over GF(2) every factor is 1
+                if f == 1:
+                    rows[i] = [sub(a, b) if b else a for a, b in zip(r, p)]
+                else:
+                    rows[i] = [sub(a, mul(f, b)) if b else a for a, b in zip(r, p)]
+        pivots.append(c)
+        prow += 1
+    if swapped:
+        det = ctx.neg_code(det)
+    return pivots, det
+
+
 def rref(m: FMatrix, pivot_cols: int | None = None) -> RrefResult:
     """Reduced row echelon form.
 
@@ -255,95 +312,37 @@ def rref(m: FMatrix, pivot_cols: int | None = None) -> RrefResult:
     [A | B] style augmented eliminations work.
     """
     limit = m.cols if pivot_cols is None else pivot_cols
-    data = m.row_list()
-    nrows = m.rows
-    pivots: list[int] = []
-    prow = 0
-    for c in range(limit):
-        pr = None
-        for i in range(prow, nrows):
-            if data[i][c].code:
-                pr = i
-                break
-        if pr is None:
-            continue
-        data[prow], data[pr] = data[pr], data[prow]
-        pv = data[prow][c]
-        if pv.code != 1:
-            pinv = pv.inv()
-            data[prow] = [pinv * v for v in data[prow]]
-        prow_vals = data[prow]
-        for i in range(nrows):
-            if i != prow and data[i][c].code:
-                f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], prow_vals)]
-        pivots.append(c)
-        prow += 1
-        if prow == nrows:
-            break
-    return RrefResult(FMatrix(m.ctx, data, cols=m.cols), tuple(pivots), len(pivots))
+    data = list(m._codes)
+    pivots, _ = _eliminate(m.ctx, data, limit, full=True)
+    return RrefResult(_mat(m.ctx, data, m.cols), tuple(pivots), len(pivots))
 
 
 def rank(m: FMatrix) -> int:
     """Matrix rank via forward elimination (no back substitution)."""
-    data = m.row_list()
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if data[i][c].code:
-                pr = i
-                break
-        if pr is None:
-            continue
-        data[r], data[pr] = data[pr], data[r]
-        pv_inv = data[r][c].inv()
-        prow = data[r]
-        for i in range(r + 1, nrows):
-            if data[i][c].code:
-                f = data[i][c] * pv_inv
-                row = data[i]
-                # entries left of c are already zero
-                data[i] = row[:c] + [a - f * b for a, b in zip(row[c:], prow[c:])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    pivots, _ = _eliminate(m.ctx, list(m._codes), m.cols, full=False)
+    return len(pivots)
 
 
 def det(m: FMatrix) -> FieldElem:
     """Determinant (exact, via forward elimination with pivot tracking)."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    ctx = m.ctx
-    n = m.rows
-    if n == 0:
-        return ctx.one
-    data = m.row_list()
-    result = ctx.one
-    negate = False
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if data[i][c].code:
-                pr = i
-                break
-        if pr is None:
-            return ctx.zero
-        if pr != c:
-            data[c], data[pr] = data[pr], data[c]
-            negate = not negate
-        pv = data[c][c]
-        result = result * pv
-        pv_inv = pv.inv()
-        prow = data[c]
-        for i in range(c + 1, n):
-            if data[i][c].code:
-                f = data[i][c] * pv_inv
-                row = data[i]
-                data[i] = row[:c] + [a - f * b for a, b in zip(row[c:], prow[c:])]
-    return -result if negate else result
+    pivots, value = _eliminate(m.ctx, list(m._codes), m.cols, full=False)
+    return FieldElem(m.ctx, value if len(pivots) == m.rows else 0)
+
+
+def completion_indices(m: FMatrix) -> tuple[int, ...]:
+    """Standard basis indices, picked greedily in ascending order, whose
+    vectors complete m's columns to a basis of the ambient space.
+
+    One forward elimination of [m | I]: a column is a pivot exactly when it
+    is independent of the columns before it, so the pivots that fall in
+    the identity part are the greedy picks.
+    """
+    pivots, _ = _eliminate(
+        m.ctx, list(m.hstack(FMatrix.identity(m.ctx, m.rows))._codes), m.cols + m.rows, full=False
+    )
+    return tuple(c - m.cols for c in pivots if c >= m.cols)
 
 
 def inverse(m: FMatrix) -> FMatrix:
@@ -376,32 +375,28 @@ def solve_right(a: FMatrix, b: FMatrix) -> FMatrix | None:
     if a.ctx.key != b.ctx.key:
         raise ValueError("field mismatch in solve_right")
     r = rref(a.hstack(b), pivot_cols=a.cols)
-    red = r.matrix
-    for i in range(r.rank, a.rows):
-        for j in range(a.cols, a.cols + b.cols):
-            if red[i, j].code:
-                return None
-    zero = a.ctx.zero
-    grid = [[zero] * b.cols for _ in range(a.cols)]
+    red = r.matrix._codes
+    if any(any(row[a.cols:]) for row in red[r.rank:]):
+        return None
+    grid = [(0,) * b.cols] * a.cols
     for k, c in enumerate(r.pivots):
-        grid[c] = list(red.row(k)[a.cols : a.cols + b.cols])
-    return FMatrix(a.ctx, grid, cols=b.cols)
+        grid[c] = red[k][a.cols:]
+    return _mat(a.ctx, grid, b.cols)
 
 
 def right_nullspace_basis(m: FMatrix) -> FMatrix:
     """Columns form a basis of {x : m @ x = 0}.  Shape cols x nullity."""
     r = rref(m)
+    red = r.matrix._codes
+    neg = m.ctx.neg_code
     pivotset = set(r.pivots)
     free = [c for c in range(m.cols) if c not in pivotset]
-    zero, one = m.ctx.zero, m.ctx.one
-    cols = []
-    for f in free:
-        v = [zero] * m.cols
-        v[f] = one
+    grid = [[0] * len(free) for _ in range(m.cols)]
+    for j, f in enumerate(free):
+        grid[f][j] = 1
         for k, pc in enumerate(r.pivots):
-            v[pc] = -r.matrix[k, f]
-        cols.append(v)
-    return FMatrix.from_cols(m.ctx, cols, rows=m.cols)
+            grid[pc][j] = neg(red[k][f])
+    return _mat(m.ctx, grid, len(free))
 
 
 def left_nullspace_basis(m: FMatrix) -> FMatrix:
@@ -414,30 +409,24 @@ def col_space_intersect(a: FMatrix, b: FMatrix) -> FMatrix:
 
     Zassenhaus block trick: row reduce [[a^T a^T], [b^T 0]]; rows whose left
     half vanished carry a basis of the intersection in their right half.
+    The basis is the reduced row echelon basis of the intersection (read
+    as rows), so it depends only on the two column spaces.
     """
     if a.rows != b.rows:
         raise ValueError("ambient dimension mismatch")
     if a.ctx.key != b.ctx.key:
         raise ValueError("field mismatch")
     d = a.rows
-    zero = a.ctx.zero
-    block_rows = []
-    for j in range(a.cols):
-        col = list(a.col(j))
-        block_rows.append(col + col)
-    for j in range(b.cols):
-        col = list(b.col(j))
-        block_rows.append(col + [zero] * d)
-    z = FMatrix(a.ctx, block_rows, cols=2 * d)
+    zero = (0,) * d
+    at, bt = a.transpose()._codes, b.transpose()._codes
+    z = _mat(a.ctx, [col + col for col in at] + [col + zero for col in bt], 2 * d)
     r = rref(z)
-    cols = []
-    for i in range(r.rank):
-        row = r.matrix.row(i)
-        if all(not e for e in row[:d]):
-            right = row[d:]
-            if any(e.code for e in right):
-                cols.append(list(right))
-    return FMatrix.from_cols(a.ctx, cols, rows=d)
+    cols = [
+        row[d:]
+        for row in r.matrix._codes[: r.rank]
+        if not any(row[:d]) and any(row[d:])
+    ]
+    return _mat(a.ctx, zip(*cols), len(cols)) if cols else _mat(a.ctx, [()] * d, 0)
 
 
 def in_col_span(a: FMatrix, v: FMatrix) -> bool:
@@ -458,11 +447,7 @@ def lift(m: FMatrix, ext: ExtFieldCtx) -> FMatrix:
         raise ValueError("lift expects a matrix over a prime field")
     if ext.q != m.ctx.q:
         raise ValueError("characteristic mismatch in lift")
-    return FMatrix(
-        ext,
-        [tuple(FieldElem(ext, e.code) for e in row) for row in m._data],
-        cols=m.cols,
-    )
+    return _mat(ext, m._codes, m.cols)
 
 
 def expand_to_base(m: FMatrix) -> FMatrix:
@@ -477,46 +462,29 @@ def expand_to_base(m: FMatrix) -> FMatrix:
     ctx = m.ctx
     n = ctx.n
     base = make_ext_field(ctx.q, 1)
-    grid = [[base.zero] * (m.cols * n) for _ in range(m.rows * n)]
-    for i in range(m.rows):
-        for j in range(m.cols):
-            a = m[i, j].code
+    # x^r has code q**r by the digit encoding
+    powers = [ctx.encode([0] * r + [1]) for r in range(n)]
+    grid = [[0] * (m.cols * n) for _ in range(m.rows * n)]
+    for i, row in enumerate(m._codes):
+        for j, a in enumerate(row):
             if not a:
                 continue
             for r in range(n):
-                # x^r has code q**r by the digit encoding
-                prod = ctx.mul_code(ctx.encode([0] * r + [1]), a)
-                coeffs = ctx.decode(prod)
-                for c in range(n):
-                    if coeffs[c]:
-                        grid[i * n + r][j * n + c] = FieldElem(base, coeffs[c])
-    return FMatrix(base, grid, cols=m.cols * n)
+                coeffs = ctx.decode(ctx.mul_code(powers[r], a))
+                grid[i * n + r][j * n : (j + 1) * n] = coeffs
+    return _mat(base, grid, m.cols * n)
 
 
 def vec_mat_mul(vec: Sequence[FieldElem], m: FMatrix) -> tuple[FieldElem, ...]:
     """Row vector times matrix."""
     if len(vec) != m.rows:
         raise ValueError("vector length does not match row count")
-    ctx = m.ctx
-    out = [ctx.zero] * m.cols
-    for x, row in zip(vec, m._data):
-        if x.code:
-            for j, e in enumerate(row):
-                if e.code:
-                    out[j] = out[j] + x * e
-    return tuple(out)
+    row = FMatrix(m.ctx, [vec], cols=m.rows) @ m
+    return row.row(0)
 
 
 def mat_vec_mul(m: FMatrix, vec: Sequence[FieldElem]) -> tuple[FieldElem, ...]:
     """Matrix times column vector."""
     if len(vec) != m.cols:
         raise ValueError("vector length does not match column count")
-    ctx = m.ctx
-    out = []
-    for row in m._data:
-        acc = ctx.zero
-        for e, x in zip(row, vec):
-            if e.code and x.code:
-                acc = acc + e * x
-        out.append(acc)
-    return tuple(out)
+    return (m @ FMatrix(m.ctx, [[x] for x in vec], cols=1)).col(0)

@@ -38,16 +38,33 @@ _TABLE_LIMIT = 4096
 _ADD_TABLE_LIMIT = 512
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2015); larger q are rejected as not prime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
+    """Deterministic Miller-Rabin; False for every p >= _MR_LIMIT."""
+    if p < 2 or p >= _MR_LIMIT:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -339,8 +339,8 @@ def save_instance(source: TreePinSource, wiretapper: Wiretapper) -> str:
         lines.append(f"edge {e.edge_id} {e.u} {e.v} {e.mult}")
     lines.append(f"wiretap cols={wiretapper.dim}")
     if wiretapper.dim:
-        for i in range(source.base_dim):
-            lines.append(" ".join(str(x.code) for x in wiretapper.matrix.row(i)))
+        for row in wiretapper.matrix.to_code_rows():
+            lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .falinalg import FMatrix, rank, inverse, solve_right
+from .falinalg import FMatrix, completion_indices, inverse, solve_right
 from .mcf import mcf_edge_wiretap
 from .model import TreePinSource, Wiretapper
 
@@ -74,23 +74,7 @@ def is_irreducible(source: TreePinSource, wiretapper: Wiretapper) -> bool:
 def _greedy_basis_completion(m: FMatrix) -> FMatrix:
     """Standard basis columns (ascending index) completing m's columns to a
     basis of the ambient space."""
-    n = m.rows
-    cur = m
-    picked: list[int] = []
-    base_rank = rank(cur)
-    for idx in range(n):
-        if base_rank == n:
-            break
-        cand = FMatrix.basis_columns(m.ctx, n, [idx])
-        stacked = cur.hstack(cand)
-        r = rank(stacked)
-        if r > base_rank:
-            cur = stacked
-            base_rank = r
-            picked.append(idx)
-    if base_rank != n:
-        raise AssertionError("completion failed")
-    return FMatrix.basis_columns(m.ctx, n, picked)
+    return FMatrix.basis_columns(m.ctx, m.rows, completion_indices(m))
 
 
 def reduce_once(
@@ -124,10 +108,9 @@ def reduce_once(
     # Rewrite the wiretap matrix in the new block coordinates.
     w = wiretapper.matrix
     new_block = change_inv @ w.take_rows(block)
-    grid = [list(w.row(i)) for i in range(d)]
-    for off, i in enumerate(block):
-        grid[i] = list(new_block.row(off))
-    w_new = FMatrix(ctx, grid, cols=n_w)
+    grid = w.to_code_rows()
+    grid[block.start : block.stop] = new_block.to_code_rows()
+    w_new = FMatrix.from_rows(ctx, grid, cols=n_w)
 
     # The common part's coordinates are now the first l rows of the block.
     g_rows = [block.start + k for k in range(l)]
@@ -139,18 +122,18 @@ def reduce_once(
     coeffs = solve_right(w_new, g_selector)
     if coeffs is None:
         raise AssertionError("common part not contained in the wiretap span")
-    u = coeffs.hstack(_complete_columns(coeffs))
+    u = coeffs.hstack(_greedy_basis_completion(coeffs))
     w_pivoted = w_new @ u
 
-    # The leading l columns are exactly the selector columns, so clearing
-    # the remaining entries of the G rows is entrywise.
-    grid = [list(w_pivoted.row(i)) for i in range(d)]
-    for r in g_rows:
-        for j in range(l, n_w):
-            grid[r][j] = ctx.zero
-    keep_rows = [i for i in range(d) if i not in set(g_rows)]
-    reduced_rows = [[grid[i][j] for j in range(l, n_w)] for i in keep_rows]
-    reduced = FMatrix(ctx, reduced_rows, cols=n_w - l)
+    # The leading l columns are exactly the selector columns, so dropping
+    # the G rows and those columns leaves the eavesdropper's view of the
+    # rest.
+    g_set = set(g_rows)
+    reduced = FMatrix.from_rows(
+        ctx,
+        [row[l:] for i, row in enumerate(w_pivoted.to_code_rows()) if i not in g_set],
+        cols=n_w - l,
+    )
 
     new_source = source.with_multiplicity(edge_id, edge.mult - l)
     new_wiretapper = Wiretapper(reduced)
@@ -163,11 +146,6 @@ def reduce_once(
         new_wiretapper=new_wiretapper,
     )
     return new_source, new_wiretapper, step
-
-
-def _complete_columns(m: FMatrix) -> FMatrix:
-    """Standard basis columns completing m's columns to a basis of F^rows."""
-    return _greedy_basis_completion(m)
 
 
 def reduce_full(

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 from .falinalg import (
     FMatrix,
+    completion_indices,
     det,
     inverse,
     left_nullspace_basis,
@@ -101,6 +102,14 @@ class CommScheme:
     def columns_of(self, node: int) -> tuple[int, ...]:
         return tuple(j for j, o in enumerate(self.owners) if o == node)
 
+    def check_owners(self, source: TreePinSource) -> None:
+        """Raise SchemeError unless every owner is a node of the tree."""
+        for j, owner in enumerate(self.owners):
+            if not 0 <= owner < source.vertex_count:
+                raise SchemeError(
+                    f"owner {owner} of column {j} is not a node of the tree"
+                )
+
     def validate(self, source: TreePinSource, wiretapper: Wiretapper | None = None) -> None:
         """Check structural invariants; raises SchemeError on violation."""
         f = self.comm_matrix
@@ -110,10 +119,12 @@ class CommScheme:
             raise SchemeError("field characteristic mismatch")
         if len(self.owners) != f.cols:
             raise SchemeError("one owner per communication column required")
+        self.check_owners(source)
+        codes = f.to_code_rows()
         for j, owner in enumerate(self.owners):
             visible = set(source.node_view(owner).coords)
             for i in range(f.rows):
-                if f[i, j].code and i not in visible:
+                if codes[i][j] and i not in visible:
                     raise SchemeError(
                         f"column {j} uses coordinate {i} that node {owner} "
                         f"cannot observe"
@@ -440,24 +451,11 @@ def extract_key(scheme: CommScheme) -> KeyExtractor:
     """Greedy key columns: the first standard basis vectors (ascending
     coordinate) that extend the communication's column space to full rank."""
     f = scheme.comm_matrix
-    ext = scheme.ext_ctx
-    d = f.rows
-    cur = f
-    cur_rank = rank(f)
-    coords: list[int] = []
-    for idx in range(d):
-        if cur_rank == d or len(coords) == scheme.s:
-            break
-        cand = FMatrix.basis_columns(ext, d, [idx])
-        stacked = cur.hstack(cand)
-        r = rank(stacked)
-        if r > cur_rank:
-            cur, cur_rank = stacked, r
-            coords.append(idx)
-    if len(coords) != scheme.s or cur_rank != d:
+    coords = completion_indices(f)
+    if len(coords) != scheme.s:
         raise SchemeError("communication matrix does not leave an s-dim key space")
     return KeyExtractor(
-        matrix=FMatrix.basis_columns(ext, d, coords), coords=tuple(coords)
+        matrix=FMatrix.basis_columns(scheme.ext_ctx, f.rows, coords), coords=coords
     )
 
 
@@ -465,14 +463,14 @@ def extract_key(scheme: CommScheme) -> KeyExtractor:
 # Serialization
 
 
-def _fmt_elem(e) -> str:
-    return ",".join(str(c) for c in e.coeffs)
-
-
 def _fmt_matrix_lines(m: FMatrix) -> list[str]:
     if not m.cols:
         return []
-    return [" ".join(_fmt_elem(e) for e in m.row(i)) for i in range(m.rows)]
+    decode = m.ctx.decode
+    return [
+        " ".join(",".join(map(str, decode(c))) for c in row)
+        for row in m.to_code_rows()
+    ]
 
 
 def save_scheme(scheme: CommScheme) -> str:
@@ -504,7 +502,7 @@ def save_scheme(scheme: CommScheme) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_elem(token: str, ext: ExtFieldCtx):
+def _parse_elem(token: str, ext: ExtFieldCtx) -> int:
     parts = token.split(",")
     if len(parts) != ext.n:
         raise SchemeError(f"element {token!r} needs {ext.n} coefficients")
@@ -515,7 +513,25 @@ def _parse_elem(token: str, ext: ExtFieldCtx):
     for c in coeffs:
         if not 0 <= c < ext.q:
             raise SchemeError(f"coefficient {c} out of range for F_{ext.q}")
-    return ext(coeffs)
+    return ext.encode(coeffs)
+
+
+def _tag_ints(parts: list[str], names: tuple[str, ...]) -> list[int]:
+    """Values of the named non-negative integer fields of a block tag line
+    such as 'amat node=1 edge=0 rows=2 cols=2'."""
+    if not all("=" in p for p in parts[1:]):
+        raise SchemeError(f"malformed {parts[0]} tag: fields must be key=value")
+    fields = dict(p.split("=", 1) for p in parts[1:])
+    try:
+        values = [int(fields[name]) for name in names]
+    except (KeyError, ValueError):
+        raise SchemeError(
+            f"malformed {parts[0]} tag: needs integer "
+            + " ".join(f"{name}=" for name in names)
+        ) from None
+    if any(v < 0 for v in values):
+        raise SchemeError(f"malformed {parts[0]} tag: negative field")
+    return values
 
 
 def load_scheme(text: str) -> CommScheme:
@@ -549,9 +565,15 @@ def load_scheme(text: str) -> CommScheme:
     mline = take("modulus").split()
     if len(mline) != 2 or mline[0] != "modulus":
         raise SchemeError("expected modulus line")
-    modulus = [int(c) for c in mline[1].split(",")]
     try:
-        ext = ExtFieldCtx(q, n, modulus)
+        modulus = tuple(int(c) for c in mline[1].split(","))
+        if len(modulus) != n + 1:
+            raise ValueError("modulus must be monic of degree n")
+        # Reuse the cached canonical context; build one only for another
+        # modulus.
+        ext = make_ext_field(q, n)
+        if ext.modulus != tuple(c % q for c in modulus):
+            ext = ExtFieldCtx(q, n, modulus)
     except ValueError as exc:
         raise SchemeError(str(exc)) from None
 
@@ -571,8 +593,7 @@ def load_scheme(text: str) -> CommScheme:
     owners = tuple(int(o) for o in oline[1:])
 
     def read_matrix(tag_parts: list[str]) -> FMatrix:
-        dims = dict(p.split("=") for p in tag_parts)
-        rows, cols = int(dims["rows"]), int(dims["cols"])
+        rows, cols = _tag_ints(tag_parts, ("rows", "cols"))
         grid = []
         for _ in range(rows):
             if cols == 0:
@@ -582,12 +603,12 @@ def load_scheme(text: str) -> CommScheme:
             if len(tokens) != cols:
                 raise SchemeError(f"expected {cols} entries in matrix row")
             grid.append([_parse_elem(t, ext) for t in tokens])
-        return FMatrix(ext, grid, cols=cols)
+        return FMatrix.from_rows(ext, grid, cols=cols)
 
     fline = take("fmat").split()
     if fline[0] != "fmat":
         raise SchemeError("expected fmat block")
-    comm = read_matrix(fline[1:])
+    comm = read_matrix(fline)
     if len(owners) != comm.cols:
         raise SchemeError("owners count does not match communication columns")
 
@@ -598,15 +619,11 @@ def load_scheme(text: str) -> CommScheme:
         line = take("block")
         parts = line.split()
         if parts[0] == "amat":
-            meta = dict(p.split("=") for p in parts[1:])
-            child_mix[(int(meta["node"]), int(meta["edge"]))] = read_matrix(
-                [p for p in parts[1:] if p.startswith(("rows=", "cols="))]
-            )
+            node, eid = _tag_ints(parts, ("node", "edge"))
+            child_mix[(node, eid)] = read_matrix(parts)
         elif parts[0] == "bmat":
-            meta = dict(p.split("=") for p in parts[1:])
-            surplus_mix[int(meta["edge"])] = read_matrix(
-                [p for p in parts[1:] if p.startswith(("rows=", "cols="))]
-            )
+            (eid,) = _tag_ints(parts, ("edge",))
+            surplus_mix[eid] = read_matrix(parts)
         elif parts[0] == "keycols":
             coords = tuple(int(c) for c in parts[1:])
             key = KeyExtractor(

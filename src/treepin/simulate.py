@@ -53,10 +53,6 @@ class SimReport:
         )
 
 
-def _code_rows(m: FMatrix) -> tuple[tuple[int, ...], ...]:
-    return m.to_code_rows()
-
-
 def _sparse_cols(m: FMatrix) -> list[list[tuple[int, int]]]:
     rows = m.to_code_rows()
     return [
@@ -80,6 +76,7 @@ def run_protocol(
     f = scheme.comm_matrix
     if f.rows != d:
         raise SimulationError("scheme does not match the source")
+    scheme.check_owners(source)
     add = ext.add_code
     mul = ext.mul_code
 
@@ -96,15 +93,15 @@ def run_protocol(
                 f"node {v} cannot reach omniscience with this scheme"
             )
         dec = left_inverse(m.transpose())
-        decoders.append((coords, _code_rows(dec)))
+        decoders.append((coords, dec.to_code_rows()))
 
-    key_rows = _code_rows(scheme.key.matrix)
+    key_rows = scheme.key.matrix.to_code_rows()
     key_cols = range(scheme.key.matrix.cols)
 
     wl = lift(wiretapper.matrix, ext)
     wiretap_cols = _sparse_cols(wl)
     recon = solve_right(f, wl)
-    recon_rows = _code_rows(recon) if recon is not None else None
+    recon_rows = recon.to_code_rows() if recon is not None else None
     unknown_dims = d - rank(f.hstack(wl))
 
     rng = random.Random(seed)

@@ -192,3 +192,79 @@ def test_reduce_trace_fields(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", "--in", red)
     assert code == 0
     assert lines_of(out)["irreducible"] == "true"
+
+
+@pytest.fixture
+def wide_files(tmp_path):
+    """Instance and scheme files for the irreducible wide path; the scheme
+    has fmat, amat and bmat blocks."""
+    from treepin import synth_random
+    from conftest import wide_path_irreducible
+
+    src, wt = wide_path_irreducible()
+    inst = tmp_path / "wide.txt"
+    inst.write_text(save_instance(src, wt))
+    return str(inst), save_scheme(synth_random(src, wt, seed=5))
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "oracle-check"])
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("fmat rows=4 cols=3", "fmat rows=4"),
+        ("fmat rows=4 cols=3", "fmat rows=4 cols"),
+        ("amat node=1 edge=1 rows=1 cols=1", "amat node=1 edge=1 cols=1"),
+        ("amat node=1 edge=1 rows=1 cols=1", "amat edge=1 rows=1 cols=1"),
+        ("bmat edge=0 rows=1 cols=1", "bmat edge=0 rows=1"),
+        ("bmat edge=0 rows=1 cols=1", "bmat edge=0 rows=-1 cols=1"),
+        ("owners 1 1 2", "owners 99 1 2"),
+        ("owners 1 1 2", "owners 1 1 -1"),
+    ],
+)
+def test_malformed_scheme_exits_1(capsys, tmp_path, wide_files, command, old, new):
+    inst, text = wide_files
+    assert old in text
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace(old, new))
+    code, _, err = run(capsys, command, "--in", inst, "--scheme", str(bad))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def _run_cli_subprocess(tmp_path, text, timeout):
+    """Run `treepin analyze` on `text` in a fresh interpreter, so a hang
+    ends in TimeoutExpired instead of stalling the suite."""
+    import os
+    import subprocess
+    import sys
+
+    import treepin
+
+    inst = tmp_path / "inst.txt"
+    inst.write_text(text)
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(treepin.__file__)))
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "treepin.cli", "analyze", "--in", str(inst)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+def test_large_prime_q_analyzes_quickly(tmp_path):
+    q = 1000000000000000003
+    done = _run_cli_subprocess(
+        tmp_path, f"treepin q={q}\nvertices 2\nedge 0 0 1 1\nwiretap cols=0\n", 60
+    )
+    assert done.returncode == 0, done.stderr
+    assert lines_of(done.stdout)["q"] == str(q)
+
+
+def test_large_composite_q_is_rejected(tmp_path):
+    q = (10**9 + 7) * (10**9 + 9)
+    done = _run_cli_subprocess(
+        tmp_path, f"treepin q={q}\nvertices 2\nedge 0 0 1 1\nwiretap cols=0\n", 60
+    )
+    assert done.returncode == 1
+    assert "must be prime" in done.stderr

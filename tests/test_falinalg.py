@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from treepin import FMatrix, make_ext_field
 from treepin.falinalg import (
     col_space_intersect,
+    completion_indices,
     det,
     expand_to_base,
     in_col_span,
@@ -24,6 +25,7 @@ from treepin.falinalg import (
     solve_right,
     vec_mat_mul,
 )
+from treepin.oracle import _det_mod, _rank_mod
 
 F2 = make_ext_field(2, 1)
 F4 = make_ext_field(2, 2)
@@ -250,3 +252,107 @@ def test_hypothesis_rank_transpose_f9(codes):
         F9, [codes[0:3], codes[3:6], codes[6:9]], cols=3
     )
     assert rank(m) == rank(m.transpose())
+
+
+# ---------------------------------------------------------------------------
+# The elimination kernel against references that share no code with it.
+# Prime fields cover the table path (q <= 4096) and the generic path
+# (4099); extensions cover the add table (order <= 512), the generic
+# addition (625, 729) and the table-less multiply (2^13).
+
+PRIME_FIELDS = [make_ext_field(q, 1) for q in (2, 3, 5, 7, 4099)]
+EXT_FIELDS = [make_ext_field(q, n) for q, n in ((2, 2), (2, 4), (3, 2), (5, 2), (5, 4), (3, 6))]
+
+
+@st.composite
+def matrices(draw, fields, max_dim=6, square=False):
+    ctx = draw(st.sampled_from(fields))
+    rows = draw(st.integers(0, max_dim))
+    cols = rows if square else draw(st.integers(0, max_dim))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, ctx.order - 1))
+    grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return FMatrix.from_rows(ctx, grid, cols=cols)
+
+
+def reference_rref(m, pivot_cols=None):
+    """Gauss-Jordan on FieldElem entries: first nonzero pivot scanning
+    down, pivot row scaled to 1, pivot column cleared in every other row."""
+    limit = m.cols if pivot_cols is None else pivot_cols
+    data = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    prow = 0
+    for c in range(limit):
+        if prow == m.rows:
+            break
+        pr = next((i for i in range(prow, m.rows) if data[i][c]), None)
+        if pr is None:
+            continue
+        data[prow], data[pr] = data[pr], data[prow]
+        pinv = data[prow][c].inv()
+        data[prow] = [pinv * v for v in data[prow]]
+        for i in range(m.rows):
+            if i != prow and data[i][c]:
+                f = data[i][c]
+                data[i] = [a - f * b for a, b in zip(data[i], data[prow])]
+        pivots.append(c)
+        prow += 1
+    return FMatrix(m.ctx, data, cols=m.cols), tuple(pivots)
+
+
+def reference_completion(m):
+    """Ascending greedy completion, one rank() per candidate coordinate."""
+    cur, picked = m, []
+    for idx in range(m.rows):
+        cand = cur.hstack(FMatrix.basis_columns(m.ctx, m.rows, [idx]))
+        if rank(cand) > rank(cur):
+            cur = cand
+            picked.append(idx)
+    return tuple(picked)
+
+
+@seed(20260101)
+@settings(max_examples=150, deadline=None)
+@given(matrices(PRIME_FIELDS))
+def test_rank_matches_integer_oracle_over_prime_fields(m):
+    assert rank(m) == _rank_mod(m.to_code_rows(), m.ctx.q)
+
+
+@seed(20260102)
+@settings(max_examples=150, deadline=None)
+@given(matrices(PRIME_FIELDS, square=True))
+def test_det_matches_integer_oracle_over_prime_fields(m):
+    assert det(m).code == _det_mod(m.to_code_rows(), m.ctx.q)
+
+
+@seed(20260103)
+@settings(max_examples=100, deadline=None)
+@given(matrices(EXT_FIELDS, max_dim=5))
+def test_extension_rank_matches_base_expansion(m):
+    assert m.ctx.n * rank(m) == _rank_mod(expand_to_base(m).to_code_rows(), m.ctx.q)
+
+
+@seed(20260104)
+@settings(max_examples=20, deadline=None)
+@given(matrices([make_ext_field(2, 13)], max_dim=3))
+def test_table_less_extension_rank_matches_base_expansion(m):
+    assert 13 * rank(m) == _rank_mod(expand_to_base(m).to_code_rows(), 2)
+
+
+@seed(20260105)
+@settings(max_examples=150, deadline=None)
+@given(matrices(PRIME_FIELDS + EXT_FIELDS), st.integers(0, 6))
+def test_rref_matches_reference_elimination(m, pivot_cols):
+    limit = min(pivot_cols, m.cols)
+    got = rref(m, pivot_cols=limit)
+    want, pivots = reference_rref(m, limit)
+    assert got.matrix == want
+    assert got.pivots == pivots and got.rank == len(pivots)
+
+
+@seed(20260106)
+@settings(max_examples=100, deadline=None)
+@given(matrices(PRIME_FIELDS[:3] + EXT_FIELDS[:3]))
+def test_completion_indices_match_greedy_rank_loop(m):
+    picked = completion_indices(m)
+    assert picked == reference_completion(m)
+    assert len(picked) == m.rows - rank(m)

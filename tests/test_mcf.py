@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import random
 
-from treepin import FMatrix, make_ext_field, mcf_edge_wiretap, mcf_linear
-from treepin.falinalg import in_col_span, rank
-from treepin.oracle import mcf_exhaustive
+from hypothesis import given, seed, settings, strategies as st
+
+from treepin import FMatrix, make_ext_field, mcf_edge_wiretap, mcf_linear, random_instance
+from treepin.falinalg import col_space_intersect, in_col_span, rank
+from treepin.oracle import MCF_BUDGET, mcf_exhaustive
 
 from conftest import parity_path, wide_path_reducible
 
@@ -132,3 +134,44 @@ def _apply(vec, m):
     from treepin.falinalg import vec_mat_mul
 
     return vec_mat_mul(vec, m)
+
+
+@st.composite
+def instances(draw, max_vertices=7, max_mult=3, qs=(2, 3, 5)):
+    """A random_instance whose tap width is drawn after the base dimension
+    is known (the tree and multiplicities do not depend on it), so heavy
+    taps with nonzero overlaps are common."""
+    inst_seed = draw(st.integers(0, 10**6))
+    q = draw(st.sampled_from(qs))
+    vertices = draw(st.integers(2, max_vertices))
+    mult = draw(st.integers(1, max_mult))
+    base_dim = random_instance(inst_seed, vertices, mult, q, 0)[0].base_dim
+    n_w = draw(st.integers(0, base_dim))
+    return random_instance(inst_seed, vertices, mult, q, n_w)
+
+
+@seed(20260107)
+@settings(max_examples=120, deadline=None)
+@given(instances())
+def test_edge_overlap_identity_matches_zassenhaus(inst):
+    """The rank-identity route returns the very basis the Zassenhaus
+    intersection returns, and its dimension is n_w - rank(W without e)."""
+    src, wt = inst
+    for e in src.edges:
+        got = mcf_edge_wiretap(src, wt, e.edge_id)
+        sel = src.edge_block_selector(e.edge_id)
+        assert got.matrix == col_space_intersect(sel, wt.matrix)
+        block = src.edge_range(e.edge_id)
+        outside = [i for i in range(src.base_dim) if i not in block]
+        assert got.dim == wt.dim - rank(wt.matrix.take_rows(outside))
+
+
+@seed(20260108)
+@settings(max_examples=40, deadline=None)
+@given(instances(max_vertices=4, max_mult=2, qs=(2, 3)))
+def test_edge_overlap_dimension_matches_exhaustive(inst):
+    src, wt = inst
+    assert src.q**src.base_dim <= MCF_BUDGET
+    for e in src.edges:
+        brute = mcf_exhaustive(src.edge_block_selector(e.edge_id), wt.matrix, src.q)
+        assert brute.n_components == src.q ** mcf_edge_wiretap(src, wt, e.edge_id).dim

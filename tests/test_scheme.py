@@ -279,3 +279,21 @@ def test_load_rejects_malformed_scheme_text():
     lines[6] = lines[6].replace(",", "", 1)  # break one element token
     with pytest.raises(SchemeError):
         load_scheme("\n".join(lines) + "\n")
+
+
+def test_load_scheme_reuses_the_canonical_context():
+    scheme = synth_random(*wide_path_irreducible(), seed=5)
+    back = load_scheme(save_scheme(scheme))
+    assert back.ext_ctx is make_ext_field(scheme.ext_ctx.q, scheme.ext_ctx.n)
+    header = "treepin-scheme q=2 n=3\nmodulus {}\nroot none\ns 1\nowners\nfmat rows=1 cols=0\n"
+    canonical = make_ext_field(2, 3)
+    assert canonical.modulus == (1, 1, 0, 1)
+    assert load_scheme(header.format("1,1,0,1")).ext_ctx is canonical
+    # another irreducible cubic gets a context of its own
+    other = load_scheme(header.format("1,0,1,1")).ext_ctx
+    assert other.modulus == (1, 0, 1, 1) and other.key != canonical.key
+    for bad in ("1,0,0,1", "1,1,0", "1,1,0,1,1", "1,x,0,1"):
+        with pytest.raises(SchemeError):
+            load_scheme(header.format(bad))
+    with pytest.raises(SchemeError):
+        load_scheme(header.format("1,1,0,1").replace("q=2", "q=4"))
