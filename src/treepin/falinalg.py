@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .gfield import ExtFieldCtx, FieldElem, make_ext_field
 
 __all__ = [
@@ -460,19 +462,66 @@ def expand_to_base(m: FMatrix) -> FMatrix:
     original product coefficientwise.  Shape (rows*n) x (cols*n).
     """
     ctx = m.ctx
+    grid = _expand(m, _int_dtype(ctx, ctx.n))
+    return _mat(make_ext_field(ctx.q, 1), grid.tolist(), m.cols * ctx.n)
+
+
+# -- base-field digit arrays ---------------------------------------------------
+#
+# A GF(q**n) matrix acts on coefficient vectors as an F_q-linear map, so a
+# batch of vectors can be pushed through it as one integer matrix product
+# reduced mod q, the way the galois package
+# (https://github.com/mhostetter/galois) runs extension-field linear algebra.
+
+
+def _int_dtype(ctx: ExtFieldCtx, inner: int):
+    """Array dtype for digit arithmetic in ctx: int64 while every code of
+    ctx and every sum of `inner` digit products fits in it, Python ints
+    (object arrays) beyond that."""
+    if ctx.order <= 2**63 and (ctx.q - 1) ** 2 * inner < 2**63:
+        return np.int64
+    return object
+
+
+def _to_digits(codes: np.ndarray, ctx: ExtFieldCtx) -> np.ndarray:
+    """Base-q digits, lowest first, of an array of codes: shape (..., k)
+    becomes (..., k*n), entry j spread over columns j*n .. j*n+n-1."""
+    powers = np.array([ctx.q**k for k in range(ctx.n)], dtype=codes.dtype)
+    digits = codes[..., None] // powers % ctx.q
+    return digits.reshape(*codes.shape[:-1], codes.shape[-1] * ctx.n)
+
+
+def _from_digits(digits: np.ndarray, ctx: ExtFieldCtx) -> np.ndarray:
+    """Inverse of _to_digits."""
     n = ctx.n
-    base = make_ext_field(ctx.q, 1)
-    # x^r has code q**r by the digit encoding
-    powers = [ctx.encode([0] * r + [1]) for r in range(n)]
-    grid = [[0] * (m.cols * n) for _ in range(m.rows * n)]
-    for i, row in enumerate(m._codes):
-        for j, a in enumerate(row):
-            if not a:
-                continue
-            for r in range(n):
-                coeffs = ctx.decode(ctx.mul_code(powers[r], a))
-                grid[i * n + r][j * n : (j + 1) * n] = coeffs
-    return _mat(base, grid, m.cols * n)
+    powers = np.array([ctx.q**k for k in range(n)], dtype=digits.dtype)
+    return digits.reshape(*digits.shape[:-1], digits.shape[-1] // n, n) @ powers
+
+
+def _expand(m: FMatrix, dtype) -> np.ndarray:
+    """The array behind expand_to_base.
+
+    Entry a = sum_k a_k x^k gives the block R[r][c] = sum_k a_k *
+    coeff_c(x^(r+k) mod modulus), so one product of the digit array of m
+    with the table of the powers x^0 .. x^(2n-2) builds every block.
+    """
+    ctx = m.ctx
+    q, n = ctx.q, ctx.n
+    # x has code q; n = 1 needs only x^0
+    powers = [1]
+    for _ in range(2 * n - 2):
+        powers.append(ctx.mul_code(powers[-1], q))
+    table = _to_digits(np.array(powers, dtype=dtype)[:, None], ctx)
+    k = np.arange(n)
+    # hankel[k, r*n + c] = coeff_c(x^(k+r))
+    hankel = table[k[:, None] + k[None, :]].reshape(n, n * n)
+    codes = np.array(m._codes, dtype=dtype).reshape(m.rows * m.cols, 1)
+    blocks = _to_digits(codes, ctx) @ hankel % q
+    return (
+        blocks.reshape(m.rows, m.cols, n, n)
+        .transpose(0, 2, 1, 3)
+        .reshape(m.rows * n, m.cols * n)
+    )
 
 
 def vec_mat_mul(vec: Sequence[FieldElem], m: FMatrix) -> tuple[FieldElem, ...]:

@@ -103,12 +103,25 @@ class CommScheme:
         return tuple(j for j, o in enumerate(self.owners) if o == node)
 
     def check_owners(self, source: TreePinSource) -> None:
-        """Raise SchemeError unless every owner is a node of the tree."""
+        """Raise SchemeError unless every column has one owner, a node of
+        the tree that observes every coordinate the column uses."""
+        f = self.comm_matrix
+        if len(self.owners) != f.cols:
+            raise SchemeError("one owner per communication column required")
         for j, owner in enumerate(self.owners):
             if not 0 <= owner < source.vertex_count:
                 raise SchemeError(
                     f"owner {owner} of column {j} is not a node of the tree"
                 )
+        columns = f.transpose().to_code_rows()
+        for j, (owner, col) in enumerate(zip(self.owners, columns)):
+            visible = set(source.node_view(owner).coords)
+            for i, code in enumerate(col):
+                if code and i not in visible:
+                    raise SchemeError(
+                        f"column {j} uses coordinate {i} that node {owner} "
+                        f"cannot observe"
+                    )
 
     def validate(self, source: TreePinSource, wiretapper: Wiretapper | None = None) -> None:
         """Check structural invariants; raises SchemeError on violation."""
@@ -117,18 +130,7 @@ class CommScheme:
             raise SchemeError("communication matrix does not match the source")
         if self.ext_ctx.q != source.q:
             raise SchemeError("field characteristic mismatch")
-        if len(self.owners) != f.cols:
-            raise SchemeError("one owner per communication column required")
         self.check_owners(source)
-        codes = f.to_code_rows()
-        for j, owner in enumerate(self.owners):
-            visible = set(source.node_view(owner).coords)
-            for i in range(f.rows):
-                if codes[i][j] and i not in visible:
-                    raise SchemeError(
-                        f"column {j} uses coordinate {i} that node {owner} "
-                        f"cannot observe"
-                    )
         if rank(f) != source.base_dim - self.s:
             raise SchemeError(
                 "communication matrix rank must be base_dim - s"
@@ -626,6 +628,12 @@ def load_scheme(text: str) -> CommScheme:
             surplus_mix[eid] = read_matrix(parts)
         elif parts[0] == "keycols":
             coords = tuple(int(c) for c in parts[1:])
+            if len(set(coords)) != len(coords) or not all(
+                0 <= c < comm.rows for c in coords
+            ):
+                raise SchemeError(
+                    f"keycols must be distinct coordinates in [0, {comm.rows})"
+                )
             key = KeyExtractor(
                 matrix=FMatrix.basis_columns(ext, comm.rows, coords),
                 coords=coords,

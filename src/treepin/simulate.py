@@ -7,8 +7,18 @@ extracts the key, and replays the eavesdropper's side: its observation and,
 when the scheme is aligned, the reconstruction of that observation from the
 public communication alone.
 
-The trial loop works on integer element codes with the field context's
-bound operations; matrices are flattened to code rows up front.
+Trials run in batches of up to _CHUNK rows.  The draws of a batch become
+a rows x (base_dim * n) array of base-q digits, and every linear map (the
+communication, each node's decoder, the key, the lifted tap and the
+reconstruction) is applied to the whole batch as its F_q realisation
+(`falinalg.expand_to_base`): one integer matrix product reduced mod q.
+Running GF(q**n) maps as F_q-linear maps on digit arrays is how the galois
+package (https://github.com/mhostetter/galois) vectorises extension-field
+arithmetic.  Arrays are int64 while every inner product fits (small q),
+Python-int object arrays above that.  The draws are the same
+`randrange(order)` calls, trial by trial, as a loop over single trials
+would make, so the tallies and the order of `key_counts` do not depend on
+the batching.
 """
 
 from __future__ import annotations
@@ -16,7 +26,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .falinalg import FMatrix, left_inverse, lift, rank, solve_right
+import numpy as np
+
+from .falinalg import (
+    _expand,
+    _from_digits,
+    _int_dtype,
+    _to_digits,
+    left_inverse,
+    lift,
+    rank,
+    solve_right,
+)
 from .gfield import ExtFieldCtx, FieldElem
 from .model import TreePinSource, Wiretapper
 from .scheme import CommScheme
@@ -53,12 +74,8 @@ class SimReport:
         )
 
 
-def _sparse_cols(m: FMatrix) -> list[list[tuple[int, int]]]:
-    rows = m.to_code_rows()
-    return [
-        [(i, rows[i][j]) for i in range(m.rows) if rows[i][j]]
-        for j in range(m.cols)
-    ]
+# Trials per batch: bounds every digit array at _CHUNK x (base_dim + cols) * n.
+_CHUNK = 1024
 
 
 def run_protocol(
@@ -69,82 +86,82 @@ def run_protocol(
     trials: int = 32,
 ) -> SimReport:
     """Run the protocol `trials` times and tally every mismatch."""
+    if trials < 0:
+        raise SimulationError(f"trials must be non-negative, got {trials}")
     if scheme.key is None:
         raise SimulationError("scheme has no key extractor")
     ext = scheme.ext_ctx
+    q, n = ext.q, ext.n
     d = source.base_dim
     f = scheme.comm_matrix
     if f.rows != d:
         raise SimulationError("scheme does not match the source")
     scheme.check_owners(source)
-    add = ext.add_code
-    mul = ext.mul_code
-
-    comm_cols = _sparse_cols(f)
 
     # per-node decoders: known = (communication, own coordinates); the
-    # decoder T satisfies [F | selector] @ T^T = I, so x = T applied to known
+    # decoder T satisfies [F | selector] @ T^T = I, so x = known @ T^T.
+    # Only the decoder of the node being run is ever expanded.
     decoders = []
     for v in range(source.vertex_count):
-        coords = source.node_view(v).coords
-        m = f.hstack(source.node_view(v).selector(ext))
-        if rank(m) != d:
+        view = source.node_view(v)
+        m = f.hstack(view.selector(ext))
+        try:
+            dec = left_inverse(m.transpose())
+        except ValueError:
             raise SimulationError(
                 f"node {v} cannot reach omniscience with this scheme"
-            )
-        dec = left_inverse(m.transpose())
-        decoders.append((coords, dec.to_code_rows()))
-
-    key_rows = scheme.key.matrix.to_code_rows()
-    key_cols = range(scheme.key.matrix.cols)
+            ) from None
+        digit_cols = np.array(
+            [c * n + k for c in view.coords for k in range(n)], dtype=np.intp
+        )
+        decoders.append((digit_cols, dec.transpose()))
 
     wl = lift(wiretapper.matrix, ext)
-    wiretap_cols = _sparse_cols(wl)
     recon = solve_right(f, wl)
-    recon_rows = recon.to_code_rows() if recon is not None else None
     unknown_dims = d - rank(f.hstack(wl))
 
+    dtype = _int_dtype(ext, (d + f.cols) * n)
+    comm_map = _expand(f, dtype)
+    key_map = _expand(scheme.key.matrix, dtype)
+    # the tap is replayed only for an aligned scheme with a nonempty tap
+    wiretap_map = recon_map = None
+    if recon is not None and wl.cols:
+        wiretap_map, recon_map = _expand(wl, dtype), _expand(recon, dtype)
+
     rng = random.Random(seed)
-    order = ext.order
+    randrange, order = rng.randrange, ext.order
     decode_failures = 0
     key_mismatches = 0
     mispredictions = 0
     key_counts: dict[tuple[int, ...], int] = {}
 
-    for _ in range(trials):
-        x = [rng.randrange(order) for _ in range(d)]
+    for start in range(0, trials, _CHUNK):
+        rows = min(_CHUNK, trials - start)
+        codes = np.array([randrange(order) for _ in range(rows * d)], dtype=dtype)
+        x = _to_digits(codes.reshape(rows, d), ext)
+        comm = x @ comm_map % q
+        key_true = x @ key_map % q
+        for key in map(tuple, _from_digits(key_true, ext).tolist()):
+            key_counts[key] = key_counts.get(key, 0) + 1
 
-        comm = [_sparse_dot(x, col, add, mul) for col in comm_cols]
-
-        key_true = tuple(
-            _col_dot(x, key_rows, j, add, mul) for j in key_cols
-        )
-        key_counts[key_true] = key_counts.get(key_true, 0) + 1
-
-        for coords, dec in decoders:
-            known = comm + [x[c] for c in coords]
-            recovered = [_row_dot(dec[r], known, add, mul) for r in range(d)]
-            if recovered != x:
-                decode_failures += 1
-                continue
-            key_here = tuple(
-                _col_dot(recovered, key_rows, j, add, mul) for j in key_cols
+        for digit_cols, dec in decoders:
+            known = np.hstack((comm, x[:, digit_cols]))
+            recovered = known @ _expand(dec, dtype) % q
+            decoded = (recovered == x).all(axis=1)
+            decode_failures += rows - int(np.count_nonzero(decoded))
+            key_here = recovered[decoded] @ key_map % q
+            key_mismatches += int(
+                np.count_nonzero((key_here != key_true[decoded]).any(axis=1))
             )
-            if key_here != key_true:
-                key_mismatches += 1
 
-        z = [_sparse_dot(x, col, add, mul) for col in wiretap_cols]
-        if recon_rows is not None and wiretap_cols:
-            z_pred = [
-                _col_dot(comm, recon_rows, j, add, mul)
-                for j in range(len(wiretap_cols))
-            ]
-            if z_pred != z:
-                mispredictions += 1
+        if recon_map is not None:
+            z = x @ wiretap_map % q
+            z_pred = comm @ recon_map % q
+            mispredictions += int(np.count_nonzero((z_pred != z).any(axis=1)))
 
     return SimReport(
         trials=trials,
-        block_len=ext.n,
+        block_len=n,
         decode_failures=decode_failures,
         key_mismatches=key_mismatches,
         wiretap_predictable=recon is not None,
@@ -152,27 +169,3 @@ def run_protocol(
         eavesdropper_unknown_dims=unknown_dims,
         key_counts=key_counts,
     )
-
-
-def _sparse_dot(vec, col, add, mul):
-    acc = 0
-    for i, c in col:
-        acc = add(acc, mul(vec[i], c))
-    return acc
-
-
-def _col_dot(vec, rows, j, add, mul):
-    acc = 0
-    for i, code in enumerate(vec):
-        c = rows[i][j]
-        if c and code:
-            acc = add(acc, mul(code, c))
-    return acc
-
-
-def _row_dot(row, vec, add, mul):
-    acc = 0
-    for k, c in enumerate(row):
-        if c:
-            acc = add(acc, mul(vec[k], c))
-    return acc

@@ -219,6 +219,10 @@ def wide_files(tmp_path):
         ("bmat edge=0 rows=1 cols=1", "bmat edge=0 rows=-1 cols=1"),
         ("owners 1 1 2", "owners 99 1 2"),
         ("owners 1 1 2", "owners 1 1 -1"),
+        # column 0 uses coordinate 2, which node 0 does not observe
+        ("owners 1 1 2", "owners 0 1 2"),
+        ("keycols 0", "keycols 99"),
+        ("keycols 0", "keycols 0 0"),
     ],
 )
 def test_malformed_scheme_exits_1(capsys, tmp_path, wide_files, command, old, new):
@@ -230,6 +234,17 @@ def test_malformed_scheme_exits_1(capsys, tmp_path, wide_files, command, old, ne
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_negative_trials_exits_1(capsys, tmp_path, wide_files):
+    inst, text = wide_files
+    sch = tmp_path / "scheme.txt"
+    sch.write_text(text)
+    code, out, err = run(capsys, "simulate", "--in", inst, "--scheme", str(sch),
+                         "--trials", "-5")
+    assert code == 1
+    assert err.startswith("error:")
+    assert "perfect" not in out
 
 
 def _run_cli_subprocess(tmp_path, text, timeout):

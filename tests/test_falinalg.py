@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from treepin import FMatrix, make_ext_field
+from treepin import ExtFieldCtx, FMatrix, make_ext_field
 from treepin.falinalg import (
     col_space_intersect,
     completion_indices,
@@ -356,3 +356,38 @@ def test_completion_indices_match_greedy_rank_loop(m):
     picked = completion_indices(m)
     assert picked == reference_completion(m)
     assert len(picked) == m.rows - rank(m)
+
+
+def reference_expand(m):
+    """The per-entry loop expand_to_base replaced: block row r of entry a
+    holds the coefficients of x^r * a."""
+    ctx = m.ctx
+    n = ctx.n
+    powers = [ctx.encode([0] * r + [1]) for r in range(n)]
+    grid = [[0] * (m.cols * n) for _ in range(m.rows * n)]
+    for i, row in enumerate(m.to_code_rows()):
+        for j, a in enumerate(row):
+            if not a:
+                continue
+            for r in range(n):
+                coeffs = ctx.decode(ctx.mul_code(powers[r], a))
+                grid[i * n + r][j * n : (j + 1) * n] = coeffs
+    return grid
+
+
+EXPAND_FIELDS = PRIME_FIELDS + EXT_FIELDS + [
+    make_ext_field(2, 13),  # no log/exp tables
+    make_ext_field(4294967311, 2),  # object arrays
+    ExtFieldCtx(2, 4, (1, 0, 0, 1, 1)),  # moduli other than the canonical one
+    ExtFieldCtx(3, 2, (2, 2, 1)),
+]
+
+
+@seed(20260107)
+@settings(max_examples=150, deadline=None)
+@given(matrices(EXPAND_FIELDS, max_dim=4))
+def test_expand_to_base_matches_reference_loop(m):
+    got = expand_to_base(m)
+    assert got.shape == (m.rows * m.ctx.n, m.cols * m.ctx.n)
+    assert got.ctx == make_ext_field(m.ctx.q, 1)
+    assert got.to_code_rows() == reference_expand(m)

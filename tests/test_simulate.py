@@ -10,16 +10,27 @@ import pytest
 from treepin import (
     CommScheme,
     FMatrix,
+    InstanceError,
     KeyExtractor,
+    SchemeError,
+    SimReport,
     SimulationError,
     TreePinSource,
     Wiretapper,
     make_ext_field,
+    random_instance,
     run_protocol,
     sample_block,
     synth_explicit_unit,
     synth_random,
 )
+from treepin.falinalg import left_inverse, left_nullspace_basis, lift, rank, solve_right
+from treepin.scheme import (
+    _default_root,
+    _synth_from_certificate,
+    sample_alignment_certificate,
+)
+from treepin.simulate import _CHUNK
 
 from conftest import parity_path, published_scheme, star3_no_wiretap
 
@@ -132,3 +143,191 @@ def test_sample_block_is_uniform_enough():
             seen[e.code] += 1
     assert min(seen) > 0
     assert sum(seen) == 2000
+
+
+def test_negative_trials_is_an_error():
+    src, wt = parity_path()
+    scheme = synth_explicit_unit(src, wt)
+    with pytest.raises(SimulationError):
+        run_protocol(scheme, src, wt, seed=1, trials=-5)
+
+
+def test_column_on_an_unseen_coordinate_is_refused():
+    """Node 0 sees only coordinate 0 of the parity path, so a column it
+    owns may not use coordinate 1; verify refuses such a scheme and the
+    simulator must refuse it too."""
+    src, wt, scheme = published_scheme()
+    bad = CommScheme(
+        ext_ctx=scheme.ext_ctx,
+        s=scheme.s,
+        comm_matrix=scheme.comm_matrix,
+        owners=(0, 2),
+        key=scheme.key,
+    )
+    with pytest.raises(SchemeError, match="cannot observe"):
+        run_protocol(bad, src, wt, seed=1, trials=10)
+
+
+# ---------------------------------------------------------------------------
+# Referee: the per-trial loop that run_protocol batched.  Every trial pushes
+# one block vector through each map with the field's code operations.
+
+
+def _reference_run_protocol(scheme, source, wiretapper, seed, trials):
+    ext = scheme.ext_ctx
+    d = source.base_dim
+    f = scheme.comm_matrix
+    add = ext.add_code
+    mul = ext.mul_code
+
+    comm_cols = _sparse_cols(f)
+
+    decoders = []
+    for v in range(source.vertex_count):
+        coords = source.node_view(v).coords
+        m = f.hstack(source.node_view(v).selector(ext))
+        if rank(m) != d:
+            raise SimulationError(
+                f"node {v} cannot reach omniscience with this scheme"
+            )
+        dec = left_inverse(m.transpose())
+        decoders.append((coords, dec.to_code_rows()))
+
+    key_rows = scheme.key.matrix.to_code_rows()
+    key_cols = range(scheme.key.matrix.cols)
+
+    wl = lift(wiretapper.matrix, ext)
+    wiretap_cols = _sparse_cols(wl)
+    recon = solve_right(f, wl)
+    recon_rows = recon.to_code_rows() if recon is not None else None
+    unknown_dims = d - rank(f.hstack(wl))
+
+    rng = random.Random(seed)
+    order = ext.order
+    decode_failures = 0
+    key_mismatches = 0
+    mispredictions = 0
+    key_counts = {}
+
+    for _ in range(trials):
+        x = [rng.randrange(order) for _ in range(d)]
+
+        comm = [_sparse_dot(x, col, add, mul) for col in comm_cols]
+
+        key_true = tuple(
+            _col_dot(x, key_rows, j, add, mul) for j in key_cols
+        )
+        key_counts[key_true] = key_counts.get(key_true, 0) + 1
+
+        for coords, dec in decoders:
+            known = comm + [x[c] for c in coords]
+            recovered = [_row_dot(dec[r], known, add, mul) for r in range(d)]
+            if recovered != x:
+                decode_failures += 1
+                continue
+            key_here = tuple(
+                _col_dot(recovered, key_rows, j, add, mul) for j in key_cols
+            )
+            if key_here != key_true:
+                key_mismatches += 1
+
+        z = [_sparse_dot(x, col, add, mul) for col in wiretap_cols]
+        if recon_rows is not None and wiretap_cols:
+            z_pred = [
+                _col_dot(comm, recon_rows, j, add, mul)
+                for j in range(len(wiretap_cols))
+            ]
+            if z_pred != z:
+                mispredictions += 1
+
+    return SimReport(
+        trials=trials,
+        block_len=ext.n,
+        decode_failures=decode_failures,
+        key_mismatches=key_mismatches,
+        wiretap_predictable=recon is not None,
+        wiretap_mispredictions=mispredictions,
+        eavesdropper_unknown_dims=unknown_dims,
+        key_counts=key_counts,
+    )
+
+
+def _sparse_cols(m):
+    rows = m.to_code_rows()
+    return [
+        [(i, rows[i][j]) for i in range(m.rows) if rows[i][j]]
+        for j in range(m.cols)
+    ]
+
+
+def _sparse_dot(vec, col, add, mul):
+    acc = 0
+    for i, c in col:
+        acc = add(acc, mul(vec[i], c))
+    return acc
+
+
+def _col_dot(vec, rows, j, add, mul):
+    acc = 0
+    for i, code in enumerate(vec):
+        c = rows[i][j]
+        if c and code:
+            acc = add(acc, mul(code, c))
+    return acc
+
+
+def _row_dot(row, vec, add, mul):
+    acc = 0
+    for k, c in enumerate(row):
+        if c:
+            acc = add(acc, mul(vec[k], c))
+    return acc
+
+
+def _scheme_over(q, n, seed):
+    """A synthesized scheme over GF(q**n) on a small seeded instance: the
+    first instance with a tap (or, every other draw, without one) whose
+    certificate draw has nonsingular per-edge blocks."""
+    ext = make_ext_field(q, n)
+    rng = random.Random(seed)
+    for attempt in range(400):
+        try:
+            src, wt = random_instance(
+                seed * 1000 + attempt,
+                vertex_count=rng.randint(3, 5),
+                max_multiplicity=2,
+                q=q,
+                n_w_target=attempt % 2,
+            )
+        except InstanceError:
+            continue
+        null_basis = left_nullspace_basis(lift(wt.matrix, ext))
+        if null_basis.rows < src.min_mult:
+            continue
+        cert = sample_alignment_certificate(src, null_basis, src.min_mult, rng)
+        if cert is None:
+            continue
+        try:
+            scheme = _synth_from_certificate(src, wt, ext, cert, _default_root(src))
+        except SchemeError:
+            continue
+        return src, wt, scheme
+    raise AssertionError(f"no scheme found over GF({q}^{n})")
+
+
+REFEREE_FIELDS = [(q, n) for q in (2, 3, 5, 7) for n in range(1, 7)] + [
+    (2, 13),  # no log/exp tables: generic field multiply
+    (4294967311, 1),  # prime above 2**32: object arrays
+]
+
+
+@pytest.mark.parametrize("q, n", REFEREE_FIELDS)
+def test_batched_run_matches_per_trial_referee(q, n):
+    src, wt, scheme = _scheme_over(q, n, seed=q * 10 + n)
+    for trials in (0, 1, _CHUNK + 1):
+        seed = 4000 + trials
+        got = run_protocol(scheme, src, wt, seed=seed, trials=trials)
+        want = _reference_run_protocol(scheme, src, wt, seed, trials)
+        assert got == want
+        assert list(got.key_counts.items()) == list(want.key_counts.items())
+    assert got.perfect
