@@ -39,11 +39,7 @@ from .scheme import (
     synth_random,
 )
 from .simulate import SimulationError, run_protocol
-from .verify import (
-    leakage_bits_per_realization,
-    leakage_symbol_dims,
-    verify_scheme,
-)
+from .verify import leakage_symbol_dims, verify_scheme
 
 __all__ = ["main"]
 
@@ -164,7 +160,7 @@ def _cmd_verify(args) -> int:
     _emit("optimal_leakage_dims", report.optimal_leakage_dims)
     _emit(
         "leakage_bits_per_realization",
-        leakage_bits_per_realization(scheme, wiretapper),
+        report.leakage_dims * math.log2(scheme.ext_ctx.q),
     )
     _emit("key_dims", report.key_dims)
     _emit("optimal_key_dims", report.optimal_key_dims)

@@ -386,24 +386,70 @@ def solve_right(a: FMatrix, b: FMatrix) -> FMatrix | None:
     return _mat(a.ctx, grid, b.cols)
 
 
+def _null_vectors(ctx: ExtFieldCtx, rows: Sequence[Sequence[int]], pivots: Sequence[int], width: int) -> list[list[int]]:
+    """Basis of {x : a @ x = 0}, one vector per list, from an echelon form
+    of a: `rows[k]` has a leading 1 at pivot column pivots[k] (entries above
+    the pivots need not be cleared), and only the first `width` columns are
+    read.  Per free column f the vector is 1 at f, 0 at the other free
+    columns, and back substitution fills the pivot columns, so the basis is
+    the one the reduced row echelon form gives."""
+    add, mul, neg = ctx.add_code, ctx.mul_code, ctx.neg_code
+    pivotset = set(pivots)
+    out = []
+    for f in range(width):
+        if f in pivotset:
+            continue
+        v = [0] * width
+        v[f] = 1
+        for k in range(len(pivots) - 1, -1, -1):
+            row = rows[k]
+            acc = row[f]
+            for pc in pivots[k + 1 :]:
+                if row[pc] and v[pc]:
+                    acc = add(acc, mul(row[pc], v[pc]))
+            v[pivots[k]] = neg(acc)
+        out.append(v)
+    return out
+
+
+def _forward_null_vectors(m: FMatrix) -> list[list[int]]:
+    """_null_vectors of m after one forward elimination (no clearing above
+    the pivots)."""
+    rows = list(m._codes)
+    pivots, _ = _eliminate(m.ctx, rows, m.cols, full=False)
+    return _null_vectors(m.ctx, rows, pivots, m.cols)
+
+
 def right_nullspace_basis(m: FMatrix) -> FMatrix:
     """Columns form a basis of {x : m @ x = 0}.  Shape cols x nullity."""
-    r = rref(m)
-    red = r.matrix._codes
-    neg = m.ctx.neg_code
-    pivotset = set(r.pivots)
-    free = [c for c in range(m.cols) if c not in pivotset]
-    grid = [[0] * len(free) for _ in range(m.cols)]
-    for j, f in enumerate(free):
-        grid[f][j] = 1
-        for k, pc in enumerate(r.pivots):
-            grid[pc][j] = neg(red[k][f])
-    return _mat(m.ctx, grid, len(free))
+    vectors = _forward_null_vectors(m)
+    return _mat(m.ctx, zip(*vectors) if vectors else [()] * m.cols, len(vectors))
 
 
 def left_nullspace_basis(m: FMatrix) -> FMatrix:
     """Rows form a basis of {y : y @ m = 0}.  Shape (rows - rank) x rows."""
-    return right_nullspace_basis(m.transpose()).transpose()
+    return _mat(m.ctx, _forward_null_vectors(m.transpose()), m.rows)
+
+
+def _left_null_and_ginverse(f: FMatrix) -> tuple[FMatrix, FMatrix]:
+    """(N, L) for f (d x c) from one elimination of [f^T | I_c].
+
+    The rows of N (k x d, k = d - rank f) are the basis of {y : y @ f = 0}
+    that left_nullspace_basis(f) returns, read off the free columns of the
+    left block.  L (c x d) is a generalized inverse, f @ L @ f = f: with
+    E the right block (the row operations), column p_k of L is row k of E,
+    for the k-th pivot column p_k.  Row k of E @ f^T has a 1 at p_k and 0 at
+    the other pivots and spans the rows of f^T, which gives f^T L^T f^T =
+    f^T.
+    """
+    ctx, d, c = f.ctx, f.rows, f.cols
+    r = rref(f.transpose().hstack(FMatrix.identity(ctx, c)), pivot_cols=d)
+    red = r.matrix._codes
+    null = _mat(ctx, _null_vectors(ctx, red, r.pivots, d), d)
+    lt = [(0,) * c] * d
+    for k, p in enumerate(r.pivots):
+        lt[p] = red[k][d:]
+    return null, _mat(ctx, lt, c).transpose()
 
 
 def col_space_intersect(a: FMatrix, b: FMatrix) -> FMatrix:

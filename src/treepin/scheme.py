@@ -103,9 +103,12 @@ class CommScheme:
         return tuple(j for j, o in enumerate(self.owners) if o == node)
 
     def check_owners(self, source: TreePinSource) -> None:
-        """Raise SchemeError unless every column has one owner, a node of
-        the tree that observes every coordinate the column uses."""
+        """Raise SchemeError unless the scheme has one row per coordinate
+        of the source and every column has one owner, a node of the tree
+        that observes every coordinate the column uses."""
         f = self.comm_matrix
+        if f.rows != source.base_dim:
+            raise SchemeError("scheme does not match the source")
         if len(self.owners) != f.cols:
             raise SchemeError("one owner per communication column required")
         for j, owner in enumerate(self.owners):
@@ -131,7 +134,10 @@ class CommScheme:
         if self.ext_ctx.q != source.q:
             raise SchemeError("field characteristic mismatch")
         self.check_owners(source)
-        if rank(f) != source.base_dim - self.s:
+        # rank F = base_dim - (rows of N) and rank([F | K]) = rank F +
+        # rank(N @ K), for N the left-null basis of F
+        null = left_nullspace_basis(f)
+        if null.rows != self.s:
             raise SchemeError(
                 "communication matrix rank must be base_dim - s"
             )
@@ -153,8 +159,7 @@ class CommScheme:
                 if not (cert @ wl).is_zero():
                     raise SchemeError("certificate does not annihilate the wiretap matrix")
         if self.key is not None:
-            stacked = f.hstack(self.key.matrix)
-            if rank(stacked) != source.base_dim:
+            if rank(null @ self.key.matrix) != null.rows:
                 raise SchemeError("key columns do not complete the communication")
 
 

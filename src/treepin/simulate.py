@@ -7,9 +7,27 @@ extracts the key, and replays the eavesdropper's side: its observation and,
 when the scheme is aligned, the reconstruction of that observation from the
 public communication alone.
 
+Decoding rests on one elimination of the communication matrix F (d x c):
+`falinalg._left_null_and_ginverse` reduces [F^T | I_c] once and returns
+N (k x d, the rows spanning {y : y @ F = 0}, k = d - rank F) and a
+generalized inverse L (c x d, F @ L @ F = F).  The broadcast comm = x @ F
+fixes x up to the row span of N, and x0 = comm @ L is one such vector,
+computed once per batch for every node.  Node v sees x_v (its own
+coordinates) and recovers
+
+    x = x0 + ((x_v - x0_v) @ R_v) @ N,
+
+where R_v is a right inverse of N restricted to v's coordinates.  R_v
+exists iff that k-row slice has full row rank, which is exactly when v can
+reach omniscience (rank([F | selector_v]) = rank F + rank(N @ selector_v));
+it comes from an elimination of at most |coords_v| x k entries.  The same
+N and L serve the eavesdropper's replay: the tap W is predictable from the
+communication iff N @ W = 0, L @ W then reconstructs it, and
+d - rank([F | W]) = k - rank(N @ W) dimensions stay unknown to it.
+
 Trials run in batches of up to _CHUNK rows.  The draws of a batch become
 a rows x (base_dim * n) array of base-q digits, and every linear map (the
-communication, each node's decoder, the key, the lifted tap and the
+communication, L, each node's R_v, N, the key, the lifted tap and the
 reconstruction) is applied to the whole batch as its F_q realisation
 (`falinalg.expand_to_base`): one integer matrix product reduced mod q.
 Running GF(q**n) maps as F_q-linear maps on digit arrays is how the galois
@@ -32,11 +50,11 @@ from .falinalg import (
     _expand,
     _from_digits,
     _int_dtype,
+    _left_null_and_ginverse,
     _to_digits,
     left_inverse,
     lift,
     rank,
-    solve_right,
 )
 from .gfield import ExtFieldCtx, FieldElem
 from .model import TreePinSource, Wiretapper
@@ -98,30 +116,34 @@ def run_protocol(
         raise SimulationError("scheme does not match the source")
     scheme.check_owners(source)
 
-    # per-node decoders: known = (communication, own coordinates); the
-    # decoder T satisfies [F | selector] @ T^T = I, so x = known @ T^T.
-    # Only the decoder of the node being run is ever expanded.
+    # One elimination of F serves every node (see the module docstring):
+    # node v recovers x = x0 + ((x_v - x0_v) @ R_v) @ N, with x0 = comm @ L
+    # shared by all nodes and R_v a right inverse of N's columns at v's
+    # coordinates, which exists iff v can decode.
+    null, ginv = _left_null_and_ginverse(f)
+    dtype = _int_dtype(ext, (d + f.cols) * n)
     decoders = []
     for v in range(source.vertex_count):
-        view = source.node_view(v)
-        m = f.hstack(view.selector(ext))
+        coords = source.node_view(v).coords
         try:
-            dec = left_inverse(m.transpose())
+            right_inv = left_inverse(null.take_cols(coords).transpose())
         except ValueError:
             raise SimulationError(
                 f"node {v} cannot reach omniscience with this scheme"
             ) from None
         digit_cols = np.array(
-            [c * n + k for c in view.coords for k in range(n)], dtype=np.intp
+            [c * n + k for c in coords for k in range(n)], dtype=np.intp
         )
-        decoders.append((digit_cols, dec.transpose()))
+        decoders.append((digit_cols, _expand(right_inv.transpose(), dtype)))
 
     wl = lift(wiretapper.matrix, ext)
-    recon = solve_right(f, wl)
-    unknown_dims = d - rank(f.hstack(wl))
+    tap = null @ wl
+    recon = ginv @ wl if tap.is_zero() else None
+    unknown_dims = null.rows - rank(tap)
 
-    dtype = _int_dtype(ext, (d + f.cols) * n)
     comm_map = _expand(f, dtype)
+    ginv_map = _expand(ginv, dtype)
+    null_map = _expand(null, dtype)
     key_map = _expand(scheme.key.matrix, dtype)
     # the tap is replayed only for an aligned scheme with a nonempty tap
     wiretap_map = recon_map = None
@@ -144,9 +166,10 @@ def run_protocol(
         for key in map(tuple, _from_digits(key_true, ext).tolist()):
             key_counts[key] = key_counts.get(key, 0) + 1
 
-        for digit_cols, dec in decoders:
-            known = np.hstack((comm, x[:, digit_cols]))
-            recovered = known @ _expand(dec, dtype) % q
+        x0 = comm @ ginv_map % q
+        for digit_cols, right_inv in decoders:
+            y = (x[:, digit_cols] - x0[:, digit_cols]) @ right_inv % q
+            recovered = (x0 + y @ null_map) % q
             decoded = (recovered == x).all(axis=1)
             decode_failures += rows - int(np.count_nonzero(decoded))
             key_here = recovered[decoded] @ key_map % q

@@ -19,8 +19,14 @@ from treepin import (
     reduce_full,
     synth_random,
 )
-from treepin.falinalg import rank
+from treepin.falinalg import left_nullspace_basis, lift, rank
 from treepin.reduce import ReductionError
+from treepin.scheme import (
+    SchemeError,
+    _default_root,
+    _synth_from_certificate,
+    sample_alignment_certificate,
+)
 
 
 def parity_path():
@@ -71,6 +77,37 @@ def published_scheme():
         ext_ctx=ext, s=1, comm_matrix=f, owners=(1, 2), key=key
     )
     return source, wt, scheme
+
+
+def scheme_over(q, n, seed):
+    """A synthesized scheme over GF(q**n) on a small seeded instance: the
+    first instance with a tap (or, every other draw, without one) whose
+    certificate draw has nonsingular per-edge blocks."""
+    ext = make_ext_field(q, n)
+    rng = random.Random(seed)
+    for attempt in range(400):
+        try:
+            src, wt = random_instance(
+                seed * 1000 + attempt,
+                vertex_count=rng.randint(3, 5),
+                max_multiplicity=2,
+                q=q,
+                n_w_target=attempt % 2,
+            )
+        except InstanceError:
+            continue
+        null_basis = left_nullspace_basis(lift(wt.matrix, ext))
+        if null_basis.rows < src.min_mult:
+            continue
+        cert = sample_alignment_certificate(src, null_basis, src.min_mult, rng)
+        if cert is None:
+            continue
+        try:
+            scheme = _synth_from_certificate(src, wt, ext, cert, _default_root(src))
+        except SchemeError:
+            continue
+        return src, wt, scheme
+    raise AssertionError(f"no scheme found over GF({q}^{n})")
 
 
 def build_irreducible_suite(count):

@@ -223,6 +223,8 @@ def wide_files(tmp_path):
         ("owners 1 1 2", "owners 0 1 2"),
         ("keycols 0", "keycols 99"),
         ("keycols 0", "keycols 0 0"),
+        # five rows on the four coordinates of the wide path
+        ("fmat rows=4 cols=3", "fmat rows=5 cols=3\n0,0 0,0 0,0"),
     ],
 )
 def test_malformed_scheme_exits_1(capsys, tmp_path, wide_files, command, old, new):
@@ -283,3 +285,18 @@ def test_large_composite_q_is_rejected(tmp_path):
     )
     assert done.returncode == 1
     assert "must be prime" in done.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "oracle-check"])
+def test_scheme_of_another_source_exits_1(capsys, tmp_path, wide_files, parity_file, command):
+    """A scheme with one row more than the instance has coordinates (the
+    wide path's scheme on the parity path) is refused by its row count,
+    not by a message about its owners."""
+    _, text = wide_files
+    sch = tmp_path / "scheme.txt"
+    sch.write_text(text)
+    code, out, err = run(capsys, command, "--in", parity_file, "--scheme", str(sch))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "does not match the source" in err
+    assert "Traceback" not in err

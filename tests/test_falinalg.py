@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from treepin import ExtFieldCtx, FMatrix, make_ext_field
 from treepin.falinalg import (
+    _left_null_and_ginverse,
     col_space_intersect,
     completion_indices,
     det,
@@ -356,6 +357,40 @@ def test_completion_indices_match_greedy_rank_loop(m):
     picked = completion_indices(m)
     assert picked == reference_completion(m)
     assert len(picked) == m.rows - rank(m)
+
+
+def reference_nullspace_rows(m):
+    """Basis of {x : m @ x = 0} read off the reference reduced row echelon
+    form: per free column f, 1 at f and -red[k, f] at the k-th pivot."""
+    red, pivots = reference_rref(m, m.cols)
+    out = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [m.ctx.zero] * m.cols
+        v[f] = m.ctx.one
+        for k, pc in enumerate(pivots):
+            v[pc] = -red[k, f]
+        out.append(v)
+    return FMatrix(m.ctx, out, cols=m.cols)
+
+
+@seed(20260108)
+@settings(max_examples=150, deadline=None)
+@given(matrices(PRIME_FIELDS + EXT_FIELDS + [make_ext_field(2, 13)]))
+def test_nullspaces_match_reduced_echelon_reference(m):
+    assert right_nullspace_basis(m) == reference_nullspace_rows(m).transpose()
+    assert left_nullspace_basis(m) == reference_nullspace_rows(m.transpose())
+
+
+@seed(20260109)
+@settings(max_examples=150, deadline=None)
+@given(matrices(PRIME_FIELDS + EXT_FIELDS + [make_ext_field(2, 13)]))
+def test_left_null_and_ginverse(f):
+    null, ginv = _left_null_and_ginverse(f)
+    assert null == left_nullspace_basis(f)
+    assert ginv.shape == (f.cols, f.rows)
+    assert f @ ginv @ f == f
 
 
 def reference_expand(m):

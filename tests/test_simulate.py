@@ -10,7 +10,6 @@ import pytest
 from treepin import (
     CommScheme,
     FMatrix,
-    InstanceError,
     KeyExtractor,
     SchemeError,
     SimReport,
@@ -18,21 +17,20 @@ from treepin import (
     TreePinSource,
     Wiretapper,
     make_ext_field,
-    random_instance,
     run_protocol,
     sample_block,
     synth_explicit_unit,
     synth_random,
 )
-from treepin.falinalg import left_inverse, left_nullspace_basis, lift, rank, solve_right
-from treepin.scheme import (
-    _default_root,
-    _synth_from_certificate,
-    sample_alignment_certificate,
-)
+from treepin.falinalg import left_inverse, lift, rank, solve_right
 from treepin.simulate import _CHUNK
 
-from conftest import parity_path, published_scheme, star3_no_wiretap
+from conftest import (
+    parity_path,
+    published_scheme,
+    scheme_over as _scheme_over,
+    star3_no_wiretap,
+)
 
 
 def test_parity_scheme_runs_perfectly():
@@ -284,37 +282,6 @@ def _row_dot(row, vec, add, mul):
     return acc
 
 
-def _scheme_over(q, n, seed):
-    """A synthesized scheme over GF(q**n) on a small seeded instance: the
-    first instance with a tap (or, every other draw, without one) whose
-    certificate draw has nonsingular per-edge blocks."""
-    ext = make_ext_field(q, n)
-    rng = random.Random(seed)
-    for attempt in range(400):
-        try:
-            src, wt = random_instance(
-                seed * 1000 + attempt,
-                vertex_count=rng.randint(3, 5),
-                max_multiplicity=2,
-                q=q,
-                n_w_target=attempt % 2,
-            )
-        except InstanceError:
-            continue
-        null_basis = left_nullspace_basis(lift(wt.matrix, ext))
-        if null_basis.rows < src.min_mult:
-            continue
-        cert = sample_alignment_certificate(src, null_basis, src.min_mult, rng)
-        if cert is None:
-            continue
-        try:
-            scheme = _synth_from_certificate(src, wt, ext, cert, _default_root(src))
-        except SchemeError:
-            continue
-        return src, wt, scheme
-    raise AssertionError(f"no scheme found over GF({q}^{n})")
-
-
 REFEREE_FIELDS = [(q, n) for q in (2, 3, 5, 7) for n in range(1, 7)] + [
     (2, 13),  # no log/exp tables: generic field multiply
     (4294967311, 1),  # prime above 2**32: object arrays
@@ -331,3 +298,81 @@ def test_batched_run_matches_per_trial_referee(q, n):
         assert got == want
         assert list(got.key_counts.items()) == list(want.key_counts.items())
     assert got.perfect
+
+
+def _owner_of(src, coord):
+    return next(v for v in range(src.vertex_count) if coord in src.node_view(v).coords)
+
+
+def _widened(scheme, extra, owners):
+    return CommScheme(
+        ext_ctx=scheme.ext_ctx,
+        s=scheme.s,
+        comm_matrix=scheme.comm_matrix.hstack(extra),
+        owners=scheme.owners + owners,
+        key=scheme.key,
+    )
+
+
+@pytest.mark.parametrize("q, n", REFEREE_FIELDS)
+def test_dependent_columns_and_full_row_rank_match_referee(q, n):
+    """F with a repeated (scaled) column, so rank F < cols, and F widened
+    by the key columns, so rank F = base_dim and the left nullspace of F
+    is empty."""
+    src, wt, scheme = _scheme_over(q, n, seed=q * 10 + n)
+    ext = scheme.ext_ctx
+    f = scheme.comm_matrix
+    dependent = _widened(
+        scheme,
+        f.take_cols([0]).scale(ext(ext.order - 1)),
+        (scheme.owners[0],),
+    )
+    full = _widened(
+        scheme,
+        scheme.key.matrix,
+        tuple(_owner_of(src, c) for c in scheme.key.coords),
+    )
+    for variant in (dependent, full):
+        for trials in (1, 64):
+            got = run_protocol(variant, src, wt, seed=trials, trials=trials)
+            want = _reference_run_protocol(variant, src, wt, trials, trials)
+            assert got == want
+            assert list(got.key_counts.items()) == list(want.key_counts.items())
+            assert got.perfect
+    assert got.eavesdropper_unknown_dims == 0
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_first_node_that_cannot_decode_is_named(n):
+    """Columns X_0 + X_1 (node 1) and X_2 (node 2) on the parity path:
+    nodes 0, 1 and 2 decode, node 3 only ever learns X_0 + X_1."""
+    src, wt = parity_path()
+    ext = make_ext_field(2, n)
+    scheme = CommScheme(
+        ext_ctx=ext,
+        s=1,
+        comm_matrix=FMatrix.from_cols(ext, [[1, 1, 0], [0, 0, 1]], rows=3),
+        owners=(1, 2),
+        key=KeyExtractor(FMatrix.basis_columns(ext, 3, (0,)), (0,)),
+    )
+    message = "node 3 cannot reach omniscience with this scheme"
+    with pytest.raises(SimulationError, match=message):
+        _reference_run_protocol(scheme, src, wt, seed=1, trials=10)
+    with pytest.raises(SimulationError, match=message):
+        run_protocol(scheme, src, wt, seed=1, trials=10)
+
+
+@pytest.mark.parametrize("q, n", REFEREE_FIELDS)
+def test_tap_outside_col_f_matches_referee(q, n):
+    """A tap widened by a key coordinate, which lies outside col F: every
+    node still decodes, the tap is no longer predictable, and the
+    eavesdropper misses one dimension fewer."""
+    src, wt, scheme = _scheme_over(q, n, seed=q * 10 + n)
+    unit = FMatrix.basis_columns(src.base_ctx, src.base_dim, scheme.key.coords[:1])
+    tap = Wiretapper(wt.matrix.hstack(unit))
+    got = run_protocol(scheme, src, tap, seed=7, trials=64)
+    want = _reference_run_protocol(scheme, src, tap, 7, 64)
+    assert got == want
+    assert list(got.key_counts.items()) == list(want.key_counts.items())
+    assert not got.wiretap_predictable
+    assert got.eavesdropper_unknown_dims == scheme.s - 1

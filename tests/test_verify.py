@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
 from treepin import (
     CommScheme,
     FMatrix,
@@ -14,6 +17,7 @@ from treepin import (
     synth_random,
     verify_scheme,
 )
+from treepin.falinalg import in_col_span, lift, rank
 from treepin.verify import (
     check_key_secrecy,
     check_perfect_alignment,
@@ -25,6 +29,7 @@ from treepin.verify import (
 from conftest import (
     parity_path,
     published_scheme,
+    scheme_over,
     star3_no_wiretap,
     wide_path_irreducible,
 )
@@ -153,3 +158,142 @@ def test_report_optimums_match_capacity():
     assert rep.optimal_key_dims == src.min_mult
     assert rep.optimal_leakage_dims == src.base_dim - wt.dim - src.min_mult
     assert rep.key_dims == scheme.s
+
+
+# ---------------------------------------------------------------------------
+# Referee: the rank formulas the checks used before they were derived from
+# one left-null basis N of F.  Each check is a full elimination of a block
+# holding F.
+
+
+def referee_omniscience(scheme, source):
+    f = scheme.comm_matrix
+    return {
+        v: rank(f.hstack(source.node_view(v).selector(scheme.ext_ctx)))
+        == source.base_dim
+        for v in range(source.vertex_count)
+    }
+
+
+def referee_alignment(scheme, wiretapper):
+    if wiretapper.dim == 0:
+        return True
+    return in_col_span(scheme.comm_matrix, lift(wiretapper.matrix, scheme.ext_ctx))
+
+
+def referee_leakage(scheme, wiretapper):
+    f = scheme.comm_matrix
+    if wiretapper.dim == 0:
+        return rank(f)
+    return rank(f.hstack(lift(wiretapper.matrix, scheme.ext_ctx))) - wiretapper.dim
+
+
+def referee_key_secrecy(scheme, wiretapper):
+    if scheme.key is None:
+        return False
+    f = scheme.comm_matrix
+    joint = (
+        f
+        if wiretapper.dim == 0
+        else f.hstack(lift(wiretapper.matrix, scheme.ext_ctx))
+    )
+    return rank(joint.hstack(scheme.key.matrix)) == rank(joint) + scheme.s
+
+
+def assert_matches_referee(scheme, source, wiretapper):
+    omni = referee_omniscience(scheme, source)
+    aligned = referee_alignment(scheme, wiretapper)
+    leak = referee_leakage(scheme, wiretapper)
+    secret = referee_key_secrecy(scheme, wiretapper)
+    assert check_perfect_omniscience(scheme, source) == omni
+    assert check_perfect_alignment(scheme, wiretapper) == aligned
+    assert leakage_symbol_dims(scheme, wiretapper) == leak
+    assert check_key_secrecy(scheme, wiretapper) == secret
+    rep = verify_scheme(scheme, source, wiretapper)
+    assert rep.omniscient == omni
+    assert (rep.aligned, rep.leakage_dims, rep.key_secret) == (aligned, leak, secret)
+    return omni, aligned, leak, secret
+
+
+# GF(2, 3, 5, 7), their extensions of degree 2..6, and GF(2^13), which has
+# no log/exp tables
+REFEREE_FIELDS = [(q, n) for q in (2, 3, 5, 7) for n in range(1, 7)] + [(2, 13)]
+KINDS = (
+    "synthesized",
+    "dropped column",
+    "dependent columns",
+    "full row rank",
+    "no columns",
+    "tap outside col F",
+    "key inside col F",
+)
+
+
+def _with(scheme, comm=None, owners=None, key=None):
+    return CommScheme(
+        ext_ctx=scheme.ext_ctx,
+        s=scheme.s,
+        comm_matrix=scheme.comm_matrix if comm is None else comm,
+        owners=scheme.owners if owners is None else owners,
+        key=scheme.key if key is None else key,
+    )
+
+
+def _variant(kind, src, wt, scheme, data):
+    """The synthesized scheme (aligned, tap inside col F) turned into the
+    case `kind`; returns (scheme, wiretapper)."""
+    ext = scheme.ext_ctx
+    f = scheme.comm_matrix
+    d, c = f.rows, f.cols
+    coef = data.draw(st.integers(1, ext.order - 1), label="coefficient")
+    j = data.draw(st.integers(0, c - 1), label="column")
+    if kind == "synthesized":
+        return scheme, wt
+    if kind == "dropped column":
+        keep = [i for i in range(c) if i != j]
+        return _with(scheme, f.take_cols(keep), tuple(scheme.owners[i] for i in keep)), wt
+    if kind == "dependent columns":
+        extra = f.take_cols([j]).scale(ext(coef))
+        if c > 1:
+            extra = extra + f.take_cols([(j + 1) % c])
+        return _with(scheme, f.hstack(extra), scheme.owners + (scheme.owners[j],)), wt
+    if kind == "full row rank":
+        full = f.hstack(scheme.key.matrix)
+        return _with(scheme, full, scheme.owners + (0,) * scheme.s), wt
+    if kind == "no columns":
+        return _with(scheme, FMatrix.zeros(ext, d, 0), ()), wt
+    if kind == "tap outside col F":
+        # a key coordinate completes col F, so it lies outside it
+        unit = FMatrix.basis_columns(src.base_ctx, d, scheme.key.coords[:1])
+        return scheme, Wiretapper(wt.matrix.hstack(unit))
+    if kind == "key inside col F":
+        col = f.take_cols([j]).scale(ext(coef))
+        key = KeyExtractor(col.hstack(*[col] * (scheme.s - 1)), scheme.key.coords)
+        return _with(scheme, key=key), wt
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REFEREE_FIELDS), st.integers(0, 3), st.data())
+def test_checks_match_rank_referee(kind, field, inst, data):
+    q, n = field
+    src, wt, scheme = scheme_over(q, n, seed=100 * q + 10 * n + inst)
+    scheme, wt = _variant(kind, src, wt, scheme, data)
+    omni, aligned, leak, secret = assert_matches_referee(scheme, src, wt)
+    d, s = src.base_dim, scheme.s
+    # what each case is built to show
+    if kind == "synthesized":
+        assert all(omni.values()) and aligned and secret
+    elif kind == "dropped column":
+        assert not all(omni.values())
+    elif kind in ("dependent columns", "full row rank"):
+        assert all(omni.values())
+        assert leak == (d - s if kind == "dependent columns" else d) - wt.dim
+    elif kind == "no columns":
+        assert leak == 0 and aligned == (wt.dim == 0)
+    elif kind == "tap outside col F":
+        assert not aligned and not secret
+    elif kind == "key inside col F":
+        assert not secret
