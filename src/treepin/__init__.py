@@ -6,7 +6,7 @@ them by exact rank accounting, simulates the protocols, and cross-checks
 everything against brute-force information-theoretic oracles.
 """
 
-from .gfield import ExtFieldCtx, FieldElem, embed_base, make_ext_field
+from .gfield import ExtFieldCtx, FieldElem, make_ext_field
 from .falinalg import FMatrix
 from .model import (
     EdgeSpec,
@@ -18,8 +18,8 @@ from .model import (
     random_instance,
     save_instance,
 )
-from .mcf import LinearMcf, mcf_edge_wiretap, mcf_linear
-from .capacity import CapacityReport, capacity_report, cs, cw, rco, rl
+from .mcf import LinearMcf, mcf_edge_wiretap
+from .capacity import CapacityReport, capacity_report
 from .reduce import (
     ReductionError,
     ReductionStep,
@@ -49,7 +49,7 @@ from .verify import (
     leakage_symbol_dims,
     verify_scheme,
 )
-from .simulate import SimReport, SimulationError, run_protocol, sample_block
+from .simulate import SimReport, SimulationError, run_protocol
 from .oracle import (
     BudgetError,
     McfExhaustive,
@@ -65,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ExtFieldCtx",
     "FieldElem",
-    "embed_base",
     "make_ext_field",
     "FMatrix",
     "EdgeSpec",
@@ -78,13 +77,8 @@ __all__ = [
     "save_instance",
     "LinearMcf",
     "mcf_edge_wiretap",
-    "mcf_linear",
     "CapacityReport",
     "capacity_report",
-    "cs",
-    "cw",
-    "rco",
-    "rl",
     "ReductionError",
     "ReductionStep",
     "ReductionTrace",
@@ -111,7 +105,6 @@ __all__ = [
     "SimReport",
     "SimulationError",
     "run_protocol",
-    "sample_block",
     "BudgetError",
     "McfExhaustive",
     "cond_mutual_info_exhaustive",

@@ -20,10 +20,6 @@ __all__ = [
     "EdgeResidual",
     "CapacityReport",
     "capacity_report",
-    "cs",
-    "cw",
-    "rl",
-    "rco",
 ]
 
 
@@ -93,12 +89,6 @@ class CapacityReport:
     def rco_bits(self) -> float:
         return self._bits(self.rco_dims)
 
-    def edge_residual_bits(self, edge_id: int) -> float:
-        for e in self.per_edge:
-            if e.edge_id == edge_id:
-                return self._bits(e.residual_dims)
-        raise ValueError(f"no edge with id {edge_id}")
-
 
 def capacity_report(source: TreePinSource, wiretapper: Wiretapper) -> CapacityReport:
     per_edge = tuple(
@@ -116,23 +106,3 @@ def capacity_report(source: TreePinSource, wiretapper: Wiretapper) -> CapacityRe
         min_mult=source.min_mult,
         per_edge=per_edge,
     )
-
-
-def cs(source: TreePinSource) -> float:
-    """Key capacity in bits per realisation, no eavesdropper."""
-    return source.min_mult * math.log2(source.q)
-
-
-def cw(source: TreePinSource, wiretapper: Wiretapper) -> float:
-    """Wiretap key capacity in bits per realisation."""
-    return capacity_report(source, wiretapper).cw_bits
-
-
-def rl(source: TreePinSource, wiretapper: Wiretapper) -> float:
-    """Minimum omniscience leakage in bits per realisation."""
-    return capacity_report(source, wiretapper).rl_bits
-
-
-def rco(source: TreePinSource) -> float:
-    """Minimum omniscience communication in bits per realisation."""
-    return (source.base_dim - source.min_mult) * math.log2(source.q)

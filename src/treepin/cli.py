@@ -190,6 +190,8 @@ def _cmd_oracle_check(args) -> int:
     source, wiretapper = _load_pair(args.infile)
     q = source.q
     budget = args.budget
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     ok = True
 
     ent = entropy_exhaustive(wiretapper.matrix, q, budget=budget)

@@ -16,7 +16,7 @@ context, follows the design of the galois package
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,11 +35,8 @@ __all__ = [
     "left_nullspace_basis",
     "col_space_intersect",
     "completion_indices",
-    "in_col_span",
     "lift",
     "expand_to_base",
-    "vec_mat_mul",
-    "mat_vec_mul",
 ]
 
 
@@ -121,10 +118,6 @@ class FMatrix:
         at indices[j]."""
         return _mat(ctx, [[1 if i == r else 0 for r in indices] for i in range(rows)], len(indices))
 
-    @classmethod
-    def build(cls, ctx: ExtFieldCtx, rows: int, cols: int, fn: Callable[[int, int], FieldElem]) -> "FMatrix":
-        return cls(ctx, [[fn(i, j) for j in range(cols)] for i in range(rows)], cols=cols)
-
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, key: tuple[int, int]) -> FieldElem:
@@ -161,14 +154,6 @@ class FMatrix:
         if not blocks:
             return _mat(self.ctx, [()] * self.rows, 0)
         return _mat(self.ctx, [sum(parts, ()) for parts in zip(*blocks)], total)
-
-    def vstack(self, *others: "FMatrix") -> "FMatrix":
-        for m in others:
-            if m.cols != self.cols:
-                raise ValueError("column count mismatch in vstack")
-            if m.ctx.key != self.ctx.key:
-                raise ValueError("field mismatch in vstack")
-        return _mat(self.ctx, sum((m._codes for m in others), self._codes), self.cols)
 
     def take_rows(self, indices: Iterable[int]) -> "FMatrix":
         codes = self._codes
@@ -215,12 +200,6 @@ class FMatrix:
 
     def __sub__(self, other: "FMatrix") -> "FMatrix":
         return self.__add__(-other)
-
-    def scale(self, f: FieldElem) -> "FMatrix":
-        if f.ctx.key != self.ctx.key:
-            raise ValueError(f"field mismatch: {f.ctx!r} vs {self.ctx!r}")
-        mul, fc = self.ctx.mul_code, f.code
-        return _mat(self.ctx, [[mul(fc, e) for e in r] for r in self._codes], self.cols)
 
     # -- misc ----------------------------------------------------------------
 
@@ -350,11 +329,7 @@ def completion_indices(m: FMatrix) -> tuple[int, ...]:
 def inverse(m: FMatrix) -> FMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    r = rref(m.hstack(FMatrix.identity(m.ctx, n)), pivot_cols=n)
-    if r.rank < n:
-        raise ValueError("matrix is singular")
-    return r.matrix.take_cols(range(n, 2 * n))
+    return left_inverse(m)
 
 
 def left_inverse(m: FMatrix) -> FMatrix:
@@ -477,13 +452,6 @@ def col_space_intersect(a: FMatrix, b: FMatrix) -> FMatrix:
     return _mat(a.ctx, zip(*cols), len(cols)) if cols else _mat(a.ctx, [()] * d, 0)
 
 
-def in_col_span(a: FMatrix, v: FMatrix) -> bool:
-    """True when every column of v lies in the column space of a."""
-    if v.cols == 0:
-        return True
-    return rank(a.hstack(v)) == rank(a)
-
-
 def lift(m: FMatrix, ext: ExtFieldCtx) -> FMatrix:
     """Embed a base-field matrix entrywise into an extension context.
 
@@ -568,18 +536,3 @@ def _expand(m: FMatrix, dtype) -> np.ndarray:
         .transpose(0, 2, 1, 3)
         .reshape(m.rows * n, m.cols * n)
     )
-
-
-def vec_mat_mul(vec: Sequence[FieldElem], m: FMatrix) -> tuple[FieldElem, ...]:
-    """Row vector times matrix."""
-    if len(vec) != m.rows:
-        raise ValueError("vector length does not match row count")
-    row = FMatrix(m.ctx, [vec], cols=m.rows) @ m
-    return row.row(0)
-
-
-def mat_vec_mul(m: FMatrix, vec: Sequence[FieldElem]) -> tuple[FieldElem, ...]:
-    """Matrix times column vector."""
-    if len(vec) != m.cols:
-        raise ValueError("vector length does not match column count")
-    return (m @ FMatrix(m.ctx, [[x] for x in vec], cols=1)).col(0)

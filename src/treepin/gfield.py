@@ -17,18 +17,12 @@ Contexts and elements are immutable and hashable.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "ExtFieldCtx",
     "FieldElem",
     "make_ext_field",
-    "embed_base",
-    "add",
-    "sub",
-    "mul",
-    "neg",
-    "inv",
 ]
 
 # Orders up to which the log/exp (and negation) tables are built.
@@ -461,10 +455,6 @@ class ExtFieldCtx:
         coeffs += [0] * (self.n - len(coeffs))
         return FieldElem(self, self.encode(coeffs))
 
-    def elements(self) -> Iterable[FieldElem]:
-        """All field elements in code order."""
-        return (FieldElem(self, c) for c in range(self.order))
-
     def __eq__(self, other):
         return isinstance(other, ExtFieldCtx) and other.key == self.key
 
@@ -508,31 +498,3 @@ def make_ext_field(q: int, n: int) -> ExtFieldCtx:
         raise AssertionError(f"no irreducible polynomial of degree {n} over F_{q}")
     _CTX_CACHE[(q, n)] = ctx
     return ctx
-
-
-def embed_base(a: int, ctx: ExtFieldCtx) -> FieldElem:
-    """Embed a base-field value 0 <= a < q as a constant of the extension."""
-    if not 0 <= a < ctx.q:
-        raise ValueError(f"base value {a} out of range for F_{ctx.q}")
-    # Constant polynomials have codes below q by the digit encoding.
-    return FieldElem(ctx, a)
-
-
-def add(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a + b
-
-
-def sub(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a - b
-
-
-def mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a * b
-
-
-def neg(a: FieldElem) -> FieldElem:
-    return -a
-
-
-def inv(a: FieldElem) -> FieldElem:
-    return a.inv()

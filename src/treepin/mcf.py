@@ -16,13 +16,12 @@ overlap dimension is the nullity n_w - rank(W_{-e}): one elimination of a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .falinalg import FMatrix, col_space_intersect, right_nullspace_basis, rref
+from .falinalg import FMatrix, right_nullspace_basis, rref
 from .model import TreePinSource, Wiretapper
 
-__all__ = ["LinearMcf", "mcf_linear", "mcf_edge_wiretap"]
+__all__ = ["LinearMcf", "mcf_edge_wiretap"]
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,6 @@ class LinearMcf:
     def dim(self) -> int:
         return self.matrix.cols
 
-    @property
-    def entropy_bits(self) -> float:
-        return self.dim * math.log2(self.matrix.ctx.q)
-
-
-def mcf_linear(m1: FMatrix, m2: FMatrix) -> LinearMcf:
-    """Maximal common function of X m1 and X m2, X uniform."""
-    return LinearMcf(col_space_intersect(m1, m2))
-
 
 def mcf_edge_wiretap(
     source: TreePinSource, wiretapper: Wiretapper, edge_id: int
@@ -51,7 +41,8 @@ def mcf_edge_wiretap(
     """Common part of one edge's symbols and the eavesdropper's view.
 
     The basis is the reduced row echelon basis of the common column space
-    (read as rows), the same one mcf_linear(edge selector, W) returns.
+    (read as rows), the same one col_space_intersect(edge selector, W)
+    returns.
     """
     if wiretapper.rows != source.base_dim:
         raise ValueError("wiretap matrix does not match the source dimension")

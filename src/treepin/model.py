@@ -144,10 +144,6 @@ class TreePinSource:
         return len(self.edges)
 
     @property
-    def edge_ids(self) -> tuple[int, ...]:
-        return tuple(e.edge_id for e in self.edges)
-
-    @property
     def min_mult(self) -> int:
         return min(e.mult for e in self.edges)
 
@@ -370,6 +366,8 @@ def random_instance(
     ]
     source = TreePinSource(q, vertex_count, edges)
     d = source.base_dim
+    if n_w_target < 0:
+        raise InstanceError("wiretap dimension must be >= 0")
     if n_w_target > d:
         raise InstanceError(
             f"wiretap dimension {n_w_target} exceeds base dimension {d}"

@@ -58,10 +58,6 @@ class ReductionTrace:
     original: tuple[TreePinSource, Wiretapper]
     final: tuple[TreePinSource, Wiretapper]
 
-    @property
-    def total_dim(self) -> int:
-        return sum(s.dim for s in self.steps)
-
 
 def is_irreducible(source: TreePinSource, wiretapper: Wiretapper) -> bool:
     """True when no edge has a common function with the eavesdropper."""

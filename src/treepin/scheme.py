@@ -99,9 +99,6 @@ class CommScheme:
         """Realisations per transmitted symbol (the extension degree)."""
         return self.ext_ctx.n
 
-    def columns_of(self, node: int) -> tuple[int, ...]:
-        return tuple(j for j, o in enumerate(self.owners) if o == node)
-
     def check_owners(self, source: TreePinSource) -> None:
         """Raise SchemeError unless the scheme has one row per coordinate
         of the source and every column has one owner, a node of the tree
@@ -128,12 +125,10 @@ class CommScheme:
 
     def validate(self, source: TreePinSource, wiretapper: Wiretapper | None = None) -> None:
         """Check structural invariants; raises SchemeError on violation."""
-        f = self.comm_matrix
-        if f.rows != source.base_dim:
-            raise SchemeError("communication matrix does not match the source")
+        self.check_owners(source)
         if self.ext_ctx.q != source.q:
             raise SchemeError("field characteristic mismatch")
-        self.check_owners(source)
+        f = self.comm_matrix
         # rank F = base_dim - (rows of N) and rank([F | K]) = rank F +
         # rank(N @ K), for N the left-null basis of F
         null = left_nullspace_basis(f)

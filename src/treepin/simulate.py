@@ -56,20 +56,14 @@ from .falinalg import (
     lift,
     rank,
 )
-from .gfield import ExtFieldCtx, FieldElem
 from .model import TreePinSource, Wiretapper
 from .scheme import CommScheme
 
-__all__ = ["SimulationError", "SimReport", "sample_block", "run_protocol"]
+__all__ = ["SimulationError", "SimReport", "run_protocol"]
 
 
 class SimulationError(RuntimeError):
     """The scheme cannot be executed on this source at all."""
-
-
-def sample_block(rng: random.Random, ctx: ExtFieldCtx, dim: int) -> list[FieldElem]:
-    """One uniform block vector."""
-    return [ctx(rng.randrange(ctx.order)) for _ in range(dim)]
 
 
 @dataclass(frozen=True)

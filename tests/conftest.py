@@ -29,6 +29,13 @@ from treepin.scheme import (
 )
 
 
+def in_col_span(a, v):
+    """Referee: True when every column of v lies in the column space of a."""
+    if v.cols == 0:
+        return True
+    return rank(a.hstack(v)) == rank(a)
+
+
 def parity_path():
     """Path on 4 nodes, unit multiplicities over F_2; the eavesdropper sees
     the sum of all three edge symbols."""

@@ -11,11 +11,7 @@ from treepin import (
     TreePinSource,
     Wiretapper,
     capacity_report,
-    cs,
-    cw,
     is_irreducible,
-    rco,
-    rl,
 )
 
 from conftest import (
@@ -50,7 +46,7 @@ def test_wide_path_reducible_report():
     assert [e.mcf_dim for e in rep.per_edge] == [1, 0, 0]
     assert [e.residual_dims for e in rep.per_edge] == [1, 1, 1]
     assert rep.argmin_edges == (0, 1, 2)
-    assert rep.edge_residual_bits(0) == 1.0
+    assert rep.per_edge[0].residual_dims * math.log2(rep.q) == 1.0
 
 
 def test_wide_path_irreducible_report():
@@ -75,10 +71,8 @@ def test_bits_scale_with_log_q():
     rep = capacity_report(src, wt)
     assert rep.cw_bits == pytest.approx(math.log2(3))
     assert rep.rco_bits == pytest.approx(2 * math.log2(3))
-    assert cs(src) == pytest.approx(math.log2(3))
-    assert cw(src, wt) == pytest.approx(math.log2(3))
-    assert rl(src, wt) == pytest.approx(2 * math.log2(3))
-    assert rco(src) == pytest.approx(2 * math.log2(3))
+    assert rep.cs_bits == pytest.approx(math.log2(3))
+    assert rep.rl_bits == pytest.approx(2 * math.log2(3))
 
 
 def test_wiretap_never_helps():

@@ -14,19 +14,18 @@ from treepin.falinalg import (
     completion_indices,
     det,
     expand_to_base,
-    in_col_span,
     inverse,
     left_inverse,
     left_nullspace_basis,
     lift,
-    mat_vec_mul,
     rank,
     right_nullspace_basis,
     rref,
     solve_right,
-    vec_mat_mul,
 )
 from treepin.oracle import _det_mod, _rank_mod
+
+from conftest import in_col_span
 
 F2 = make_ext_field(2, 1)
 F4 = make_ext_field(2, 2)
@@ -213,13 +212,6 @@ def test_expand_to_base_of_mixing_block():
     """Multiplication by 1+x in GF(4), written on the base coordinates."""
     mix = FMatrix.from_rows(F4, [[3]], cols=1)
     assert expand_to_base(mix).to_code_rows() == [[1, 1], [1, 0]]
-
-
-def test_vector_helpers():
-    m = FMatrix.from_rows(F2, [[1, 1], [0, 1]], cols=2)
-    v = [F2.one, F2.one]
-    assert vec_mat_mul(v, m) == (F2.one, F2.zero)
-    assert mat_vec_mul(m, v) == (F2.zero, F2.one)
 
 
 def test_empty_shapes():

@@ -7,11 +7,11 @@ import random
 
 from hypothesis import given, seed, settings, strategies as st
 
-from treepin import FMatrix, make_ext_field, mcf_edge_wiretap, mcf_linear, random_instance
-from treepin.falinalg import col_space_intersect, in_col_span, rank
+from treepin import FMatrix, LinearMcf, make_ext_field, mcf_edge_wiretap, random_instance
+from treepin.falinalg import col_space_intersect, rank
 from treepin.oracle import MCF_BUDGET, mcf_exhaustive
 
-from conftest import parity_path, wide_path_reducible
+from conftest import in_col_span, parity_path, wide_path_reducible
 
 F2 = make_ext_field(2, 1)
 F3 = make_ext_field(3, 1)
@@ -23,6 +23,12 @@ def random_matrix(ctx, rows, cols, rng):
         [[rng.randrange(ctx.order) for _ in range(cols)] for _ in range(rows)],
         cols=cols,
     )
+
+
+def mcf_linear(m1, m2):
+    """Referee: the maximal common function of X m1 and X m2, X uniform,
+    as the intersection of the two column spaces."""
+    return LinearMcf(col_space_intersect(m1, m2))
 
 
 def test_self_mcf_has_full_dim():
@@ -40,8 +46,8 @@ def test_independent_observations_share_nothing():
 
 def test_entropy_bits():
     m = FMatrix.identity(F3, 2)
-    got = mcf_linear(m, m).entropy_bits
-    assert got == 2 * math.log2(3)
+    assert mcf_linear(m, m).dim == 2
+    assert mcf_exhaustive(m, m, 3).bits == 2 * math.log2(3)
 
 
 def test_per_edge_dims_on_wide_path():
@@ -90,7 +96,7 @@ def test_agrees_with_exhaustive_enumeration():
         linear = mcf_linear(a, b)
         brute = mcf_exhaustive(a, b, 2)
         assert brute.n_components == 2 ** linear.dim
-        assert brute.bits == linear.entropy_bits
+        assert brute.bits == math.log2(2**linear.dim)
         checked += 1
     assert checked == 25
 
@@ -131,9 +137,8 @@ def _all_base_vectors(dim):
 
 
 def _apply(vec, m):
-    from treepin.falinalg import vec_mat_mul
-
-    return vec_mat_mul(vec, m)
+    """Row vector times matrix."""
+    return (FMatrix(m.ctx, [vec], cols=m.rows) @ m).row(0)
 
 
 @st.composite

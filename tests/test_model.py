@@ -29,7 +29,7 @@ def test_basic_structure():
     assert src.edge_count == 3
     assert src.base_dim == 3
     assert src.min_mult == 1
-    assert src.edge_ids == (0, 1, 2)
+    assert tuple(e.edge_id for e in src.edges) == (0, 1, 2)
     assert src.leaves() == (0, 3)
     assert src.degree(1) == 2
     assert src.edge(1) == EdgeSpec(1, 1, 2, 1)

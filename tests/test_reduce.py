@@ -85,7 +85,7 @@ def test_reduce_full_trace_on_wide_path():
     src, wt = wide_path_reducible()
     trace = reduce_full(src, wt)
     assert len(trace.steps) == 1
-    assert trace.total_dim == 1
+    assert sum(s.dim for s in trace.steps) == 1
     assert trace.original == (src, wt)
     fsrc, fwt = trace.final
     assert is_irreducible(fsrc, fwt)
@@ -98,7 +98,7 @@ def test_reduce_full_noop_when_irreducible():
         src, wt = build()
         trace = reduce_full(src, wt)
         assert trace.steps == ()
-        assert trace.total_dim == 0
+        assert sum(s.dim for s in trace.steps) == 0
         assert trace.final == (src, wt)
 
 
@@ -114,8 +114,9 @@ def test_reduction_suite_preserves_rates_and_terminates():
         assert before.cw_dims == after.cw_dims
         assert before.rl_dims == after.rl_dims
         # each step removes exactly its dim from both D and n_w
-        assert fsrc.base_dim == src.base_dim - trace.total_dim
-        assert fwt.dim == wt.dim - trace.total_dim
+        removed = sum(s.dim for s in trace.steps)
+        assert fsrc.base_dim == src.base_dim - removed
+        assert fwt.dim == wt.dim - removed
         for step in trace.steps:
             assert 1 <= step.dim
             assert step.new_wiretapper.dim >= 0

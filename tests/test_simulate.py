@@ -18,7 +18,6 @@ from treepin import (
     Wiretapper,
     make_ext_field,
     run_protocol,
-    sample_block,
     synth_explicit_unit,
     synth_random,
 )
@@ -130,17 +129,6 @@ def test_source_mismatch_is_an_error():
         run_protocol(scheme, other, Wiretapper(
             FMatrix.zeros(other.base_ctx, 4, 0)
         ), seed=1, trials=10)
-
-
-def test_sample_block_is_uniform_enough():
-    ctx = make_ext_field(2, 2)
-    rng = random.Random(6)
-    seen = [0] * 4
-    for _ in range(400):
-        for e in sample_block(rng, ctx, 5):
-            seen[e.code] += 1
-    assert min(seen) > 0
-    assert sum(seen) == 2000
 
 
 def test_negative_trials_is_an_error():
@@ -324,7 +312,7 @@ def test_dependent_columns_and_full_row_rank_match_referee(q, n):
     f = scheme.comm_matrix
     dependent = _widened(
         scheme,
-        f.take_cols([0]).scale(ext(ext.order - 1)),
+        f.take_cols([0]) @ FMatrix.from_rows(ext, [[ext.order - 1]], cols=1),
         (scheme.owners[0],),
     )
     full = _widened(

@@ -17,7 +17,7 @@ from treepin import (
     synth_random,
     verify_scheme,
 )
-from treepin.falinalg import in_col_span, lift, rank
+from treepin.falinalg import lift, rank
 from treepin.verify import (
     check_key_secrecy,
     check_perfect_alignment,
@@ -27,6 +27,7 @@ from treepin.verify import (
 )
 
 from conftest import (
+    in_col_span,
     parity_path,
     published_scheme,
     scheme_over,
@@ -253,7 +254,7 @@ def _variant(kind, src, wt, scheme, data):
         keep = [i for i in range(c) if i != j]
         return _with(scheme, f.take_cols(keep), tuple(scheme.owners[i] for i in keep)), wt
     if kind == "dependent columns":
-        extra = f.take_cols([j]).scale(ext(coef))
+        extra = f.take_cols([j]) @ FMatrix.from_rows(ext, [[coef]], cols=1)
         if c > 1:
             extra = extra + f.take_cols([(j + 1) % c])
         return _with(scheme, f.hstack(extra), scheme.owners + (scheme.owners[j],)), wt
@@ -267,7 +268,7 @@ def _variant(kind, src, wt, scheme, data):
         unit = FMatrix.basis_columns(src.base_ctx, d, scheme.key.coords[:1])
         return scheme, Wiretapper(wt.matrix.hstack(unit))
     if kind == "key inside col F":
-        col = f.take_cols([j]).scale(ext(coef))
+        col = f.take_cols([j]) @ FMatrix.from_rows(ext, [[coef]], cols=1)
         key = KeyExtractor(col.hstack(*[col] * (scheme.s - 1)), scheme.key.coords)
         return _with(scheme, key=key), wt
     raise AssertionError(kind)
