@@ -30,7 +30,7 @@ from .oracle import (
     entropy_exhaustive,
     mcf_exhaustive,
 )
-from .reduce import ReductionError, is_irreducible, reduce_full
+from .reduce import ReductionError, reduce_full
 from .scheme import (
     SchemeError,
     load_scheme,
@@ -107,7 +107,7 @@ def _cmd_analyze(args) -> int:
     _emit("cw_bits", report.cw_bits)
     _emit("rl_bits", report.rl_bits)
     _emit("rco_bits", report.rco_bits)
-    _emit("irreducible", is_irreducible(source, wiretapper))
+    _emit("irreducible", not any(e.mcf_dim for e in report.per_edge))
     for entry in report.per_edge:
         _emit(f"edge_{entry.edge_id}_mcf_dim", entry.mcf_dim)
     _emit("argmin_edges", " ".join(str(e) for e in report.argmin_edges))

@@ -180,10 +180,10 @@ class TreePinSource:
             edge_ids=tuple(e.edge_id for e in self._incident[v]),
         )
 
-    def edge_block_selector(self, edge_id: int, ctx: ExtFieldCtx | None = None) -> FMatrix:
+    def edge_block_selector(self, edge_id: int) -> FMatrix:
         """base_dim x mult selector for one edge's coordinate block."""
         return FMatrix.basis_columns(
-            ctx or self.base_ctx, self.base_dim, list(self.edge_range(edge_id))
+            self.base_ctx, self.base_dim, list(self.edge_range(edge_id))
         )
 
     def with_multiplicity(self, edge_id: int, mult: int) -> "TreePinSource":

@@ -9,7 +9,17 @@ block.  The stacked column blocks form the communication matrix F
 (base_dim x (base_dim - s), rank base_dim - s), and the whole design is
 driven by one object: a certificate matrix S (s x base_dim) whose rows
 annihilate both F and the eavesdropper's (lifted) matrix, and whose per-edge
-leading s x s blocks are all invertible.
+leading s x s blocks S_e are all invertible.
+
+The certificate unfolds into the scheme in one pass: a walk from the root
+records each node's parent edge and child edges, each S_e is inverted once,
+and node v's relay block for child edge e is -S_e^-1 S_up (S_up the block
+of v's parent edge), edge e's surplus block -S_e^-1 T_e (T_e the rest of S
+on e).  Their columns are written straight into F as integer codes.
+
+The key coordinates are the greedy completion of col F by standard basis
+vectors.  For N the left-null basis of F, rank([F | X]) = rank F +
+rank(N X), so they are the pivot columns of the echelon form of N.
 
 Synthesis strategies:
 
@@ -32,12 +42,12 @@ from dataclasses import dataclass, field
 
 from .falinalg import (
     FMatrix,
-    completion_indices,
     det,
     inverse,
     left_nullspace_basis,
     lift,
     rank,
+    rref,
 )
 from .gfield import ExtFieldCtx, make_ext_field
 from .model import TreePinSource, Wiretapper
@@ -55,6 +65,9 @@ __all__ = [
     "save_scheme",
     "load_scheme",
 ]
+
+# certificate draws synth_random makes before it gives up
+_MAX_ATTEMPTS = 64
 
 
 class SchemeError(ValueError):
@@ -158,44 +171,6 @@ class CommScheme:
                 raise SchemeError("key columns do not complete the communication")
 
 
-# ---------------------------------------------------------------------------
-# Rooted tree bookkeeping
-
-
-class _Rooted:
-    """Parent/child structure of the source tree under a chosen root."""
-
-    def __init__(self, source: TreePinSource, root: int):
-        self.root = root
-        parent_edge: dict[int, int] = {}
-        parent_node: dict[int, int] = {}
-        order = [root]
-        seen = {root}
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for e in source.incident_edges(v):
-                other = e.v if e.u == v else e.u
-                if other not in seen:
-                    seen.add(other)
-                    parent_edge[other] = e.edge_id
-                    parent_node[other] = v
-                    order.append(other)
-        self.parent_edge = parent_edge
-        self.parent_node = parent_node
-        self.bfs_order = tuple(order)
-        children: dict[int, list[int]] = {v: [] for v in range(source.vertex_count)}
-        for child, eid in parent_edge.items():
-            children[parent_node[child]].append(eid)
-        self.children_edges = {v: tuple(sorted(es)) for v, es in children.items()}
-        # the node on the root side of each edge
-        self.upper_node = {
-            eid: parent_node[child] for child, eid in parent_edge.items()
-        }
-        self.lower_node = {eid: child for child, eid in parent_edge.items()}
-
-
 def _default_root(source: TreePinSource) -> int:
     return min(source.leaves())
 
@@ -215,17 +190,10 @@ def choose_extension_degree(source: TreePinSource) -> int:
 # Certificate machinery
 
 
-def _certificate_blocks(
-    source: TreePinSource, cert: FMatrix, s: int
-) -> dict[int, tuple[FMatrix, FMatrix]]:
-    """Split the certificate into per-edge (leading s x s, surplus) blocks."""
-    out = {}
-    for e in source.edges:
-        block = source.edge_range(e.edge_id)
-        lead = cert.take_cols(range(block.start, block.start + s))
-        tail = cert.take_cols(range(block.start + s, block.stop))
-        out[e.edge_id] = (lead, tail)
-    return out
+def _lead_block(source: TreePinSource, cert: FMatrix, edge_id: int, s: int) -> FMatrix:
+    """The leading s x s block S_e of the certificate on an edge."""
+    start = source.edge_range(edge_id).start
+    return cert.take_cols(range(start, start + s))
 
 
 def sample_alignment_certificate(
@@ -244,84 +212,10 @@ def sample_alignment_certificate(
         cols=m,
     )
     cert = coeff @ null_basis
-    for _, (lead, _tail) in _certificate_blocks(source, cert, s).items():
-        if not det(lead).code:
+    for e in source.edges:
+        if not det(_lead_block(source, cert, e.edge_id, s)).code:
             return None
     return cert
-
-
-def _coeffs_from_certificate(
-    source: TreePinSource, rooted: _Rooted, cert: FMatrix, s: int
-) -> tuple[dict[tuple[int, int], FMatrix], dict[int, FMatrix]]:
-    """Recover the per-node mixing blocks from the certificate.
-
-    For each edge e with root-side node i, the relay block solves
-    S_{e} A_{i,e} = -S_{parent_edge(i)}; the surplus block solves
-    S_e B_e = -T_e.  Nodes are processed in root-to-leaf BFS order.
-    """
-    blocks = _certificate_blocks(source, cert, s)
-    child_mix: dict[tuple[int, int], FMatrix] = {}
-    surplus_mix: dict[int, FMatrix] = {}
-    for node in rooted.bfs_order:
-        for eid in rooted.children_edges[node]:
-            if node != rooted.root:
-                lead_e, _ = blocks[eid]
-                lead_up, _ = blocks[rooted.parent_edge[node]]
-                child_mix[(node, eid)] = -(inverse(lead_e) @ lead_up)
-    for e in source.edges:
-        lead, tail = blocks[e.edge_id]
-        if tail.cols:
-            surplus_mix[e.edge_id] = -(inverse(lead) @ tail)
-    return child_mix, surplus_mix
-
-
-def _assemble(
-    source: TreePinSource,
-    rooted: _Rooted,
-    ext: ExtFieldCtx,
-    s: int,
-    child_mix: dict[tuple[int, int], FMatrix],
-    surplus_mix: dict[int, FMatrix],
-) -> tuple[FMatrix, tuple[int, ...]]:
-    """Stack the per-node column blocks into the communication matrix."""
-    d = source.base_dim
-    zero = ext.zero
-    cols: list[list] = []
-    owners: list[int] = []
-
-    def lead_rows(edge_id: int) -> list[int]:
-        block = source.edge_range(edge_id)
-        return [block.start + k for k in range(s)]
-
-    for node in range(source.vertex_count):
-        if source.degree(node) >= 2:
-            up = rooted.parent_edge[node]
-            for eid in rooted.children_edges[node]:
-                a = child_mix[(node, eid)]
-                up_rows = lead_rows(up)
-                lo_rows = lead_rows(eid)
-                for j in range(s):
-                    col = [zero] * d
-                    col[up_rows[j]] = ext.one
-                    for i in range(s):
-                        col[lo_rows[i]] = a[i, j]
-                    cols.append(col)
-                    owners.append(node)
-        if node != rooted.root:
-            eid = rooted.parent_edge[node]
-            block = source.edge_range(eid)
-            surplus = range(block.start + s, block.stop)
-            b = surplus_mix.get(eid)
-            e_rows = lead_rows(eid)
-            for j, row_idx in enumerate(surplus):
-                col = [zero] * d
-                col[row_idx] = ext.one
-                if b is not None:
-                    for i in range(s):
-                        col[e_rows[i]] = b[i, j]
-                cols.append(col)
-                owners.append(node)
-    return FMatrix.from_cols(ext, cols, rows=d), tuple(owners)
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +229,65 @@ def _synth_from_certificate(
     cert: FMatrix,
     root: int,
 ) -> CommScheme:
+    """Unfold the certificate into the scheme in one walk from the root."""
     s = source.min_mult
-    rooted = _Rooted(source, root)
-    child_mix, surplus_mix = _coeffs_from_certificate(source, rooted, cert, s)
-    comm, owners = _assemble(source, rooted, ext, s, child_mix, surplus_mix)
+    d = source.base_dim
+    parent_edge: dict[int, int] = {}
+    child_edges: dict[int, list[int]] = {v: [] for v in range(source.vertex_count)}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for e in source.incident_edges(v):
+            other = e.v if e.u == v else e.u
+            if other != root and other not in parent_edge:
+                parent_edge[other] = e.edge_id
+                child_edges[v].append(e.edge_id)
+                stack.append(other)
+
+    # S_e^-1 once per edge; S_e B_e = -T_e for the surplus block T_e
+    lead: dict[int, FMatrix] = {}
+    lead_inv: dict[int, FMatrix] = {}
+    surplus_mix: dict[int, FMatrix] = {}
+    for e in source.edges:
+        lead[e.edge_id] = _lead_block(source, cert, e.edge_id, s)
+        lead_inv[e.edge_id] = inverse(lead[e.edge_id])
+        if e.mult > s:
+            block = source.edge_range(e.edge_id)
+            tail = cert.take_cols(range(block.start + s, block.stop))
+            surplus_mix[e.edge_id] = -(lead_inv[e.edge_id] @ tail)
+
+    cols: list[list[int]] = []
+    owners: list[int] = []
+
+    def add_columns(owner: int, units: range, start: int, mix: FMatrix) -> None:
+        # one column per unit row; column j of mix fills rows start..start+s-1
+        for unit, codes in zip(units, mix.transpose().to_code_rows()):
+            col = [0] * d
+            col[unit] = 1
+            col[start : start + s] = codes
+            cols.append(col)
+            owners.append(owner)
+
+    # nodes ascending: relay columns per child edge (sorted), then the
+    # parent edge's surplus columns; the root (a leaf) sends nothing
+    child_mix: dict[tuple[int, int], FMatrix] = {}
+    for v in range(source.vertex_count):
+        if v == root:
+            continue
+        up = parent_edge[v]
+        block = source.edge_range(up)
+        for eid in sorted(child_edges[v]):
+            # S_up + S_e A = 0 aligns the relayed pair with the certificate
+            a = child_mix[(v, eid)] = -(lead_inv[eid] @ lead[up])
+            add_columns(v, range(block.start, block.start + s), source.edge_range(eid).start, a)
+        if up in surplus_mix:
+            add_columns(v, range(block.start + s, block.stop), block.start, surplus_mix[up])
+
     scheme = CommScheme(
         ext_ctx=ext,
         s=s,
-        comm_matrix=comm,
-        owners=owners,
+        comm_matrix=FMatrix.from_cols(ext, cols, rows=d),
+        owners=tuple(owners),
         root=root,
         child_mix=child_mix,
         surplus_mix=surplus_mix,
@@ -358,7 +302,6 @@ def synth_random(
     source: TreePinSource,
     wiretapper: Wiretapper,
     seed: int,
-    max_attempts: int = 64,
 ) -> CommScheme:
     """Randomised certificate synthesis for an irreducible instance."""
     if not is_irreducible(source, wiretapper):
@@ -377,12 +320,12 @@ def synth_random(
             "wiretap dimension too large: no certificate space left"
         )
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         cert = sample_alignment_certificate(source, null_basis, s, rng)
         if cert is not None:
             return _synth_from_certificate(source, wiretapper, ext, cert, root)
     raise SchemeError(
-        f"no nonsingular certificate found in {max_attempts} attempts"
+        f"no nonsingular certificate found in {_MAX_ATTEMPTS} attempts"
     )
 
 
@@ -418,8 +361,6 @@ def synth_explicit_unit(
     k = d - m
     if k < 1:
         raise SchemeError("eavesdropper already sees a full basis")
-    from .falinalg import rref
-
     red = rref(wiretapper.matrix.transpose())
     if red.rank != m:
         raise AssertionError("wiretap matrix lost rank")  # guarded by Wiretapper
@@ -427,23 +368,24 @@ def synth_explicit_unit(
     pivotset = set(pivots)
     nonpivots = [c for c in range(d) if c not in pivotset]
     ext = make_ext_field(source.q, k)
+    add, mul, neg = ext.add_code, ext.mul_code, ext.neg_code
 
-    entries = [ext.zero] * d
+    # base-field codes are the constant polynomials' codes in GF(q**k)
+    entries = [0] * d
     for j, c in enumerate(nonpivots):
         # power basis element x**j has code q**j
-        entries[c] = ext(source.q**j)
-    for i, c in enumerate(pivots):
-        acc = ext.zero
-        for j, nc in enumerate(nonpivots):
-            a = red.matrix[i, nc].code
-            if a:
-                acc = acc + ext(a) * entries[nc]
-        entries[c] = -acc
-        if not entries[c].code:
+        entries[c] = source.q**j
+    for row, c in zip(red.matrix.to_code_rows(), pivots):
+        acc = 0
+        for nc in nonpivots:
+            if row[nc]:
+                acc = add(acc, mul(row[nc], entries[nc]))
+        entries[c] = neg(acc)
+        if not entries[c]:
             raise AssertionError(
                 "zero certificate entry; instance was not irreducible"
             )
-    cert = FMatrix(ext, [entries], cols=d)
+    cert = FMatrix.from_rows(ext, [entries], cols=d)
     return _synth_from_certificate(
         source, wiretapper, ext, cert, _default_root(source)
     )
@@ -451,13 +393,18 @@ def synth_explicit_unit(
 
 def extract_key(scheme: CommScheme) -> KeyExtractor:
     """Greedy key columns: the first standard basis vectors (ascending
-    coordinate) that extend the communication's column space to full rank."""
-    f = scheme.comm_matrix
-    coords = completion_indices(f)
-    if len(coords) != scheme.s:
+    coordinate) that extend the communication's column space to full rank.
+
+    With N the left-null basis of F, rank([F | X]) = rank F + rank(N X), so
+    e_i extends col F and the earlier picks exactly when column i of N is
+    independent of the columns before it: the picks are N's pivot columns.
+    """
+    null = left_nullspace_basis(scheme.comm_matrix)
+    if null.rows != scheme.s:
         raise SchemeError("communication matrix does not leave an s-dim key space")
+    coords = rref(null).pivots
     return KeyExtractor(
-        matrix=FMatrix.basis_columns(scheme.ext_ctx, f.rows, coords), coords=coords
+        matrix=FMatrix.basis_columns(scheme.ext_ctx, null.cols, coords), coords=coords
     )
 
 

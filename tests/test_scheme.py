@@ -20,13 +20,20 @@ from treepin import (
     synth_explicit_unit,
     synth_random,
 )
-from treepin.falinalg import left_nullspace_basis, lift, rank
+from treepin.falinalg import (
+    completion_indices,
+    inverse,
+    left_nullspace_basis,
+    lift,
+    rank,
+)
 from treepin.scheme import sample_alignment_certificate
 
 from conftest import (
     build_irreducible_suite,
     parity_path,
     published_scheme,
+    scheme_over,
     star3_no_wiretap,
     wide_path_irreducible,
     wide_path_reducible,
@@ -297,3 +304,188 @@ def test_load_scheme_reuses_the_canonical_context():
             load_scheme(header.format(bad))
     with pytest.raises(SchemeError):
         load_scheme(header.format("1,1,0,1").replace("q=2", "q=4"))
+
+
+# ---------------------------------------------------------------------------
+# Referee: the certificate unfolding as four separate steps (a rooted-tree
+# class, per-edge blocks, per-node mixing blocks, column assembly over field
+# elements) and the key as the greedy completion of [F | I].
+
+
+class _Rooted:
+    """Parent/child structure of the source tree under a chosen root."""
+
+    def __init__(self, source, root):
+        self.root = root
+        parent_edge, parent_node = {}, {}
+        order = [root]
+        seen = {root}
+        i = 0
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for e in source.incident_edges(v):
+                other = e.v if e.u == v else e.u
+                if other not in seen:
+                    seen.add(other)
+                    parent_edge[other] = e.edge_id
+                    parent_node[other] = v
+                    order.append(other)
+        self.parent_edge = parent_edge
+        self.bfs_order = tuple(order)
+        children = {v: [] for v in range(source.vertex_count)}
+        for child, eid in parent_edge.items():
+            children[parent_node[child]].append(eid)
+        self.children_edges = {v: tuple(sorted(es)) for v, es in children.items()}
+
+
+def _certificate_blocks(source, cert, s):
+    out = {}
+    for e in source.edges:
+        block = source.edge_range(e.edge_id)
+        lead = cert.take_cols(range(block.start, block.start + s))
+        tail = cert.take_cols(range(block.start + s, block.stop))
+        out[e.edge_id] = (lead, tail)
+    return out
+
+
+def _coeffs_from_certificate(source, rooted, cert, s):
+    blocks = _certificate_blocks(source, cert, s)
+    child_mix, surplus_mix = {}, {}
+    for node in rooted.bfs_order:
+        for eid in rooted.children_edges[node]:
+            if node != rooted.root:
+                lead_e, _ = blocks[eid]
+                lead_up, _ = blocks[rooted.parent_edge[node]]
+                child_mix[(node, eid)] = -(inverse(lead_e) @ lead_up)
+    for e in source.edges:
+        lead, tail = blocks[e.edge_id]
+        if tail.cols:
+            surplus_mix[e.edge_id] = -(inverse(lead) @ tail)
+    return child_mix, surplus_mix
+
+
+def _assemble(source, rooted, ext, s, child_mix, surplus_mix):
+    d = source.base_dim
+    cols, owners = [], []
+
+    def lead_rows(edge_id):
+        block = source.edge_range(edge_id)
+        return [block.start + k for k in range(s)]
+
+    for node in range(source.vertex_count):
+        if source.degree(node) >= 2:
+            up = rooted.parent_edge[node]
+            for eid in rooted.children_edges[node]:
+                a = child_mix[(node, eid)]
+                for j in range(s):
+                    col = [ext.zero] * d
+                    col[lead_rows(up)[j]] = ext.one
+                    for i in range(s):
+                        col[lead_rows(eid)[i]] = a[i, j]
+                    cols.append(col)
+                    owners.append(node)
+        if node != rooted.root:
+            eid = rooted.parent_edge[node]
+            block = source.edge_range(eid)
+            b = surplus_mix.get(eid)
+            for j, row_idx in enumerate(range(block.start + s, block.stop)):
+                col = [ext.zero] * d
+                col[row_idx] = ext.one
+                for i in range(s):
+                    col[lead_rows(eid)[i]] = b[i, j]
+                cols.append(col)
+                owners.append(node)
+    return FMatrix.from_cols(ext, cols, rows=d), tuple(owners)
+
+
+def assert_matches_unfolding_referee(src, scheme):
+    rooted = _Rooted(src, scheme.root)
+    child_mix, surplus_mix = _coeffs_from_certificate(
+        src, rooted, scheme.certificate, scheme.s
+    )
+    comm, owners = _assemble(
+        src, rooted, scheme.ext_ctx, scheme.s, child_mix, surplus_mix
+    )
+    assert scheme.comm_matrix == comm
+    assert scheme.owners == owners
+    assert scheme.child_mix == child_mix
+    assert scheme.surplus_mix == surplus_mix
+    assert scheme.key.coords == completion_indices(comm)
+
+
+def test_unfolding_matches_referee_on_suite(irreducible_suite, synthesized_suite):
+    for src, _, scheme in synthesized_suite:
+        assert_matches_unfolding_referee(src, scheme)
+    explicit = 0
+    for src, wt in irreducible_suite:
+        if wt.dim and all(e.mult == 1 for e in src.edges):
+            try:
+                scheme = synth_explicit_unit(src, wt)
+            except SchemeError:
+                continue
+            assert_matches_unfolding_referee(src, scheme)
+            explicit += 1
+    assert explicit
+
+
+def test_unfolding_matches_referee_with_edges_out_of_id_order():
+    # node 1 meets edges 3, 0, 2 in listed order; its relay columns still
+    # follow ascending child edge id
+    src = TreePinSource(
+        3, 5, [(3, 1, 2, 2), (0, 0, 1, 2), (2, 1, 3, 3), (1, 3, 4, 2)]
+    )
+    taps = [
+        Wiretapper(FMatrix.from_cols(src.base_ctx, [], rows=src.base_dim)),
+        Wiretapper(
+            FMatrix.from_cols(src.base_ctx, [[1, 0, 2, 0, 1, 0, 0, 1, 0]], rows=9)
+        ),
+    ]
+    for wt in taps:
+        for seed in range(3):
+            assert_matches_unfolding_referee(src, synth_random(src, wt, seed=seed))
+
+
+# test_verify's fields: GF(2, 3, 5, 7), their extensions of degree 2..6,
+# and GF(2^13), which has no log/exp tables
+REFEREE_FIELDS = [(q, n) for q in (2, 3, 5, 7) for n in range(1, 7)] + [(2, 13)]
+
+
+@pytest.mark.parametrize("q, n", REFEREE_FIELDS)
+def test_unfolding_matches_referee_over_fields(q, n):
+    for inst in range(2):
+        src, _, scheme = scheme_over(q, n, seed=100 * q + 10 * n + inst)
+        assert_matches_unfolding_referee(src, scheme)
+
+
+def _comm_variants(scheme):
+    """Communication matrices synthesis never produces: each column dropped
+    in turn, a dependent column appended, full row rank, no columns."""
+    ext = scheme.ext_ctx
+    f = scheme.comm_matrix
+    d, c = f.rows, f.cols
+    out = []
+    for j in range(c):
+        out.append(f.take_cols([i for i in range(c) if i != j]))
+        coef = FMatrix.from_rows(ext, [[1 + j % (ext.order - 1)]], cols=1)
+        out.append(f.hstack(f.take_cols([j]) @ coef + f.take_cols([(j + 1) % c])))
+    out.append(f.hstack(scheme.key.matrix))
+    out.append(FMatrix.zeros(ext, d, 0))
+    return out
+
+
+@pytest.mark.parametrize("q, n", REFEREE_FIELDS)
+def test_extract_key_matches_completion_on_variants(q, n):
+    src, _, scheme = scheme_over(q, n, seed=100 * q + 10 * n)
+    for f in _comm_variants(scheme):
+        k = f.rows - rank(f)
+        variant = CommScheme(
+            ext_ctx=scheme.ext_ctx, s=k, comm_matrix=f, owners=(0,) * f.cols
+        )
+        key = extract_key(variant)
+        assert key.coords == completion_indices(f)
+        assert key.matrix == FMatrix.basis_columns(f.ctx, f.rows, key.coords)
+        for wrong in (k - 1, k + 1):
+            variant.s = wrong
+            with pytest.raises(SchemeError, match="does not leave an s-dim key space"):
+                extract_key(variant)
