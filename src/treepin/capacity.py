@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mcf import mcf_edge_wiretap
+from .mcf import _edge_overlaps, _tap_null_t
 from .model import TreePinSource, Wiretapper
 
 __all__ = [
@@ -91,13 +91,9 @@ class CapacityReport:
 
 
 def capacity_report(source: TreePinSource, wiretapper: Wiretapper) -> CapacityReport:
+    overlaps = _edge_overlaps(source, _tap_null_t(source, wiretapper))
     per_edge = tuple(
-        EdgeResidual(
-            edge_id=e.edge_id,
-            mult=e.mult,
-            mcf_dim=mcf_edge_wiretap(source, wiretapper, e.edge_id).dim,
-        )
-        for e in source.edges
+        EdgeResidual(e.edge_id, e.mult, dim) for e, dim in zip(source.edges, overlaps)
     )
     return CapacityReport(
         q=source.q,

@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .capacity import capacity_report
-from .falinalg import FMatrix, expand_to_base, lift
+from .falinalg import FMatrix, expand_to_base, left_nullspace_basis, lift
 from .mcf import mcf_edge_wiretap
 from .model import (
     InstanceError,
@@ -39,7 +39,7 @@ from .scheme import (
     synth_random,
 )
 from .simulate import SimulationError, run_protocol
-from .verify import leakage_symbol_dims, verify_scheme
+from .verify import _verify, leakage_symbol_dims
 
 __all__ = ["main"]
 
@@ -150,8 +150,10 @@ def _cmd_synth(args) -> int:
 def _cmd_verify(args) -> int:
     source, wiretapper = _load_pair(args.infile)
     scheme = load_scheme(_read(args.scheme))
-    scheme.validate(source)
-    report = verify_scheme(scheme, source, wiretapper)
+    # one left-null basis of F serves both the structural and the full check
+    null = left_nullspace_basis(scheme.comm_matrix)
+    scheme._validate(source, None, null)
+    report = _verify(scheme, source, wiretapper, null)
     for node in sorted(report.omniscient):
         _emit(f"omniscient_{node}", report.omniscient[node])
     _emit("aligned", report.aligned)

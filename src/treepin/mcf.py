@@ -5,20 +5,20 @@ the finest function computable from either observation alone is itself
 linear: X Mg where col(Mg) = col(M1) intersect col(M2).  Its entropy is
 dim * log2(q) bits.
 
-For one edge e and the eavesdropper's full-column-rank matrix W there is a
-cheaper route than intersecting the two column spaces.  A vector W x lies
-on edge e's coordinate block exactly when the rows of W outside the block
-annihilate x, so the common part is W null(W_{-e}), where W_{-e} is W
-without e's rows.  Full column rank makes x -> W x injective, so the
-overlap dimension is the nullity n_w - rank(W_{-e}): one elimination of a
-(D - mult) x n_w matrix instead of a (mult + n_w) x 2D Zassenhaus block.
+For one edge e and the eavesdropper's matrix W (D x n_w, full column rank)
+take N_W, the left-null basis of W ((D - n_w) x D): col W is exactly what
+N_W annihilates, so rank([W | S_e]) = n_w + rank(N_W S_e) for the selector
+S_e of e's block.  The overlap is then mult_e - rank(N_W[:, block_e]) and
+the common part is S_e null(N_W[:, block_e]): one elimination of W serves
+every edge.  N_W is kept transposed, so an edge's part of it is a row slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .falinalg import FMatrix, right_nullspace_basis, rref
+from .falinalg import FMatrix, left_nullspace_basis, rank, right_nullspace_basis, rref
 from .model import TreePinSource, Wiretapper
 
 __all__ = ["LinearMcf", "mcf_edge_wiretap"]
@@ -35,6 +35,25 @@ class LinearMcf:
         return self.matrix.cols
 
 
+def _tap_null_t(source: TreePinSource, wiretapper: Wiretapper) -> FMatrix:
+    """N_W transposed (D x (D - n_w)), from one elimination of W."""
+    if wiretapper.rows != source.base_dim:
+        raise ValueError("wiretap matrix does not match the source dimension")
+    return right_nullspace_basis(wiretapper.matrix.transpose())
+
+
+def _edge_overlaps(source: TreePinSource, null_t: FMatrix) -> Iterator[int]:
+    """Each edge's overlap dimension with the tap, lazily, in listed order."""
+    for e in source.edges:
+        yield e.mult - rank(null_t.take_rows(source.edge_range(e.edge_id)))
+
+
+def _common_on_block(null_t: FMatrix, block: range) -> FMatrix:
+    """mult x l basis of the common part on the block: the reduced row
+    echelon basis of null(N_W[:, block]), read as rows."""
+    return rref(left_nullspace_basis(null_t.take_rows(block))).matrix.transpose()
+
+
 def mcf_edge_wiretap(
     source: TreePinSource, wiretapper: Wiretapper, edge_id: int
 ) -> LinearMcf:
@@ -44,13 +63,6 @@ def mcf_edge_wiretap(
     (read as rows), the same one col_space_intersect(edge selector, W)
     returns.
     """
-    if wiretapper.rows != source.base_dim:
-        raise ValueError("wiretap matrix does not match the source dimension")
-    block = source.edge_range(edge_id)
-    w = wiretapper.matrix
-    outside = [i for i in range(w.rows) if i not in block]
-    null = right_nullspace_basis(w.take_rows(outside))
-    if not null.cols:
-        return LinearMcf(FMatrix.zeros(w.ctx, w.rows, 0))
-    common = rref((w @ null).transpose())
-    return LinearMcf(common.matrix.take_rows(range(common.rank)).transpose())
+    null_t = _tap_null_t(source, wiretapper)
+    on_block = _common_on_block(null_t, source.edge_range(edge_id))
+    return LinearMcf(source.edge_block_selector(edge_id) @ on_block)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .falinalg import FMatrix, completion_indices, inverse, solve_right
-from .mcf import mcf_edge_wiretap
+from .mcf import _common_on_block, _edge_overlaps, _tap_null_t
 from .model import TreePinSource, Wiretapper
 
 __all__ = [
@@ -61,10 +61,7 @@ class ReductionTrace:
 
 def is_irreducible(source: TreePinSource, wiretapper: Wiretapper) -> bool:
     """True when no edge has a common function with the eavesdropper."""
-    return all(
-        mcf_edge_wiretap(source, wiretapper, e.edge_id).dim == 0
-        for e in source.edges
-    )
+    return not any(_edge_overlaps(source, _tap_null_t(source, wiretapper)))
 
 
 def _greedy_basis_completion(m: FMatrix) -> FMatrix:
@@ -77,8 +74,16 @@ def reduce_once(
     source: TreePinSource, wiretapper: Wiretapper, edge_id: int
 ) -> tuple[TreePinSource, Wiretapper, ReductionStep]:
     """Strip the common part of one edge and the eavesdropper."""
-    common = mcf_edge_wiretap(source, wiretapper, edge_id)
-    l = common.dim
+    null_t = _tap_null_t(source, wiretapper)
+    edge_map = _common_on_block(null_t, source.edge_range(edge_id))
+    return _reduce_step(source, wiretapper, edge_id, edge_map)
+
+
+def _reduce_step(
+    source: TreePinSource, wiretapper: Wiretapper, edge_id: int, edge_map: FMatrix
+) -> tuple[TreePinSource, Wiretapper, ReductionStep]:
+    """reduce_once, given the edge's common part on its block (mult x l)."""
+    l = edge_map.cols
     if l == 0:
         raise ReductionError(
             f"edge {edge_id} shares nothing with the eavesdropper"
@@ -94,9 +99,6 @@ def reduce_once(
     d = source.base_dim
     n_w = wiretapper.dim
 
-    # Basis of the common part restricted to the edge block (rows outside
-    # the block are zero because the common part is a function of the edge).
-    edge_map = common.matrix.take_rows(block)
     completion = _greedy_basis_completion(edge_map)
     change = edge_map.hstack(completion)          # mult x mult, invertible
     change_inv = inverse(change)
@@ -109,7 +111,7 @@ def reduce_once(
     w_new = FMatrix.from_rows(ctx, grid, cols=n_w)
 
     # The common part's coordinates are now the first l rows of the block.
-    g_rows = [block.start + k for k in range(l)]
+    g_rows = range(block.start, block.start + l)
     g_selector = FMatrix.basis_columns(ctx, d, g_rows)
 
     # The common part is a function of the eavesdropper's view, so the
@@ -124,10 +126,9 @@ def reduce_once(
     # The leading l columns are exactly the selector columns, so dropping
     # the G rows and those columns leaves the eavesdropper's view of the
     # rest.
-    g_set = set(g_rows)
     reduced = FMatrix.from_rows(
         ctx,
-        [row[l:] for i, row in enumerate(w_pivoted.to_code_rows()) if i not in g_set],
+        [row[l:] for i, row in enumerate(w_pivoted.to_code_rows()) if i not in g_rows],
         cols=n_w - l,
     )
 
@@ -147,18 +148,19 @@ def reduce_once(
 def reduce_full(
     source: TreePinSource, wiretapper: Wiretapper
 ) -> ReductionTrace:
-    """Reduce edges (ascending id) until the instance is irreducible."""
+    """Reduce edges until the instance is irreducible.  Each step takes the
+    first edge, in the order source.edges lists them, that shares something
+    with the eavesdropper."""
     original = (source, wiretapper)
     steps: list[ReductionStep] = []
     while True:
-        target = None
-        for e in source.edges:
-            if mcf_edge_wiretap(source, wiretapper, e.edge_id).dim > 0:
-                target = e.edge_id
-                break
+        null_t = _tap_null_t(source, wiretapper)
+        overlaps = zip(source.edges, _edge_overlaps(source, null_t))
+        target = next((e.edge_id for e, dim in overlaps if dim), None)
         if target is None:
             break
-        source, wiretapper, step = reduce_once(source, wiretapper, target)
+        edge_map = _common_on_block(null_t, source.edge_range(target))
+        source, wiretapper, step = _reduce_step(source, wiretapper, target, edge_map)
         steps.append(step)
     return ReductionTrace(
         steps=tuple(steps), original=original, final=(source, wiretapper)

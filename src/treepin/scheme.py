@@ -50,8 +50,8 @@ from .falinalg import (
     rref,
 )
 from .gfield import ExtFieldCtx, make_ext_field
+from .mcf import _edge_overlaps, _tap_null_t
 from .model import TreePinSource, Wiretapper
-from .reduce import is_irreducible
 
 __all__ = [
     "SchemeError",
@@ -138,13 +138,16 @@ class CommScheme:
 
     def validate(self, source: TreePinSource, wiretapper: Wiretapper | None = None) -> None:
         """Check structural invariants; raises SchemeError on violation."""
+        self._validate(source, wiretapper, left_nullspace_basis(self.comm_matrix))
+
+    def _validate(self, source: TreePinSource, wiretapper: Wiretapper | None, null: FMatrix) -> None:
+        """validate, given N = left_nullspace_basis(F)."""
         self.check_owners(source)
         if self.ext_ctx.q != source.q:
             raise SchemeError("field characteristic mismatch")
         f = self.comm_matrix
         # rank F = base_dim - (rows of N) and rank([F | K]) = rank F +
-        # rank(N @ K), for N the left-null basis of F
-        null = left_nullspace_basis(f)
+        # rank(N @ K)
         if null.rows != self.s:
             raise SchemeError(
                 "communication matrix rank must be base_dim - s"
@@ -293,9 +296,21 @@ def _synth_from_certificate(
         surplus_mix=surplus_mix,
         certificate=cert,
     )
-    scheme.key = extract_key(scheme)
-    scheme.validate(source, wiretapper)
+    null = left_nullspace_basis(scheme.comm_matrix)
+    scheme.key = _key_from_null(scheme, null)
+    scheme._validate(source, wiretapper, null)
     return scheme
+
+
+def _irreducible_tap_null(source: TreePinSource, wiretapper: Wiretapper) -> FMatrix:
+    """N_W, the tap's left-null basis, once no edge overlaps the tap."""
+    null_t = _tap_null_t(source, wiretapper)
+    if any(_edge_overlaps(source, null_t)):
+        raise SchemeError(
+            "instance is reducible; strip the eavesdropper's common parts "
+            "first (reduce_full)"
+        )
+    return null_t.transpose()
 
 
 def synth_random(
@@ -304,17 +319,14 @@ def synth_random(
     seed: int,
 ) -> CommScheme:
     """Randomised certificate synthesis for an irreducible instance."""
-    if not is_irreducible(source, wiretapper):
-        raise SchemeError(
-            "instance is reducible; strip the eavesdropper's common parts "
-            "first (reduce_full)"
-        )
+    null_w = _irreducible_tap_null(source, wiretapper)
     s = source.min_mult
     n = choose_extension_degree(source)
     ext = make_ext_field(source.q, n)
     root = _default_root(source)
-    wl = lift(wiretapper.matrix, ext)
-    null_basis = left_nullspace_basis(wl)
+    # eliminating the lifted tap repeats the base-field steps on the same
+    # codes, so its left-null basis is the lifted N_W
+    null_basis = lift(null_w, ext)
     if null_basis.rows < s:
         raise SchemeError(
             "wiretap dimension too large: no certificate space left"
@@ -334,12 +346,12 @@ def synth_explicit_unit(
 ) -> CommScheme:
     """Deterministic certificate for all-unit multiplicities.
 
-    Column-reduce the wiretap matrix (reduced row echelon form of its
-    transpose); the pivot coordinates carry an identity block and the
-    remaining k = edge_count - wiretap_dim coordinates carry the mixing
-    rows.  Assigning the power basis 1, x, ..., x^(k-1) of GF(q**k) to the
-    non-pivot coordinates forces the pivot coordinates to the corresponding
-    (nonzero) mixed sums, giving a certificate with every entry nonzero.
+    The left-null basis N_W of the wiretap matrix has k = edge_count -
+    wiretap_dim rows; row j is 1 at the j-th non-pivot coordinate of the
+    column-reduced tap and 0 at the other non-pivot ones.  The certificate is
+    (1, x, ..., x^(k-1)) N_W over GF(q**k): the power basis sits on the
+    non-pivot coordinates and forces the pivot coordinates to the
+    corresponding (nonzero) mixed sums, so every entry is nonzero.
     """
     if any(e.mult != 1 for e in source.edges):
         raise SchemeError(
@@ -351,41 +363,18 @@ def synth_explicit_unit(
             "explicit synthesis needs at least one wiretap column; use "
             "synth_random instead"
         )
-    if not is_irreducible(source, wiretapper):
-        raise SchemeError(
-            "instance is reducible; strip the eavesdropper's common parts "
-            "first (reduce_full)"
-        )
-    d = source.base_dim
-    m = wiretapper.dim
-    k = d - m
+    null_w = _irreducible_tap_null(source, wiretapper)
+    k = null_w.rows
     if k < 1:
         raise SchemeError("eavesdropper already sees a full basis")
-    red = rref(wiretapper.matrix.transpose())
-    if red.rank != m:
-        raise AssertionError("wiretap matrix lost rank")  # guarded by Wiretapper
-    pivots = list(red.pivots)
-    pivotset = set(pivots)
-    nonpivots = [c for c in range(d) if c not in pivotset]
     ext = make_ext_field(source.q, k)
-    add, mul, neg = ext.add_code, ext.mul_code, ext.neg_code
-
-    # base-field codes are the constant polynomials' codes in GF(q**k)
-    entries = [0] * d
-    for j, c in enumerate(nonpivots):
-        # power basis element x**j has code q**j
-        entries[c] = source.q**j
-    for row, c in zip(red.matrix.to_code_rows(), pivots):
-        acc = 0
-        for nc in nonpivots:
-            if row[nc]:
-                acc = add(acc, mul(row[nc], entries[nc]))
-        entries[c] = neg(acc)
-        if not entries[c]:
-            raise AssertionError(
-                "zero certificate entry; instance was not irreducible"
-            )
-    cert = FMatrix.from_rows(ext, [entries], cols=d)
+    # power basis element x**j has code q**j
+    powers = FMatrix.from_rows(ext, [[source.q**j for j in range(k)]], cols=k)
+    cert = powers @ lift(null_w, ext)
+    if not all(cert.to_code_rows()[0]):
+        raise AssertionError(
+            "zero certificate entry; instance was not irreducible"
+        )
     return _synth_from_certificate(
         source, wiretapper, ext, cert, _default_root(source)
     )
@@ -399,7 +388,11 @@ def extract_key(scheme: CommScheme) -> KeyExtractor:
     e_i extends col F and the earlier picks exactly when column i of N is
     independent of the columns before it: the picks are N's pivot columns.
     """
-    null = left_nullspace_basis(scheme.comm_matrix)
+    return _key_from_null(scheme, left_nullspace_basis(scheme.comm_matrix))
+
+
+def _key_from_null(scheme: CommScheme, null: FMatrix) -> KeyExtractor:
+    """extract_key, given N = left_nullspace_basis(F)."""
     if null.rows != scheme.s:
         raise SchemeError("communication matrix does not leave an s-dim key space")
     coords = rref(null).pivots

@@ -141,8 +141,12 @@ def verify_scheme(
 ) -> VerifyReport:
     """Full audit: omniscience at every node, wiretap alignment, key
     secrecy, and leakage matched against the minimum achievable."""
+    return _verify(scheme, source, wiretapper, left_nullspace_basis(scheme.comm_matrix))
+
+
+def _verify(scheme: CommScheme, source: TreePinSource, wiretapper: Wiretapper, null: FMatrix) -> VerifyReport:
+    """verify_scheme, given N = left_nullspace_basis(F)."""
     report = capacity_report(source, wiretapper)
-    null = left_nullspace_basis(scheme.comm_matrix)
     tap = _tap_image(null, wiretapper)
     return VerifyReport(
         omniscient=_omniscience(null, source),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from treepin import (
     CommScheme,
@@ -19,7 +20,7 @@ from treepin import (
     reduce_full,
     synth_random,
 )
-from treepin.falinalg import left_nullspace_basis, lift, rank
+from treepin.falinalg import left_nullspace_basis, lift, rank, right_nullspace_basis, rref
 from treepin.reduce import ReductionError
 from treepin.scheme import (
     SchemeError,
@@ -200,6 +201,46 @@ def build_reducible_suite(count):
             continue
         out.append((source, wt2))
     return out
+
+
+def w_minus_e_common(src, wt, edge_id):
+    """Referee: the common part of one edge and the tap through W_{-e}, W
+    without the edge's rows.  W has full column rank, so the common part is
+    W null(W_{-e}); one elimination per edge.  Returns the D x l reduced row
+    echelon basis (read as rows)."""
+    block = src.edge_range(edge_id)
+    w = wt.matrix
+    outside = [i for i in range(w.rows) if i not in block]
+    null = right_nullspace_basis(w.take_rows(outside))
+    if not null.cols:
+        return FMatrix.zeros(w.ctx, w.rows, 0)
+    common = rref((w @ null).transpose())
+    return common.matrix.take_rows(range(common.rank)).transpose()
+
+
+@st.composite
+def instances(draw, max_vertices=7, max_mult=3, qs=(2, 3, 5)):
+    """A random_instance whose tap width is drawn after the base dimension
+    is known (the tree and multiplicities do not depend on it), so heavy
+    taps with nonzero overlaps are common."""
+    inst_seed = draw(st.integers(0, 10**6))
+    q = draw(st.sampled_from(qs))
+    vertices = draw(st.integers(2, max_vertices))
+    mult = draw(st.integers(1, max_mult))
+    base_dim = random_instance(inst_seed, vertices, mult, q, 0)[0].base_dim
+    n_w = draw(st.integers(0, base_dim))
+    return random_instance(inst_seed, vertices, mult, q, n_w)
+
+
+@st.composite
+def relabelled_instances(draw, max_vertices=8, max_mult=3, qs=(2, 3, 5, 7)):
+    """An instance whose edge ids are permuted (and spread out), so the
+    edges are mostly listed out of id order (reversed when shrunk).  Coordinates follow the listed order,
+    so the tap matrix is unchanged."""
+    src, wt = draw(instances(max_vertices, max_mult, qs))
+    ids = draw(st.permutations([3 * k + 1 for k in reversed(range(src.edge_count))]))
+    edges = [e._replace(edge_id=i) for e, i in zip(src.edges, ids)]
+    return TreePinSource(src.q, src.vertex_count, edges), wt
 
 
 @pytest.fixture(scope="session")

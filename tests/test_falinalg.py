@@ -418,3 +418,14 @@ def test_expand_to_base_matches_reference_loop(m):
     assert got.shape == (m.rows * m.ctx.n, m.cols * m.ctx.n)
     assert got.ctx == make_ext_field(m.ctx.q, 1)
     assert got.to_code_rows() == reference_expand(m)
+
+
+@seed(20260111)
+@settings(max_examples=150, deadline=None)
+@given(matrices(PRIME_FIELDS[:4], max_dim=7), st.integers(1, 6))
+def test_left_null_basis_commutes_with_lift(m, n):
+    """Eliminating a lifted base-field matrix repeats the base-field steps
+    on the same codes, so the left-null basis of the lifted matrix is the
+    lifted left-null basis (synth_random lifts the tap's)."""
+    ext = make_ext_field(m.ctx.q, n)
+    assert lift(left_nullspace_basis(m), ext) == left_nullspace_basis(lift(m, ext))

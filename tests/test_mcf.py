@@ -5,13 +5,33 @@ from __future__ import annotations
 import math
 import random
 
-from hypothesis import given, seed, settings, strategies as st
+import pytest
+from hypothesis import given, seed, settings
 
-from treepin import FMatrix, LinearMcf, make_ext_field, mcf_edge_wiretap, random_instance
+from treepin import (
+    FMatrix,
+    LinearMcf,
+    Wiretapper,
+    capacity_report,
+    is_irreducible,
+    make_ext_field,
+    mcf_edge_wiretap,
+    random_instance,
+    reduce_full,
+    reduce_once,
+)
 from treepin.falinalg import col_space_intersect, rank
+from treepin.mcf import _common_on_block, _edge_overlaps, _tap_null_t
 from treepin.oracle import MCF_BUDGET, mcf_exhaustive
 
-from conftest import in_col_span, parity_path, wide_path_reducible
+from conftest import (
+    in_col_span,
+    instances,
+    parity_path,
+    relabelled_instances,
+    w_minus_e_common,
+    wide_path_reducible,
+)
 
 F2 = make_ext_field(2, 1)
 F3 = make_ext_field(3, 1)
@@ -141,20 +161,6 @@ def _apply(vec, m):
     return (FMatrix(m.ctx, [vec], cols=m.rows) @ m).row(0)
 
 
-@st.composite
-def instances(draw, max_vertices=7, max_mult=3, qs=(2, 3, 5)):
-    """A random_instance whose tap width is drawn after the base dimension
-    is known (the tree and multiplicities do not depend on it), so heavy
-    taps with nonzero overlaps are common."""
-    inst_seed = draw(st.integers(0, 10**6))
-    q = draw(st.sampled_from(qs))
-    vertices = draw(st.integers(2, max_vertices))
-    mult = draw(st.integers(1, max_mult))
-    base_dim = random_instance(inst_seed, vertices, mult, q, 0)[0].base_dim
-    n_w = draw(st.integers(0, base_dim))
-    return random_instance(inst_seed, vertices, mult, q, n_w)
-
-
 @seed(20260107)
 @settings(max_examples=120, deadline=None)
 @given(instances())
@@ -180,3 +186,76 @@ def test_edge_overlap_dimension_matches_exhaustive(inst):
     for e in src.edges:
         brute = mcf_exhaustive(src.edge_block_selector(e.edge_id), wt.matrix, src.q)
         assert brute.n_components == src.q ** mcf_edge_wiretap(src, wt, e.edge_id).dim
+
+
+def assert_overlaps_match_referee(src, wt):
+    """Every per-edge answer of the left-null route of the tap equals the
+    W_{-e} referee and the Zassenhaus intersection, and every consumer of
+    the overlaps agrees with it."""
+    null_t = _tap_null_t(src, wt)
+    assert null_t.shape == (src.base_dim, src.base_dim - wt.dim)
+    assert (null_t.transpose() @ wt.matrix).is_zero()
+    dims = list(_edge_overlaps(src, null_t))
+    report = capacity_report(src, wt)
+    assert [e.mcf_dim for e in report.per_edge] == dims
+    assert [e.edge_id for e in report.per_edge] == [e.edge_id for e in src.edges]
+    assert is_irreducible(src, wt) == (not any(dims))
+    for e, dim in zip(src.edges, dims):
+        ref = w_minus_e_common(src, wt, e.edge_id)
+        block = src.edge_range(e.edge_id)
+        assert dim == ref.cols
+        assert _common_on_block(null_t, block) == ref.take_rows(block)
+        assert mcf_edge_wiretap(src, wt, e.edge_id).matrix == ref
+        sel = src.edge_block_selector(e.edge_id)
+        assert col_space_intersect(sel, wt.matrix) == ref
+    return dims
+
+
+@seed(20260112)
+@settings(max_examples=200, deadline=None)
+@given(relabelled_instances())
+def test_tap_left_null_route_matches_w_minus_e_referee(inst):
+    assert_overlaps_match_referee(*inst)
+
+
+@seed(20260113)
+@settings(max_examples=40, deadline=None)
+@given(relabelled_instances(max_vertices=4, max_mult=2, qs=(2, 3)))
+def test_tap_left_null_route_matches_exhaustive(inst):
+    src, wt = inst
+    assert src.q**src.base_dim <= MCF_BUDGET
+    dims = assert_overlaps_match_referee(src, wt)
+    for e, dim in zip(src.edges, dims):
+        brute = mcf_exhaustive(src.edge_block_selector(e.edge_id), wt.matrix, src.q)
+        assert brute.n_components == src.q**dim
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("seed_", [1, 2, 3])
+def test_tap_left_null_route_at_empty_and_full_tap(q, seed_):
+    """n_w = 0 leaves N_W the identity and no edge overlaps; n_w = D leaves
+    N_W empty and every edge is absorbed whole."""
+    src, _ = random_instance(seed_, 6, 3, q, 0)
+    d = src.base_dim
+    ctx = src.base_ctx
+    empty = Wiretapper(FMatrix.zeros(ctx, d, 0))
+    full = Wiretapper(random_instance(seed_, 6, 3, q, d)[1].matrix)
+    assert full.dim == d
+    assert assert_overlaps_match_referee(src, empty) == [0] * src.edge_count
+    assert _tap_null_t(src, empty) == FMatrix.identity(ctx, d)
+    assert assert_overlaps_match_referee(src, full) == [e.mult for e in src.edges]
+    assert _tap_null_t(src, full).shape == (d, 0)
+
+
+def test_mismatched_tap_raises_value_error():
+    src, wt = random_instance(4, 5, 2, 3, 2)
+    short = Wiretapper(wt.matrix.take_rows(range(src.base_dim - 1)))
+    for call in (
+        lambda: mcf_edge_wiretap(src, short, src.edges[0].edge_id),
+        lambda: capacity_report(src, short),
+        lambda: is_irreducible(src, short),
+        lambda: reduce_full(src, short),
+        lambda: reduce_once(src, short, src.edges[0].edge_id),
+    ):
+        with pytest.raises(ValueError, match="wiretap matrix does not match the source dimension"):
+            call()

@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from treepin import (
+    FMatrix,
     ReductionError,
+    TreePinSource,
+    Wiretapper,
     capacity_report,
     is_irreducible,
     reduce_full,
     reduce_once,
 )
-from treepin.falinalg import rank
+from treepin.falinalg import completion_indices, inverse, rank, solve_right
 from treepin.mcf import mcf_edge_wiretap
 
 from conftest import (
     build_reducible_suite,
     parity_path,
+    relabelled_instances,
     star3_no_wiretap,
+    w_minus_e_common,
     wide_path_irreducible,
     wide_path_reducible,
 )
@@ -128,3 +136,150 @@ def test_overlap_dim_bounded():
         for e in src.edges:
             l = mcf_edge_wiretap(src, wt, e.edge_id).dim
             assert l <= min(e.mult, wt.dim)
+
+
+def _completion(m):
+    return FMatrix.basis_columns(m.ctx, m.rows, completion_indices(m))
+
+
+def referee_reduce_once(src, wt, edge_id):
+    """Referee: one reduction step with the common part taken through
+    W_{-e} (W without the edge's rows), then the change of basis on the
+    block and the column pivoting of the tap."""
+    common = w_minus_e_common(src, wt, edge_id)
+    l = common.cols
+    if l == 0:
+        raise ReductionError(f"edge {edge_id} shares nothing with the eavesdropper")
+    edge = src.edge(edge_id)
+    if l == edge.mult:
+        raise ReductionError(
+            f"edge {edge_id} is fully absorbed by the eavesdropper; the "
+            f"reduced source would lose the edge entirely"
+        )
+    block = src.edge_range(edge_id)
+    ctx, d, n_w = src.base_ctx, src.base_dim, wt.dim
+    edge_map = common.take_rows(block)
+    completion = _completion(edge_map)
+    change_inv = inverse(edge_map.hstack(completion))
+    w = wt.matrix
+    grid = w.to_code_rows()
+    grid[block.start : block.stop] = (change_inv @ w.take_rows(block)).to_code_rows()
+    w_new = FMatrix.from_rows(ctx, grid, cols=n_w)
+    g_rows = [block.start + k for k in range(l)]
+    coeffs = solve_right(w_new, FMatrix.basis_columns(ctx, d, g_rows))
+    w_pivoted = w_new @ coeffs.hstack(_completion(coeffs))
+    reduced = FMatrix.from_rows(
+        ctx,
+        [row[l:] for i, row in enumerate(w_pivoted.to_code_rows()) if i not in g_rows],
+        cols=n_w - l,
+    )
+    new_wt = Wiretapper(reduced)
+    step = (edge_id, l, edge_map, completion, edge.mult - l, new_wt)
+    return src.with_multiplicity(edge_id, edge.mult - l), new_wt, step
+
+
+def referee_reduce_full(src, wt):
+    """Referee loop: each step reduces the first listed edge whose W_{-e}
+    overlap is nonzero."""
+    steps = []
+    while True:
+        target = next(
+            (e.edge_id for e in src.edges if w_minus_e_common(src, wt, e.edge_id).cols),
+            None,
+        )
+        if target is None:
+            return steps, (src, wt)
+        src, wt, step = referee_reduce_once(src, wt, target)
+        steps.append(step)
+
+
+def _fields(step):
+    return (
+        step.edge_id,
+        step.dim,
+        step.edge_map,
+        step.completion,
+        step.new_mult,
+        step.new_wiretapper,
+    )
+
+
+def assert_trace_matches_referee(src, wt):
+    """reduce_full gives the referee's trace step by step, or the
+    referee's ReductionError.  Returns the number of steps."""
+    try:
+        want_steps, want_final = referee_reduce_full(src, wt)
+    except ReductionError as exc:
+        with pytest.raises(ReductionError, match=re.escape(str(exc))):
+            reduce_full(src, wt)
+        return 0
+    trace = reduce_full(src, wt)
+    assert [_fields(step) for step in trace.steps] == want_steps
+    assert trace.original == (src, wt)
+    assert trace.final == want_final
+    return len(want_steps)
+
+
+@st.composite
+def injected_instances(draw):
+    """A relabelled instance with one tap column replaced by a vector on a
+    single block of multiplicity >= 2, so most draws are reducible and
+    many reduce in several steps."""
+    src, wt = draw(relabelled_instances(max_vertices=9))
+    fat = [e for e in src.edges if e.mult >= 2]
+    assume(wt.dim >= 1 and fat)
+    block = src.edge_range(draw(st.sampled_from(fat)).edge_id)
+    entries = st.lists(st.integers(0, src.q - 1), min_size=len(block), max_size=len(block))
+    on_block = draw(entries.filter(any))
+    cols = wt.matrix.transpose().to_code_rows()
+    cols[draw(st.integers(0, wt.dim - 1))] = [
+        on_block[i - block.start] if i in block else 0 for i in range(src.base_dim)
+    ]
+    w = FMatrix.from_cols(src.base_ctx, cols, rows=src.base_dim)
+    assume(rank(w) == wt.dim)
+    return src, Wiretapper(w)
+
+
+@seed(20260114)
+@settings(max_examples=200, deadline=None)
+@given(relabelled_instances())
+def test_reduce_full_trace_matches_w_minus_e_referee(inst):
+    assert_trace_matches_referee(*inst)
+
+
+@seed(20260115)
+@settings(max_examples=200, deadline=None)
+@given(injected_instances())
+def test_reduce_full_trace_matches_referee_on_injected_taps(inst):
+    assert_trace_matches_referee(*inst)
+
+
+def test_reduce_full_trace_matches_referee_on_reducible_suite():
+    """The injected suite reduces cleanly, so every trace there is a
+    full one; reduce_once on each overlapping edge matches too."""
+    steps = 0
+    for src, wt in build_reducible_suite(40):
+        steps += assert_trace_matches_referee(src, wt)
+        for e in src.edges:
+            try:
+                want = referee_reduce_once(src, wt, e.edge_id)
+            except ReductionError as exc:
+                with pytest.raises(ReductionError, match=re.escape(str(exc))):
+                    reduce_once(src, wt, e.edge_id)
+                continue
+            got_src, got_wt, got_step = reduce_once(src, wt, e.edge_id)
+            assert (got_src, got_wt, _fields(got_step)) == want
+    assert steps >= 40
+
+
+def test_reduce_full_follows_listed_edge_order():
+    """Edges listed as [5, 3] that both share a tap coordinate: the first
+    step reduces edge 5, the first one listed, not the lower id."""
+    src = TreePinSource(2, 3, [(5, 0, 1, 2), (3, 1, 2, 2)])
+    # coordinates 0, 1 belong to edge 5 and 2, 3 to edge 3
+    wt = Wiretapper(FMatrix.basis_columns(src.base_ctx, 4, [0, 2]))
+    trace = reduce_full(src, wt)
+    assert [step.edge_id for step in trace.steps] == [5, 3]
+    assert [e.mult for e in trace.final[0].edges] == [1, 1]
+    assert trace.final[1].dim == 0
+    assert_trace_matches_referee(src, wt)

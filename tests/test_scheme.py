@@ -8,6 +8,7 @@ import pytest
 
 from treepin import (
     CommScheme,
+    InstanceError,
     FMatrix,
     SchemeError,
     TreePinSource,
@@ -16,6 +17,7 @@ from treepin import (
     extract_key,
     load_scheme,
     make_ext_field,
+    random_instance,
     save_scheme,
     synth_explicit_unit,
     synth_random,
@@ -26,8 +28,14 @@ from treepin.falinalg import (
     left_nullspace_basis,
     lift,
     rank,
+    rref,
 )
-from treepin.scheme import sample_alignment_certificate
+from treepin.scheme import (
+    _MAX_ATTEMPTS,
+    _default_root,
+    _synth_from_certificate,
+    sample_alignment_certificate,
+)
 
 from conftest import (
     build_irreducible_suite,
@@ -489,3 +497,69 @@ def test_extract_key_matches_completion_on_variants(q, n):
             variant.s = wrong
             with pytest.raises(SchemeError, match="does not leave an s-dim key space"):
                 extract_key(variant)
+
+
+def explicit_unit_certificate_referee(src, wt):
+    """Referee: the explicit certificate from the reduced row echelon form
+    of W^T.  The power basis 1, x, ..., x^(k-1) of GF(q**k) goes on the
+    non-pivot coordinates, and each pivot coordinate gets minus its row's
+    mixed sum."""
+    d, m = src.base_dim, wt.dim
+    red = rref(wt.matrix.transpose())
+    pivots = list(red.pivots)
+    nonpivots = [c for c in range(d) if c not in pivots]
+    ext = make_ext_field(src.q, d - m)
+    entries = [0] * d
+    for j, c in enumerate(nonpivots):
+        entries[c] = src.q**j
+    for row, c in zip(red.matrix.to_code_rows(), pivots):
+        acc = 0
+        for nc in nonpivots:
+            if row[nc]:
+                acc = ext.add_code(acc, ext.mul_code(row[nc], entries[nc]))
+        entries[c] = ext.neg_code(acc)
+    return FMatrix.from_rows(ext, [entries], cols=d)
+
+
+def test_explicit_unit_certificate_matches_echelon_referee():
+    """The certificate (1, x, ..., x^(k-1)) N_W equals the one built from
+    the echelon form of W^T, over GF(2), GF(3), GF(5) and GF(7)."""
+    built = {}
+    for seed_ in range(400):
+        rng = random.Random(seed_)
+        q = (2, 3, 5, 7)[seed_ % 4]
+        vertices = rng.randint(3, 9)
+        try:
+            src, wt = random_instance(seed_, vertices, 1, q, rng.randint(1, vertices - 2))
+            scheme = synth_explicit_unit(src, wt)
+        except (InstanceError, SchemeError):
+            continue
+        assert scheme.certificate == explicit_unit_certificate_referee(src, wt)
+        built[q] = built.get(q, 0) + 1
+    assert sorted(built) == [2, 3, 5, 7] and min(built.values()) >= 10
+
+
+def synth_random_referee(src, wt, seed):
+    """Referee: synth_random with its certificate space taken from an
+    elimination of the lifted tap over GF(q**n)."""
+    ext = make_ext_field(src.q, choose_extension_degree(src))
+    null_basis = left_nullspace_basis(lift(wt.matrix, ext))
+    rng = random.Random(seed)
+    for _ in range(_MAX_ATTEMPTS):
+        cert = sample_alignment_certificate(src, null_basis, src.min_mult, rng)
+        if cert is not None:
+            return _synth_from_certificate(src, wt, ext, cert, _default_root(src))
+    raise AssertionError("referee found no certificate")
+
+
+def test_synth_random_matches_lifted_tap_referee(irreducible_suite):
+    """The lifted base-field N_W gives the very schemes an elimination of
+    the lifted tap gives."""
+    for i, (src, wt) in enumerate(irreducible_suite):
+        try:
+            got = synth_random(src, wt, seed=i)
+        except SchemeError:
+            continue
+        want = synth_random_referee(src, wt, i)
+        assert got.certificate == want.certificate
+        assert save_scheme(got) == save_scheme(want)
