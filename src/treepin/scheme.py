@@ -32,16 +32,21 @@ Synthesis strategies:
    edge_count - wiretap_dim.
 
 Scheme files are line oriented and round-trip exactly; entries are written
-as comma-joined coefficient lists, lowest degree first.
+as comma-joined coefficient lists, lowest degree first.  For a field of order
+at most gfield._TABLE_LIMIT, save and load map each entry through a token
+table built once per field (code -> token and its inverse); any other
+spelling of an entry, and every entry of a larger field, is parsed alone.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .falinalg import (
     FMatrix,
+    _mat,
     det,
     inverse,
     left_nullspace_basis,
@@ -49,7 +54,7 @@ from .falinalg import (
     rank,
     rref,
 )
-from .gfield import ExtFieldCtx, make_ext_field
+from .gfield import _TABLE_LIMIT, ExtFieldCtx, make_ext_field
 from .mcf import _edge_overlaps, _tap_null_t
 from .model import TreePinSource, Wiretapper
 
@@ -405,19 +410,45 @@ def _key_from_null(scheme: CommScheme, null: FMatrix) -> KeyExtractor:
 # Serialization
 
 
-def _fmt_matrix_lines(m: FMatrix) -> list[str]:
+class _TokenCodes(dict):
+    """Entry token -> code for one field.  A token the table lacks (another
+    spelling of an entry, such as '01,0', a malformed token, or any token of
+    a field too large for a table) goes through _parse_elem."""
+
+    def __init__(self, ext: ExtFieldCtx, tokens: tuple[str, ...]):
+        super().__init__(zip(tokens, range(len(tokens))))
+        self.ext = ext
+
+    def __missing__(self, token: str) -> int:
+        return _parse_elem(token, self.ext)
+
+
+@lru_cache(maxsize=16)
+def _entry_tables(ext: ExtFieldCtx) -> tuple[tuple[str, ...] | None, _TokenCodes]:
+    """The field's entry tokens indexed by code (None above _TABLE_LIMIT)
+    and the token -> code map, built once per field."""
+    if ext.order > _TABLE_LIMIT:
+        return None, _TokenCodes(ext, ())
+    tokens = tuple(",".join(map(str, ext.decode(c))) for c in range(ext.order))
+    return tokens, _TokenCodes(ext, tokens)
+
+
+def _fmt_matrix_lines(m: FMatrix, tokens: tuple[str, ...] | None) -> list[str]:
     if not m.cols:
         return []
-    decode = m.ctx.decode
-    return [
-        " ".join(",".join(map(str, decode(c))) for c in row)
-        for row in m.to_code_rows()
-    ]
+    if tokens is None:
+        decode = m.ctx.decode
+        return [
+            " ".join(",".join(map(str, decode(c))) for c in row)
+            for row in m.to_code_rows()
+        ]
+    return [" ".join(map(tokens.__getitem__, row)) for row in m.to_code_rows()]
 
 
 def save_scheme(scheme: CommScheme) -> str:
     ext = scheme.ext_ctx
     n = ext.n
+    tokens, _ = _entry_tables(ext)
     lines = [
         f"treepin-scheme q={ext.q} n={n}",
         "modulus " + ",".join(str(c) for c in ext.modulus),
@@ -425,18 +456,18 @@ def save_scheme(scheme: CommScheme) -> str:
         f"s {scheme.s}",
         "owners" + ("" if not scheme.owners else " " + " ".join(str(o) for o in scheme.owners)),
         f"fmat rows={scheme.comm_matrix.rows} cols={scheme.comm_matrix.cols}",
-        *_fmt_matrix_lines(scheme.comm_matrix),
+        *_fmt_matrix_lines(scheme.comm_matrix, tokens),
     ]
     for (node, eid) in sorted(scheme.child_mix):
         a = scheme.child_mix[(node, eid)]
         lines.append(f"amat node={node} edge={eid} rows={a.rows} cols={a.cols}")
-        lines.extend(_fmt_matrix_lines(a))
+        lines.extend(_fmt_matrix_lines(a, tokens))
     for eid in sorted(scheme.surplus_mix):
         b = scheme.surplus_mix[eid]
         if b.cols == 0:
             continue
         lines.append(f"bmat edge={eid} rows={b.rows} cols={b.cols}")
-        lines.extend(_fmt_matrix_lines(b))
+        lines.extend(_fmt_matrix_lines(b, tokens))
     if scheme.key is not None:
         lines.append(
             "keycols" + ("" if not scheme.key.coords else " " + " ".join(str(c) for c in scheme.key.coords))
@@ -456,6 +487,15 @@ def _parse_elem(token: str, ext: ExtFieldCtx) -> int:
         if not 0 <= c < ext.q:
             raise SchemeError(f"coefficient {c} out of range for F_{ext.q}")
     return ext.encode(coeffs)
+
+
+def _ints(values: list[str], what: str) -> list[int]:
+    """The integers of one scheme line; SchemeError naming the line (`what`)
+    on a value that is not one."""
+    try:
+        return [int(v) for v in values]
+    except ValueError:
+        raise SchemeError(f"malformed {what}") from None
 
 
 def _tag_ints(parts: list[str], names: tuple[str, ...]) -> list[int]:
@@ -501,14 +541,13 @@ def load_scheme(text: str) -> CommScheme:
         or not parts[2].startswith("n=")
     ):
         raise SchemeError(f"malformed scheme header {header!r}")
-    q = int(parts[1][2:])
-    n = int(parts[2][2:])
+    q, n = _ints([parts[1][2:], parts[2][2:]], f"scheme header {header!r}")
 
     mline = take("modulus").split()
     if len(mline) != 2 or mline[0] != "modulus":
         raise SchemeError("expected modulus line")
+    modulus = tuple(_ints(mline[1].split(","), "modulus line"))
     try:
-        modulus = tuple(int(c) for c in mline[1].split(","))
         if len(modulus) != n + 1:
             raise ValueError("modulus must be monic of degree n")
         # Reuse the cached canonical context; build one only for another
@@ -522,30 +561,36 @@ def load_scheme(text: str) -> CommScheme:
     rline = take("root").split()
     if len(rline) != 2 or rline[0] != "root":
         raise SchemeError("expected root line")
-    root = None if rline[1] == "none" else int(rline[1])
+    root = None if rline[1] == "none" else _ints(rline[1:], "root line")[0]
 
     sline = take("s").split()
     if len(sline) != 2 or sline[0] != "s":
         raise SchemeError("expected s line")
-    s = int(sline[1])
+    (s,) = _ints(sline[1:], "s line")
 
     oline = take("owners").split()
     if oline[0] != "owners":
         raise SchemeError("expected owners line")
-    owners = tuple(int(o) for o in oline[1:])
+    owners = tuple(_ints(oline[1:], "owners line"))
+    codes = _entry_tables(ext)[1]
 
-    def read_matrix(tag_parts: list[str]) -> FMatrix:
+    def read_matrix(tag_parts: list[str], s_rows: bool = False) -> FMatrix:
         rows, cols = _tag_ints(tag_parts, ("rows", "cols"))
+        if s_rows and rows != s:
+            raise SchemeError(
+                f"{tag_parts[0]} block has rows={rows}, must have s = {s} rows"
+            )
         grid = []
         for _ in range(rows):
             if cols == 0:
-                grid.append([])
+                grid.append(())
                 continue
             tokens = take("matrix row").split()
             if len(tokens) != cols:
                 raise SchemeError(f"expected {cols} entries in matrix row")
-            grid.append([_parse_elem(t, ext) for t in tokens])
-        return FMatrix.from_rows(ext, grid, cols=cols)
+            # each code is valid in ext: a table hit or a parsed token
+            grid.append(tuple(map(codes.__getitem__, tokens)))
+        return _mat(ext, grid, cols)
 
     fline = take("fmat").split()
     if fline[0] != "fmat":
@@ -562,12 +607,12 @@ def load_scheme(text: str) -> CommScheme:
         parts = line.split()
         if parts[0] == "amat":
             node, eid = _tag_ints(parts, ("node", "edge"))
-            child_mix[(node, eid)] = read_matrix(parts)
+            child_mix[(node, eid)] = read_matrix(parts, s_rows=True)
         elif parts[0] == "bmat":
             (eid,) = _tag_ints(parts, ("edge",))
-            surplus_mix[eid] = read_matrix(parts)
+            surplus_mix[eid] = read_matrix(parts, s_rows=True)
         elif parts[0] == "keycols":
-            coords = tuple(int(c) for c in parts[1:])
+            coords = tuple(_ints(parts[1:], "keycols line"))
             if len(set(coords)) != len(coords) or not all(
                 0 <= c < comm.rows for c in coords
             ):

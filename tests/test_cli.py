@@ -225,6 +225,10 @@ def wide_files(tmp_path):
         ("keycols 0", "keycols 0 0"),
         # five rows on the four coordinates of the wide path
         ("fmat rows=4 cols=3", "fmat rows=5 cols=3\n0,0 0,0 0,0"),
+        # amat and bmat blocks have s = 1 rows
+        ("bmat edge=0 rows=1 cols=1", "bmat edge=0 rows=3 cols=1\n0,0\n0,0"),
+        ("amat node=2 edge=2 rows=1 cols=1",
+         "amat node=0 edge=1 rows=10000000 cols=0\namat node=2 edge=2 rows=1 cols=1"),
     ],
 )
 def test_malformed_scheme_exits_1(capsys, tmp_path, wide_files, command, old, new):
@@ -236,6 +240,29 @@ def test_malformed_scheme_exits_1(capsys, tmp_path, wide_files, command, old, ne
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "oracle-check"])
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("q=2 n=2", "q=x n=2", "malformed scheme header 'treepin-scheme q=x n=2'"),
+        ("q=2 n=2", "q=2 n=x", "malformed scheme header 'treepin-scheme q=2 n=x'"),
+        ("modulus 1,1,1", "modulus 1,x,1", "malformed modulus line"),
+        ("\nroot 0\n", "\nroot x\n", "malformed root line"),
+        ("\ns 1\n", "\ns x\n", "malformed s line"),
+        ("owners 1 1 2", "owners 1 x 2", "malformed owners line"),
+        ("keycols 0", "keycols x", "malformed keycols line"),
+    ],
+)
+def test_bad_scheme_integer_names_its_line(capsys, tmp_path, wide_files, command, old, new, message):
+    inst, text = wide_files
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace(old, new))
+    code, _, err = run(capsys, command, "--in", inst, "--scheme", str(bad))
+    assert code == 1
+    assert err == f"error: {message}\n"
 
 
 def test_negative_trials_exits_1(capsys, tmp_path, wide_files):

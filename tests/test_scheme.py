@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -30,8 +31,10 @@ from treepin.falinalg import (
     rank,
     rref,
 )
+from treepin.gfield import ExtFieldCtx
 from treepin.scheme import (
     _MAX_ATTEMPTS,
+    KeyExtractor,
     _default_root,
     _synth_from_certificate,
     sample_alignment_certificate,
@@ -563,3 +566,204 @@ def test_synth_random_matches_lifted_tap_referee(irreducible_suite):
         want = synth_random_referee(src, wt, i)
         assert got.certificate == want.certificate
         assert save_scheme(got) == save_scheme(want)
+
+
+# ---------------------------------------------------------------------------
+# Referee: scheme entries written and read one at a time, a decode per entry
+# on save and a parse and encode per entry on load (the path the per-field
+# token tables replace).
+
+
+def _fmt_lines_referee(m):
+    if not m.cols:
+        return []
+    decode = m.ctx.decode
+    return [" ".join(",".join(map(str, decode(c))) for c in row) for row in m.to_code_rows()]
+
+
+def save_scheme_referee(scheme):
+    ext = scheme.ext_ctx
+    lines = [
+        f"treepin-scheme q={ext.q} n={ext.n}",
+        "modulus " + ",".join(map(str, ext.modulus)),
+        f"root {'none' if scheme.root is None else scheme.root}",
+        f"s {scheme.s}",
+        " ".join(["owners", *map(str, scheme.owners)]),
+        f"fmat rows={scheme.comm_matrix.rows} cols={scheme.comm_matrix.cols}",
+        *_fmt_lines_referee(scheme.comm_matrix),
+    ]
+    for (node, eid), a in sorted(scheme.child_mix.items()):
+        lines.append(f"amat node={node} edge={eid} rows={a.rows} cols={a.cols}")
+        lines += _fmt_lines_referee(a)
+    for eid, b in sorted(scheme.surplus_mix.items()):
+        if b.cols:
+            lines.append(f"bmat edge={eid} rows={b.rows} cols={b.cols}")
+            lines += _fmt_lines_referee(b)
+    if scheme.key is not None:
+        lines.append(" ".join(["keycols", *map(str, scheme.key.coords)]))
+    return "\n".join(lines) + "\n"
+
+
+def parse_elem_referee(token, ext):
+    parts = token.split(",")
+    if len(parts) != ext.n:
+        raise SchemeError(f"element {token!r} needs {ext.n} coefficients")
+    try:
+        coeffs = [int(p) for p in parts]
+    except ValueError:
+        raise SchemeError(f"bad element {token!r}") from None
+    for c in coeffs:
+        if not 0 <= c < ext.q:
+            raise SchemeError(f"coefficient {c} out of range for F_{ext.q}")
+    return ext.encode(coeffs)
+
+
+def block_codes_referee(text, ext):
+    """Code rows of each matrix block with columns, in file order, parsed
+    one entry at a time."""
+    lines = text.splitlines()
+    blocks = []
+    i = 0
+    while i < len(lines):
+        parts = lines[i].split()
+        i += 1
+        if parts[0] in ("fmat", "amat", "bmat"):
+            tag = dict(p.split("=") for p in parts[1:])
+            rows, cols = int(tag["rows"]), int(tag["cols"])
+            if cols:
+                blocks.append([
+                    [parse_elem_referee(t, ext) for t in lines[i + r].split()]
+                    for r in range(rows)
+                ])
+                i += rows
+    return blocks
+
+
+def _block_codes(scheme):
+    mats = [
+        scheme.comm_matrix,
+        *(a for _, a in sorted(scheme.child_mix.items())),
+        *(b for _, b in sorted(scheme.surplus_mix.items())),
+    ]
+    return [m.to_code_rows() for m in mats if m.cols]
+
+
+def assert_entry_io_matches_referee(scheme):
+    text = save_scheme(scheme)
+    assert text == save_scheme_referee(scheme)
+    back = load_scheme(text)
+    assert back.ext_ctx.key == scheme.ext_ctx.key
+    assert _block_codes(back) == block_codes_referee(text, back.ext_ctx)
+    assert save_scheme(back) == text
+
+
+def _all_codes_scheme(ext, seed):
+    """A scheme (not a valid design) whose fmat row holds every code of a
+    field of order at most 4096, or both ends and 500 sampled codes of a
+    larger one, with amat and bmat blocks of sampled codes."""
+    rng = random.Random(seed)
+    if ext.order <= 4096:
+        codes = list(range(ext.order))
+    else:
+        codes = [0, ext.order - 1, *rng.sample(range(ext.order), 500)]
+    draw = lambda r, c: FMatrix.from_rows(
+        ext, [[rng.randrange(ext.order) for _ in range(c)] for _ in range(r)], cols=c
+    )
+    return CommScheme(
+        ext_ctx=ext,
+        s=2,
+        comm_matrix=FMatrix.from_rows(ext, [codes], cols=len(codes)),
+        owners=(0,) * len(codes),
+        root=0,
+        child_mix={(1, 0): draw(2, 2), (1, 2): draw(2, 2)},
+        surplus_mix={0: draw(2, 3), 2: draw(2, 0)},
+        key=KeyExtractor(matrix=FMatrix.basis_columns(ext, 1, (0,)), coords=(0,)),
+    )
+
+
+@pytest.mark.parametrize("q, n", REFEREE_FIELDS)
+def test_entry_io_matches_per_entry_referee(q, n):
+    ext = make_ext_field(q, n)
+    schemes = [scheme_over(q, n, seed=100 * q + 10 * n + inst)[2] for inst in range(2)]
+    schemes.append(_all_codes_scheme(ext, seed=10 * q + n))
+    for scheme in schemes:
+        assert_entry_io_matches_referee(scheme)
+
+
+def _other_field(q, n):
+    """GF(q**n) over the first monic irreducible modulus (constant term
+    varying slowest) that is not the canonical one."""
+    canonical = make_ext_field(q, n).modulus
+    for low in itertools.product(range(q), repeat=n):
+        if (*low, 1) == canonical:
+            continue
+        try:
+            return ExtFieldCtx(q, n, (*low, 1))
+        except ValueError:
+            continue
+    raise AssertionError("no second irreducible modulus")
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (5, 2), (7, 3), (2, 13)])
+def test_entry_io_matches_referee_over_another_modulus(q, n):
+    ext = _other_field(q, n)
+    assert ext.modulus != make_ext_field(q, n).modulus
+    assert_entry_io_matches_referee(_all_codes_scheme(ext, seed=q + n))
+
+
+# (spelling of an entry of GF(q**3), q <= 7; whether it names an element)
+ENTRY_SPELLINGS = [
+    ("01,0,0", True),
+    ("+1,0,0", True),
+    ("0,-0,1", True),
+    ("1,0,00", True),
+    ("1_0,0,0", False),  # int() reads 10
+    ("7,0,0", False),
+    ("-1,0,0", False),
+    ("x,0,0", False),
+    ("1,,0", False),
+    ("1.0,0,0", False),
+    ("1,1", False),
+    ("0,0,0,0", False),
+    ("1,0,0,", False),
+]
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (7, 3), (2, 13)])
+def test_entry_spellings_load_as_the_referee_parses_them(q, n):
+    ext = make_ext_field(q, n)
+    head = (
+        f"treepin-scheme q={q} n={n}\nmodulus {','.join(map(str, ext.modulus))}\n"
+        "root none\ns 1\nowners 0\nfmat rows=1 cols=1\n"
+    )
+    for spelling, names_an_element in ENTRY_SPELLINGS:
+        # GF(2^13): the same spellings with ten more zero coefficients
+        token = spelling + ",0" * (n - 3)
+        try:
+            want = parse_elem_referee(token, ext)
+        except SchemeError as exc:
+            assert not names_an_element, token
+            with pytest.raises(SchemeError) as got:
+                load_scheme(head + token + "\n")
+            assert str(got.value) == str(exc)
+        else:
+            assert names_an_element, token
+            assert load_scheme(head + token + "\n").comm_matrix.to_code_rows() == [[want]]
+
+
+def test_mix_blocks_must_have_s_rows():
+    """amat and bmat blocks have s rows; a tag saying otherwise is refused
+    before any of its entry lines is read."""
+    text = save_scheme(synth_random(*wide_path_irreducible(), seed=5))
+    cases = [
+        ("bmat edge=0 rows=1 cols=1", "bmat edge=0 rows=3 cols=1\n0,0\n0,0",
+         "bmat block has rows=3, must have s = 1 rows"),
+        ("amat node=2 edge=2 rows=1 cols=1",
+         "amat node=0 edge=1 rows=10000000 cols=0\namat node=2 edge=2 rows=1 cols=1",
+         "amat block has rows=10000000, must have s = 1 rows"),
+    ]
+    for old, new, message in cases:
+        assert old in text
+        with pytest.raises(SchemeError) as exc:
+            load_scheme(text.replace(old, new))
+        assert str(exc.value) == message
