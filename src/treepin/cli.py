@@ -5,11 +5,22 @@ simulate, oracle-check.  Reports are line-oriented ``key = value`` text on
 stdout; diagnostics go to stderr.  Exit codes: 0 success, 1 input or
 validation failure, 2 a verification or simulation check failed, 3 an
 oracle budget was exceeded.
+
+The argument parser is built once per process (`_build_parser` is cached):
+argparse reads no state of its own at parse time, `parse_args` returns a
+fresh namespace on every call, and help, usage and version text go to the
+`sys.stdout` / `sys.stderr` of the moment they are written, so repeated
+in-process `main` calls behave exactly like calls on a fresh parser.
+
+`simulate` and `oracle-check --scheme` run verify's structural checks on
+the scheme before they print anything, so neither accepts a scheme that
+`verify` refuses, and all three refuse it with the same message.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -70,6 +81,21 @@ def _write(path: str, text: str) -> None:
 
 def _load_pair(path: str):
     return load_instance(_read(path))
+
+
+def _load_valid_scheme(path: str, source):
+    """Load a scheme and run verify's structural checks against `source`.
+
+    Returns (scheme, N) with N = left_nullspace_basis(F).  The row count is
+    compared first: N of an R-row F is up to R x R, so an oversized F is
+    refused before N is built.
+    """
+    scheme = load_scheme(_read(path))
+    if scheme.comm_matrix.rows != source.base_dim:
+        raise SchemeError("scheme does not match the source")
+    null = left_nullspace_basis(scheme.comm_matrix)
+    scheme._validate(source, None, null)
+    return scheme, null
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +175,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_verify(args) -> int:
     source, wiretapper = _load_pair(args.infile)
-    scheme = load_scheme(_read(args.scheme))
     # one left-null basis of F serves both the structural and the full check
-    null = left_nullspace_basis(scheme.comm_matrix)
-    scheme._validate(source, None, null)
+    scheme, null = _load_valid_scheme(args.scheme, source)
     report = _verify(scheme, source, wiretapper, null)
     for node in sorted(report.omniscient):
         _emit(f"omniscient_{node}", report.omniscient[node])
@@ -172,7 +196,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     source, wiretapper = _load_pair(args.infile)
-    scheme = load_scheme(_read(args.scheme))
+    scheme, _ = _load_valid_scheme(args.scheme, source)
     report = run_protocol(
         scheme, source, wiretapper, seed=args.seed, trials=args.trials
     )
@@ -194,6 +218,7 @@ def _cmd_oracle_check(args) -> int:
     budget = args.budget
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    scheme = _load_valid_scheme(args.scheme, source)[0] if args.scheme else None
     ok = True
 
     ent = entropy_exhaustive(wiretapper.matrix, q, budget=budget)
@@ -211,9 +236,7 @@ def _cmd_oracle_check(args) -> int:
         _emit(f"edge_{e.edge_id}_mcf_ok", edge_ok)
         ok = ok and edge_ok
 
-    if args.scheme:
-        scheme = load_scheme(_read(args.scheme))
-        scheme.check_owners(source)
+    if scheme is not None:
         n = scheme.ext_ctx.n
         fb = expand_to_base(scheme.comm_matrix)
         wb = expand_to_base(lift(wiretapper.matrix, scheme.ext_ctx))
@@ -242,6 +265,7 @@ def _cmd_oracle_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treepin",

@@ -341,3 +341,83 @@ def test_scheme_of_another_source_exits_1(capsys, tmp_path, wide_files, parity_f
     code, out, err = run(capsys, command, "--in", parity_file, "--scheme", str(sch))
     assert code == 1
     assert err == "error: scheme does not match the source\n"
+
+
+def test_parser_is_built_once_and_behaves_like_a_fresh_one(
+    capsys, monkeypatch, tmp_path, parity_file
+):
+    """main reuses one parser per process; a run of commands on it prints
+    and exits exactly as the same run on a freshly built parser."""
+    import treepin.cli as cli
+
+    assert cli._build_parser() is cli._build_parser()
+    sch = str(tmp_path / "scheme.txt")
+    assert run(capsys, "synth", "--in", parity_file, "--method",
+               "explicit-unit", "--out", sch)[0] == 0
+    argvs = [
+        ["analyze"],                       # usage error: --in is missing
+        ["analyze", "--in", parity_file],
+        ["verify", "--in", parity_file, "--scheme", sch],
+        ["--version"],
+        ["analyze", "--in", parity_file],
+    ]
+
+    def outcomes():
+        got = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out = capsys.readouterr()
+            got.append((code, out.out, out.err))
+        return got
+
+    cached = outcomes()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = outcomes()
+    assert cached == fresh
+    assert [c for c, _, _ in cached] == [("exit", 2), 0, 0, ("exit", 0), 0]
+    assert "the following arguments are required: --in" in cached[0][2]
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "oracle-check"])
+@pytest.mark.parametrize(
+    "new, message",
+    [
+        ("amat node=1 edge=1 rows=1 cols=1\n0,0",
+         "mix block for node 1, edge 1 is singular"),
+        ("amat node=1 edge=1 rows=1 cols=2\n1,1 0,0",
+         "mix block for node 1, edge 1 has wrong shape"),
+    ],
+)
+def test_bad_mix_block_exits_1_with_verify_message(
+    capsys, tmp_path, wide_files, command, new, message
+):
+    """simulate and oracle-check run verify's structural checks first, so
+    a scheme verify refuses is refused by all three, before any report."""
+    inst, text = wide_files
+    old = "amat node=1 edge=1 rows=1 cols=1\n1,1"
+    assert old in text
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace(old, new))
+    code, out, err = run(capsys, command, "--in", inst, "--scheme", str(bad))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_verify_refuses_oversized_scheme_before_eliminating(capsys, tmp_path, wide_files):
+    """A 3000-row scheme with no columns is refused by its row count before
+    verify builds the 3000 x 3000 left-null basis of F."""
+    import time
+
+    inst, _ = wide_files
+    bad = tmp_path / "big.txt"
+    bad.write_text(
+        "treepin-scheme q=2 n=2\nmodulus 1,1,1\nroot 0\ns 1\n"
+        "owners\nfmat rows=3000 cols=0\nkeycols 0\n"
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--in", inst, "--scheme", str(bad))
+    elapsed = time.perf_counter() - start
+    assert (code, out, err) == (1, "", "error: scheme does not match the source\n")
+    assert elapsed < 0.1

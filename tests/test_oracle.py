@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from treepin import FMatrix, make_ext_field
@@ -158,3 +159,73 @@ def test_entropy_rejects_extension_fields():
     f4 = make_ext_field(2, 2)
     with pytest.raises(ValueError):
         entropy_exhaustive(FMatrix.identity(f4, 2), 2)
+
+
+# ---------------------------------------------------------------------------
+# Referee: cond_mutual_info_exhaustive takes the four joint images as column
+# slices of one enumeration image.  The route below maps every base vector
+# through each of the four stacked maps separately, as the function did
+# before, and must give the same float bit for bit.
+
+
+def _cmi_four_maps(ma, mb, mc, q):
+    from treepin.oracle import _all_vectors, _base_code_matrix, _image_labels
+
+    vectors = _all_vectors(q, ma.rows)
+
+    def image_exponent(*mats):
+        stacked = mats[0]
+        for m in mats[1:]:
+            stacked = stacked.hstack(m)
+        _, counts, _ = _image_labels(vectors, _base_code_matrix(stacked), q)
+        n_values = len(counts)
+        e = round(math.log(n_values, q))
+        assert q**e == n_values
+        return e
+
+    ea = image_exponent(ma, mc)
+    eb = image_exponent(mb, mc)
+    eab = image_exponent(ma, mb, mc)
+    ec = image_exponent(mc)
+    return (ea + eb - eab - ec) * math.log2(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_cmi_equals_four_map_route(q):
+    ctx = make_ext_field(q, 1)
+    rng = random.Random(100 + q)
+    max_rows = {2: 7, 3: 5, 5: 4}[q]
+    for trial in range(60):
+        d = rng.randint(0, max_rows)
+        # every third trial empties one of the three maps
+        widths = [rng.randint(0, 4) for _ in range(3)]
+        if trial % 3 == 0:
+            widths[trial // 3 % 3] = 0
+        ma, mb, mc = (random_matrix(ctx, d, w, rng) for w in widths)
+        got = cond_mutual_info_exhaustive(ma, mb, mc, q)
+        want = _cmi_four_maps(ma, mb, mc, q)
+        assert got.hex() == want.hex(), (q, d, widths)
+    # all three empty
+    empty = FMatrix.zeros(ctx, 3, 0)
+    got = cond_mutual_info_exhaustive(empty, empty, empty, q)
+    assert got.hex() == _cmi_four_maps(empty, empty, empty, q).hex()
+
+
+@pytest.mark.parametrize("q, widths", [(2, (30, 31, 4)), (3, (20, 0, 21)), (5, (0, 14, 14))])
+def test_cmi_equals_four_map_route_past_packing_limit(q, widths):
+    """Joint images with q**cols > 2**62 cannot be packed into int64 and
+    take the row-wise np.unique fallback in both routes."""
+    from treepin.oracle import _distinct_rows
+
+    ctx = make_ext_field(q, 1)
+    rng = random.Random(7 * q)
+    d = {2: 8, 3: 5, 5: 4}[q]
+    assert q ** sum(widths) > 2**62
+    for _ in range(5):
+        ma, mb, mc = (random_matrix(ctx, d, w, rng) for w in widths)
+        got = cond_mutual_info_exhaustive(ma, mb, mc, q)
+        assert got.hex() == _cmi_four_maps(ma, mb, mc, q).hex()
+    # the row-wise fallback counts distinct rows
+    digits = np.array([[rng.randrange(q) for _ in range(sum(widths))] for _ in range(20)])
+    img = digits[[rng.randrange(20) for _ in range(60)]]
+    assert _distinct_rows(img, q) == len(set(map(tuple, img.tolist())))
