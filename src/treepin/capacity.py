@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mcf import _edge_overlaps, _tap_null_t
+from .mcf import _edge_overlaps
 from .model import TreePinSource, Wiretapper
 
 __all__ = [
@@ -91,7 +91,7 @@ class CapacityReport:
 
 
 def capacity_report(source: TreePinSource, wiretapper: Wiretapper) -> CapacityReport:
-    overlaps = _edge_overlaps(source, _tap_null_t(source, wiretapper))
+    overlaps = _edge_overlaps(source, wiretapper)
     per_edge = tuple(
         EdgeResidual(e.edge_id, e.mult, dim) for e, dim in zip(source.edges, overlaps)
     )

@@ -16,6 +16,7 @@ context, follows the design of the galois package
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -361,49 +362,72 @@ def solve_right(a: FMatrix, b: FMatrix) -> FMatrix | None:
     return _mat(a.ctx, grid, b.cols)
 
 
-def _null_vectors(ctx: ExtFieldCtx, rows: Sequence[Sequence[int]], pivots: Sequence[int], width: int) -> list[list[int]]:
-    """Basis of {x : a @ x = 0}, one vector per list, from an echelon form
-    of a: `rows[k]` has a leading 1 at pivot column pivots[k] (entries above
-    the pivots need not be cleared), and only the first `width` columns are
-    read.  Per free column f the vector is 1 at f, 0 at the other free
-    columns, and back substitution fills the pivot columns, so the basis is
-    the one the reduced row echelon form gives."""
+def _null_pivot_rows(ctx: ExtFieldCtx, rows: Sequence[Sequence[int]], pivots: Sequence[int], width: int) -> list[list[int]]:
+    """Basis of {x : a @ x = 0} from an echelon form of a, stored in the
+    size of that form.  `rows[k]` has a leading 1 at pivot column pivots[k]
+    (entries above the pivots need not be cleared), and only the first
+    `width` columns are read.
+
+    Vector i of the basis is 1 at the i-th free (non-pivot) column and 0 at
+    the other free columns, and back substitution fills the pivot columns,
+    so it is the basis the reduced row echelon form gives.  Returned is the
+    basis's coordinate row at each pivot column, in pivot order: entry i is
+    coordinate pivots[k] of vector i.  At the free columns the coordinate
+    rows are the unit vectors, so they are not stored; `_null_basis_rows`
+    reads any coordinate rows back.
+
+    All free columns are substituted together, from the last pivot up:
+    coordinate pivots[k] of every vector is -(rows[k] at the free columns +
+    rows[k][p] times coordinate p of every vector, for each later pivot p),
+    one row operation per nonzero rows[k][p]."""
     add, mul, neg = ctx.add_code, ctx.mul_code, ctx.neg_code
     pivotset = set(pivots)
-    out = []
-    for f in range(width):
-        if f in pivotset:
-            continue
-        v = [0] * width
-        v[f] = 1
-        for k in range(len(pivots) - 1, -1, -1):
-            row = rows[k]
-            acc = row[f]
-            for pc in pivots[k + 1 :]:
-                if row[pc] and v[pc]:
-                    acc = add(acc, mul(row[pc], v[pc]))
-            v[pivots[k]] = neg(acc)
-        out.append(v)
+    free = [c for c in range(width) if c not in pivotset]
+    out: list[list[int]] = [[]] * len(pivots)
+    for k in range(len(pivots) - 1, -1, -1):
+        row = rows[k]
+        acc = [row[f] for f in free]
+        for j in range(k + 1, len(pivots)):
+            a = row[pivots[j]]
+            if a:
+                acc = [add(x, mul(a, y)) if y else x for x, y in zip(acc, out[j])]
+        out[k] = [neg(x) for x in acc]
     return out
 
 
-def _forward_null_vectors(m: FMatrix) -> list[list[int]]:
-    """_null_vectors of m after one forward elimination (no clearing above
-    the pivots)."""
+def _null_basis_rows(ctx: ExtFieldCtx, pivots: Sequence[int], pivot_rows: Sequence[Sequence[int]], coords: Iterable[int], nullity: int) -> "FMatrix":
+    """Coordinate rows `coords` of the null basis that `pivots` (ascending)
+    and `pivot_rows` (from _null_pivot_rows) describe: a len(coords) x
+    nullity matrix whose column i is part of vector i."""
+    grid = []
+    for c in coords:
+        k = bisect_left(pivots, c)
+        if k < len(pivots) and pivots[k] == c:
+            grid.append(pivot_rows[k])
+        else:
+            unit = [0] * nullity
+            unit[c - k] = 1
+            grid.append(unit)
+    return _mat(ctx, grid, nullity)
+
+
+def _right_null_parts(m: FMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
+    """right_nullspace_basis(m) in the size of m: the pivot columns of one
+    forward elimination of m and the basis's coordinate rows at them."""
     rows = list(m._codes)
     pivots, _ = _eliminate(m.ctx, rows, m.cols, full=False)
-    return _null_vectors(m.ctx, rows, pivots, m.cols)
+    return tuple(pivots), _null_pivot_rows(m.ctx, rows, pivots, m.cols)
 
 
 def right_nullspace_basis(m: FMatrix) -> FMatrix:
     """Columns form a basis of {x : m @ x = 0}.  Shape cols x nullity."""
-    vectors = _forward_null_vectors(m)
-    return _mat(m.ctx, zip(*vectors) if vectors else [()] * m.cols, len(vectors))
+    pivots, pivot_rows = _right_null_parts(m)
+    return _null_basis_rows(m.ctx, pivots, pivot_rows, range(m.cols), m.cols - len(pivots))
 
 
 def left_nullspace_basis(m: FMatrix) -> FMatrix:
     """Rows form a basis of {y : y @ m = 0}.  Shape (rows - rank) x rows."""
-    return _mat(m.ctx, _forward_null_vectors(m.transpose()), m.rows)
+    return right_nullspace_basis(m.transpose()).transpose()
 
 
 def _left_null_and_ginverse(f: FMatrix) -> tuple[FMatrix, FMatrix]:
@@ -420,7 +444,8 @@ def _left_null_and_ginverse(f: FMatrix) -> tuple[FMatrix, FMatrix]:
     ctx, d, c = f.ctx, f.rows, f.cols
     r = rref(f.transpose().hstack(FMatrix.identity(ctx, c)), pivot_cols=d)
     red = r.matrix._codes
-    null = _mat(ctx, _null_vectors(ctx, red, r.pivots, d), d)
+    pivot_rows = _null_pivot_rows(ctx, red, r.pivots, d)
+    null = _null_basis_rows(ctx, r.pivots, pivot_rows, range(d), d - r.rank).transpose()
     lt = [(0,) * c] * d
     for k, p in enumerate(r.pivots):
         lt[p] = red[k][d:]

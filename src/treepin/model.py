@@ -23,10 +23,11 @@ save_instance(load_instance(t)) == t for canonical t.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .falinalg import FMatrix, rank
+from .falinalg import FMatrix, _null_basis_rows, _right_null_parts, rank
 from .gfield import ExtFieldCtx, make_ext_field
 
 __all__ = [
@@ -212,16 +213,48 @@ class TreePinSource:
 
 class Wiretapper:
     """Linear eavesdropper: observes base vector times a full-column-rank
-    matrix over the prime field."""
+    matrix over the prime field.
 
-    __slots__ = ("matrix",)
+    The one elimination of W happens here, a forward elimination of W^T.
+    It leaves N_W^T, the right-null basis of W^T (rows x (rows - dim), so
+    N_W @ W = 0), in the size of W: `pivot_coords` are the pivot columns of
+    that elimination, ascending, and only N_W^T's rows at those coordinates
+    are kept.  Its rows at every other coordinate are distinct unit
+    vectors.  `null_rows` and `null_t` read rows of N_W^T back, and
+    `null_rank` ranks a range of them."""
+
+    __slots__ = ("matrix", "pivot_coords", "_pivot_rows")
 
     def __init__(self, matrix: FMatrix):
         if matrix.ctx.n != 1:
             raise InstanceError("wiretap matrix must live over the prime field")
-        if matrix.cols and rank(matrix) != matrix.cols:
+        pivots, pivot_rows = _right_null_parts(matrix.transpose())
+        if len(pivots) != matrix.cols:
             raise InstanceError("wiretap matrix does not have full column rank")
         self.matrix = matrix
+        self.pivot_coords = pivots
+        self._pivot_rows = pivot_rows
+
+    def null_rows(self, coords: Iterable[int]) -> FMatrix:
+        """The rows of N_W^T at the coordinates `coords`."""
+        return _null_basis_rows(
+            self.matrix.ctx, self.pivot_coords, self._pivot_rows, coords, self.rows - self.dim
+        )
+
+    def null_rank(self, coords: range) -> int:
+        """rank(null_rows(coords)).  A range that holds no pivot coordinate
+        reads only distinct unit rows, so its rank is its length, found
+        without an elimination."""
+        pivots = self.pivot_coords
+        k = bisect_left(pivots, coords.start)
+        if k == len(pivots) or pivots[k] >= coords.stop:
+            return len(coords)
+        return rank(self.null_rows(coords))
+
+    @property
+    def null_t(self) -> FMatrix:
+        """N_W^T whole, built anew on every read."""
+        return self.null_rows(range(self.rows))
 
     @property
     def dim(self) -> int:
@@ -378,9 +411,10 @@ def random_instance(
         return source, Wiretapper(matrix)
     while True:
         rows = [[rng.randrange(q) for _ in range(n_w_target)] for _ in range(d)]
-        matrix = FMatrix.from_rows(ctx, rows, cols=n_w_target)
-        if rank(matrix) == n_w_target:
-            return source, Wiretapper(matrix)
+        try:
+            return source, Wiretapper(FMatrix.from_rows(ctx, rows, cols=n_w_target))
+        except InstanceError:
+            continue
 
 
 def _random_tree(rng: random.Random, m: int) -> list[tuple[int, int]]:

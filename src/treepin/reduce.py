@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .falinalg import FMatrix, completion_indices, inverse, solve_right
-from .mcf import _common_on_block, _edge_overlaps, _tap_null_t
+from .mcf import _check_tap, _common_on_block, _edge_overlaps
 from .model import TreePinSource, Wiretapper
 
 __all__ = [
@@ -61,7 +61,7 @@ class ReductionTrace:
 
 def is_irreducible(source: TreePinSource, wiretapper: Wiretapper) -> bool:
     """True when no edge has a common function with the eavesdropper."""
-    return not any(_edge_overlaps(source, _tap_null_t(source, wiretapper)))
+    return not any(_edge_overlaps(source, wiretapper))
 
 
 def _greedy_basis_completion(m: FMatrix) -> FMatrix:
@@ -74,8 +74,8 @@ def reduce_once(
     source: TreePinSource, wiretapper: Wiretapper, edge_id: int
 ) -> tuple[TreePinSource, Wiretapper, ReductionStep]:
     """Strip the common part of one edge and the eavesdropper."""
-    null_t = _tap_null_t(source, wiretapper)
-    edge_map = _common_on_block(null_t, source.edge_range(edge_id))
+    _check_tap(source, wiretapper)
+    edge_map = _common_on_block(wiretapper, source.edge_range(edge_id))
     return _reduce_step(source, wiretapper, edge_id, edge_map)
 
 
@@ -154,12 +154,11 @@ def reduce_full(
     original = (source, wiretapper)
     steps: list[ReductionStep] = []
     while True:
-        null_t = _tap_null_t(source, wiretapper)
-        overlaps = zip(source.edges, _edge_overlaps(source, null_t))
+        overlaps = zip(source.edges, _edge_overlaps(source, wiretapper))
         target = next((e.edge_id for e, dim in overlaps if dim), None)
         if target is None:
             break
-        edge_map = _common_on_block(null_t, source.edge_range(target))
+        edge_map = _common_on_block(wiretapper, source.edge_range(target))
         source, wiretapper, step = _reduce_step(source, wiretapper, target, edge_map)
         steps.append(step)
     return ReductionTrace(

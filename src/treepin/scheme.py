@@ -55,7 +55,7 @@ from .falinalg import (
     rref,
 )
 from .gfield import _TABLE_LIMIT, ExtFieldCtx, make_ext_field
-from .mcf import _edge_overlaps, _tap_null_t
+from .mcf import _edge_overlaps
 from .model import TreePinSource, Wiretapper
 
 __all__ = [
@@ -309,13 +309,12 @@ def _synth_from_certificate(
 
 def _irreducible_tap_null(source: TreePinSource, wiretapper: Wiretapper) -> FMatrix:
     """N_W, the tap's left-null basis, once no edge overlaps the tap."""
-    null_t = _tap_null_t(source, wiretapper)
-    if any(_edge_overlaps(source, null_t)):
+    if any(_edge_overlaps(source, wiretapper)):
         raise SchemeError(
             "instance is reducible; strip the eavesdropper's common parts "
             "first (reduce_full)"
         )
-    return null_t.transpose()
+    return wiretapper.null_t.transpose()
 
 
 def synth_random(

@@ -243,6 +243,26 @@ def relabelled_instances(draw, max_vertices=8, max_mult=3, qs=(2, 3, 5, 7)):
     return TreePinSource(src.q, src.vertex_count, edges), wt
 
 
+@st.composite
+def late_pivot_instances(draw, max_vertices=8, max_mult=3, qs=(2, 3, 5)):
+    """A relabelled instance whose tap is zero on all but its last
+    n_w + spare coordinates (spare <= 3), so every pivot coordinate of W^T
+    falls in the last listed edges.  Random taps put their pivots in the
+    first few edges instead."""
+    src, _ = draw(relabelled_instances(max_vertices, max_mult, qs))
+    d = src.base_dim
+    n_w = draw(st.integers(1, (d + 1) // 2))
+    live = min(d, n_w + draw(st.integers(0, 3)))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    zero = [[0] * n_w] * (d - live)
+    while True:
+        rows = zero + [[rng.randrange(src.q) for _ in range(n_w)] for _ in range(live)]
+        try:
+            return src, Wiretapper(FMatrix.from_rows(src.base_ctx, rows, cols=n_w))
+        except InstanceError:
+            continue
+
+
 @pytest.fixture(scope="session")
 def irreducible_suite():
     return build_irreducible_suite(500)

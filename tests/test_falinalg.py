@@ -429,3 +429,37 @@ def test_left_null_basis_commutes_with_lift(m, n):
     lifted left-null basis (synth_random lifts the tap's)."""
     ext = make_ext_field(m.ctx.q, n)
     assert lift(left_nullspace_basis(m), ext) == left_nullspace_basis(lift(m, ext))
+
+
+@st.composite
+def shaped_matrices(draw, fields, rows, cols):
+    """A matrix over one of `fields` whose row and column counts are drawn
+    from the strategies `rows` and `cols` (cols may depend on rows)."""
+    ctx = draw(st.sampled_from(fields))
+    r = draw(rows)
+    c = draw(cols(r))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, ctx.order - 1))
+    grid = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    return FMatrix.from_rows(ctx, grid, cols=c)
+
+
+@seed(20260116)
+@settings(max_examples=120, deadline=None)
+@given(shaped_matrices(PRIME_FIELDS + EXT_FIELDS, st.integers(0, 4), lambda r: st.integers(0, 48)))
+def test_wide_nullspaces_match_reduced_echelon_reference(m):
+    """Few pivots and up to 48 free columns, the shape of the tap's
+    transpose W^T."""
+    assert right_nullspace_basis(m) == reference_nullspace_rows(m).transpose()
+    assert left_nullspace_basis(m.transpose()) == reference_nullspace_rows(m)
+
+
+@seed(20260117)
+@settings(max_examples=60, deadline=None)
+@given(shaped_matrices(PRIME_FIELDS + EXT_FIELDS, st.integers(1, 14), lambda r: st.integers(r + 1, r + 3)))
+def test_many_pivot_nullspaces_match_reduced_echelon_reference(m):
+    """Many pivots and 1-3 free columns, the shape of F^T for a
+    communication matrix F, whose left-null basis has s rows."""
+    want = reference_nullspace_rows(m)
+    assert right_nullspace_basis(m) == want.transpose()
+    assert left_nullspace_basis(m.transpose()) == want
+    assert _left_null_and_ginverse(m.transpose())[0] == want

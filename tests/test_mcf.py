@@ -11,6 +11,7 @@ from hypothesis import given, seed, settings
 from treepin import (
     FMatrix,
     LinearMcf,
+    TreePinSource,
     Wiretapper,
     capacity_report,
     is_irreducible,
@@ -21,12 +22,13 @@ from treepin import (
     reduce_once,
 )
 from treepin.falinalg import col_space_intersect, rank
-from treepin.mcf import _common_on_block, _edge_overlaps, _tap_null_t
+from treepin.mcf import _common_on_block, _edge_overlaps
 from treepin.oracle import MCF_BUDGET, mcf_exhaustive
 
 from conftest import (
     in_col_span,
     instances,
+    late_pivot_instances,
     parity_path,
     relabelled_instances,
     w_minus_e_common,
@@ -192,10 +194,14 @@ def assert_overlaps_match_referee(src, wt):
     """Every per-edge answer of the left-null route of the tap equals the
     W_{-e} referee and the Zassenhaus intersection, and every consumer of
     the overlaps agrees with it."""
-    null_t = _tap_null_t(src, wt)
+    null_t = wt.null_t
     assert null_t.shape == (src.base_dim, src.base_dim - wt.dim)
     assert (null_t.transpose() @ wt.matrix).is_zero()
-    dims = list(_edge_overlaps(src, null_t))
+    dims = list(_edge_overlaps(src, wt))
+    # the pivot-free edges skip their rank; every edge ranked gives the same
+    assert dims == [
+        e.mult - rank(null_t.take_rows(src.edge_range(e.edge_id))) for e in src.edges
+    ]
     report = capacity_report(src, wt)
     assert [e.mcf_dim for e in report.per_edge] == dims
     assert [e.edge_id for e in report.per_edge] == [e.edge_id for e in src.edges]
@@ -204,7 +210,7 @@ def assert_overlaps_match_referee(src, wt):
         ref = w_minus_e_common(src, wt, e.edge_id)
         block = src.edge_range(e.edge_id)
         assert dim == ref.cols
-        assert _common_on_block(null_t, block) == ref.take_rows(block)
+        assert _common_on_block(wt, block) == ref.take_rows(block)
         assert mcf_edge_wiretap(src, wt, e.edge_id).matrix == ref
         sel = src.edge_block_selector(e.edge_id)
         assert col_space_intersect(sel, wt.matrix) == ref
@@ -230,6 +236,30 @@ def test_tap_left_null_route_matches_exhaustive(inst):
         assert brute.n_components == src.q**dim
 
 
+@seed(20260119)
+@settings(max_examples=150, deadline=None)
+@given(late_pivot_instances())
+def test_pivot_skip_matches_referee_on_late_pivot_taps(inst):
+    """Edges before the tap's first nonzero row hold no pivot coordinate
+    and skip their rank; the edges that hold the pivots are the last."""
+    src, wt = inst
+    first = min((i for i, row in enumerate(wt.matrix.to_code_rows()) if any(row)), default=None)
+    assert first is not None and all(p >= first for p in wt.pivot_coords)
+    assert_overlaps_match_referee(src, wt)
+
+
+def test_pivot_skip_on_a_tap_of_the_last_edge():
+    """W sees the last edge's first symbol, and the second edge's symbol
+    plus twice the last edge's second one: the first edge holds no pivot
+    and skips its rank, the second holds one and still overlaps in
+    nothing."""
+    src = TreePinSource(3, 4, [(5, 0, 1, 2), (2, 1, 2, 1), (9, 2, 3, 2)])
+    w = FMatrix.from_cols(src.base_ctx, [[0, 0, 0, 1, 0], [0, 0, 1, 0, 2]], rows=5)
+    wt = Wiretapper(w)
+    assert wt.pivot_coords == (2, 3)
+    assert assert_overlaps_match_referee(src, wt) == [0, 0, 1]
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 @pytest.mark.parametrize("seed_", [1, 2, 3])
 def test_tap_left_null_route_at_empty_and_full_tap(q, seed_):
@@ -242,9 +272,9 @@ def test_tap_left_null_route_at_empty_and_full_tap(q, seed_):
     full = Wiretapper(random_instance(seed_, 6, 3, q, d)[1].matrix)
     assert full.dim == d
     assert assert_overlaps_match_referee(src, empty) == [0] * src.edge_count
-    assert _tap_null_t(src, empty) == FMatrix.identity(ctx, d)
+    assert empty.null_t == FMatrix.identity(ctx, d)
     assert assert_overlaps_match_referee(src, full) == [e.mult for e in src.edges]
-    assert _tap_null_t(src, full).shape == (d, 0)
+    assert full.null_t.shape == (d, 0)
 
 
 def test_mismatched_tap_raises_value_error():

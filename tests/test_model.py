@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, seed, settings
 
 from treepin import (
     EdgeSpec,
@@ -17,9 +18,9 @@ from treepin import (
     random_instance,
     save_instance,
 )
-from treepin.falinalg import rank
+from treepin.falinalg import rank, right_nullspace_basis, rref
 
-from conftest import parity_path, star3_no_wiretap
+from conftest import instances, parity_path, star3_no_wiretap
 
 
 def test_basic_structure():
@@ -200,3 +201,99 @@ def test_random_instance_rejects_oversized_wiretap():
         random_instance(5, vertex_count=1, max_multiplicity=1, q=2, n_w_target=0)
     with pytest.raises(InstanceError):
         random_instance(5, vertex_count=3, max_multiplicity=0, q=2, n_w_target=0)
+
+
+def assert_holds_its_basis(wt):
+    """The wiretapper's N_W^T is the right-null basis of W^T, its pivot
+    coordinates are those of W^T's echelon form, its rows at every other
+    coordinate are distinct unit vectors, in ascending order, and every
+    slice of rows it builds or ranks is that slice of N_W^T."""
+    w_t = wt.matrix.transpose()
+    assert wt.null_t == right_nullspace_basis(w_t)
+    assert wt.pivot_coords == rref(w_t).pivots
+    assert wt.null_t.shape == (wt.rows, wt.rows - wt.dim)
+    free = [c for c in range(wt.rows) if c not in wt.pivot_coords]
+    rows = wt.null_t.to_code_rows()
+    for i, c in enumerate(free):
+        assert rows[c] == [1 if j == i else 0 for j in range(len(free))]
+    # only the rows at the pivots are stored: n_w rows of D - n_w
+    assert [len(r) for r in wt._pivot_rows] == [wt.rows - wt.dim] * wt.dim
+    for a in range(wt.rows + 1):
+        for b in range(a, wt.rows + 1):
+            block = wt.null_t.take_rows(range(a, b))
+            assert wt.null_rows(range(a, b)) == block
+            assert wt.null_rank(range(a, b)) == rank(block)
+
+
+@seed(20260118)
+@settings(max_examples=150, deadline=None)
+@given(instances(max_vertices=8, qs=(2, 3, 5, 7)))
+def test_wiretapper_holds_its_tap_null_basis(inst):
+    assert_holds_its_basis(inst[1])
+
+
+def test_wiretapper_holds_its_basis_at_the_extremes():
+    f3 = make_ext_field(3, 1)
+    for wt in (
+        Wiretapper(FMatrix.zeros(f3, 4, 0)),
+        Wiretapper(FMatrix.identity(f3, 4)),
+        Wiretapper(FMatrix.from_rows(f3, [[0], [0], [0], [2]], cols=1)),
+        Wiretapper(FMatrix.zeros(f3, 0, 0)),
+    ):
+        assert_holds_its_basis(wt)
+
+
+def test_rank_deficient_tap_refused_with_its_message():
+    f2 = make_ext_field(2, 1)
+    f5 = make_ext_field(5, 1)
+    message = "wiretap matrix does not have full column rank"
+    for m in (
+        FMatrix.from_rows(f2, [[1, 1], [1, 1], [0, 0]], cols=2),
+        FMatrix.from_rows(f5, [[1, 2], [2, 4], [3, 1]], cols=2),
+        FMatrix.zeros(f5, 3, 1),
+        FMatrix.identity(f2, 2).hstack(FMatrix.zeros(f2, 2, 1)),
+        FMatrix.zeros(f2, 0, 1),
+    ):
+        with pytest.raises(InstanceError, match=message):
+            Wiretapper(m)
+    text = save_instance(*parity_path())
+    deficient = text.replace("wiretap cols=1\n1\n1\n1\n", "wiretap cols=2\n1 1\n1 1\n0 0\n")
+    assert deficient != text
+    with pytest.raises(InstanceError, match=message):
+        load_instance(deficient)
+
+
+def referee_random_tap(seed, vertex_count, max_multiplicity, q, n_w_target):
+    """The draw loop random_instance replaced: the same rng calls, kept
+    until rank() says the draw has full column rank.  Returns the tap and
+    the number of draws."""
+    rng = random.Random(seed)
+    src = random_instance(seed, vertex_count, max_multiplicity, q, 0)[0]
+    # replay the tree (Pruefer sequence) and multiplicity draws
+    for _ in range(vertex_count - 2):
+        rng.randrange(vertex_count)
+    for _ in src.edges:
+        rng.randint(1, max_multiplicity)
+    draws = 0
+    while True:
+        draws += 1
+        rows = [[rng.randrange(q) for _ in range(n_w_target)] for _ in range(src.base_dim)]
+        m = FMatrix.from_rows(src.base_ctx, rows, cols=n_w_target)
+        if rank(m) == n_w_target:
+            return m, draws
+
+
+def test_random_instance_draws_the_same_tap_as_the_rank_loop():
+    rng = random.Random(19)
+    redrawn = 0
+    for trial in range(300):
+        m = rng.randint(2, 6)
+        q = rng.choice((2, 3, 5))
+        mult = rng.randint(1, 2)
+        n_w = rng.randint(1, random_instance(trial, m, mult, q, 0)[0].base_dim)
+        want, draws = referee_random_tap(trial, m, mult, q, n_w)
+        got = random_instance(trial, m, mult, q, n_w)[1]
+        assert got.matrix == want
+        assert_holds_its_basis(got)
+        redrawn += draws > 1
+    assert redrawn >= 20  # rank-deficient draws are common at these sizes

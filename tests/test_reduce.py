@@ -17,11 +17,12 @@ from treepin import (
     reduce_full,
     reduce_once,
 )
-from treepin.falinalg import completion_indices, inverse, rank, solve_right
+from treepin.falinalg import completion_indices, inverse, rank, right_nullspace_basis, solve_right
 from treepin.mcf import mcf_edge_wiretap
 
 from conftest import (
     build_reducible_suite,
+    late_pivot_instances,
     parity_path,
     relabelled_instances,
     star3_no_wiretap,
@@ -283,3 +284,30 @@ def test_reduce_full_follows_listed_edge_order():
     assert [e.mult for e in trace.final[0].edges] == [1, 1]
     assert trace.final[1].dim == 0
     assert_trace_matches_referee(src, wt)
+
+
+@seed(20260120)
+@settings(max_examples=150, deadline=None)
+@given(late_pivot_instances())
+def test_reduce_full_trace_matches_referee_on_late_pivot_taps(inst):
+    assert_trace_matches_referee(*inst)
+
+
+def assert_steps_carry_fresh_bases(trace):
+    """Each reduced wiretapper holds the N_W^T and pivot coordinates a
+    wiretapper built afresh from its matrix gets."""
+    for step in trace.steps:
+        wt = step.new_wiretapper
+        fresh = Wiretapper(wt.matrix)
+        assert wt.null_t == fresh.null_t == right_nullspace_basis(wt.matrix.transpose())
+        assert wt.pivot_coords == fresh.pivot_coords
+
+
+def test_reduction_steps_carry_fresh_tap_bases():
+    steps = 0
+    for src, wt in build_reducible_suite(40):
+        trace = reduce_full(src, wt)
+        assert_steps_carry_fresh_bases(trace)
+        steps += len(trace.steps)
+    assert steps >= 40
+    assert_steps_carry_fresh_bases(reduce_full(*wide_path_reducible()))
