@@ -26,7 +26,6 @@ from .reduce import (
     ReductionTrace,
     is_irreducible,
     reduce_full,
-    reduce_once,
 )
 from .scheme import (
     CommScheme,
@@ -42,10 +41,6 @@ from .scheme import (
 )
 from .verify import (
     VerifyReport,
-    check_key_secrecy,
-    check_perfect_alignment,
-    check_perfect_omniscience,
-    leakage_bits_per_realization,
     leakage_symbol_dims,
     verify_scheme,
 )
@@ -54,9 +49,7 @@ from .oracle import (
     BudgetError,
     McfExhaustive,
     cond_mutual_info_exhaustive,
-    detform_property_check,
     entropy_exhaustive,
-    split_source_property_check,
     mcf_exhaustive,
 )
 
@@ -84,7 +77,6 @@ __all__ = [
     "ReductionTrace",
     "is_irreducible",
     "reduce_full",
-    "reduce_once",
     "CommScheme",
     "KeyExtractor",
     "SchemeError",
@@ -96,10 +88,6 @@ __all__ = [
     "synth_explicit_unit",
     "synth_random",
     "VerifyReport",
-    "check_key_secrecy",
-    "check_perfect_alignment",
-    "check_perfect_omniscience",
-    "leakage_bits_per_realization",
     "leakage_symbol_dims",
     "verify_scheme",
     "SimReport",
@@ -108,9 +96,7 @@ __all__ = [
     "BudgetError",
     "McfExhaustive",
     "cond_mutual_info_exhaustive",
-    "detform_property_check",
     "entropy_exhaustive",
-    "split_source_property_check",
     "mcf_exhaustive",
     "__version__",
 ]

@@ -26,7 +26,7 @@ import sys
 
 from . import __version__
 from .capacity import capacity_report
-from .falinalg import FMatrix, expand_to_base, left_nullspace_basis, lift
+from .falinalg import FMatrix, expand_to_base, lift
 from .mcf import mcf_edge_wiretap
 from .model import (
     InstanceError,
@@ -50,7 +50,7 @@ from .scheme import (
     synth_random,
 )
 from .simulate import SimulationError, run_protocol
-from .verify import _verify, leakage_symbol_dims
+from .verify import leakage_symbol_dims, verify_scheme
 
 __all__ = ["main"]
 
@@ -84,18 +84,10 @@ def _load_pair(path: str):
 
 
 def _load_valid_scheme(path: str, source):
-    """Load a scheme and run verify's structural checks against `source`.
-
-    Returns (scheme, N) with N = left_nullspace_basis(F).  The row count is
-    compared first: N of an R-row F is up to R x R, so an oversized F is
-    refused before N is built.
-    """
+    """Load a scheme and run verify's structural checks against `source`."""
     scheme = load_scheme(_read(path))
-    if scheme.comm_matrix.rows != source.base_dim:
-        raise SchemeError("scheme does not match the source")
-    null = left_nullspace_basis(scheme.comm_matrix)
-    scheme._validate(source, None, null)
-    return scheme, null
+    scheme.validate(source)
+    return scheme
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +167,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_verify(args) -> int:
     source, wiretapper = _load_pair(args.infile)
-    # one left-null basis of F serves both the structural and the full check
-    scheme, null = _load_valid_scheme(args.scheme, source)
-    report = _verify(scheme, source, wiretapper, null)
+    # the structural and the full check share the scheme's one N
+    scheme = _load_valid_scheme(args.scheme, source)
+    report = verify_scheme(scheme, source, wiretapper)
     for node in sorted(report.omniscient):
         _emit(f"omniscient_{node}", report.omniscient[node])
     _emit("aligned", report.aligned)
@@ -196,7 +188,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     source, wiretapper = _load_pair(args.infile)
-    scheme, _ = _load_valid_scheme(args.scheme, source)
+    scheme = _load_valid_scheme(args.scheme, source)
     report = run_protocol(
         scheme, source, wiretapper, seed=args.seed, trials=args.trials
     )
@@ -218,7 +210,7 @@ def _cmd_oracle_check(args) -> int:
     budget = args.budget
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    scheme = _load_valid_scheme(args.scheme, source)[0] if args.scheme else None
+    scheme = _load_valid_scheme(args.scheme, source) if args.scheme else None
     ok = True
 
     ent = entropy_exhaustive(wiretapper.matrix, q, budget=budget)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .falinalg import FMatrix, completion_indices, inverse, solve_right
-from .mcf import _check_tap, _common_on_block, _edge_overlaps
+from .mcf import _common_on_block, _edge_overlaps
 from .model import TreePinSource, Wiretapper
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "ReductionStep",
     "ReductionTrace",
     "is_irreducible",
-    "reduce_once",
     "reduce_full",
 ]
 
@@ -70,19 +69,11 @@ def _greedy_basis_completion(m: FMatrix) -> FMatrix:
     return FMatrix.basis_columns(m.ctx, m.rows, completion_indices(m))
 
 
-def reduce_once(
-    source: TreePinSource, wiretapper: Wiretapper, edge_id: int
-) -> tuple[TreePinSource, Wiretapper, ReductionStep]:
-    """Strip the common part of one edge and the eavesdropper."""
-    _check_tap(source, wiretapper)
-    edge_map = _common_on_block(wiretapper, source.edge_range(edge_id))
-    return _reduce_step(source, wiretapper, edge_id, edge_map)
-
-
 def _reduce_step(
     source: TreePinSource, wiretapper: Wiretapper, edge_id: int, edge_map: FMatrix
 ) -> tuple[TreePinSource, Wiretapper, ReductionStep]:
-    """reduce_once, given the edge's common part on its block (mult x l)."""
+    """Strip the common part of one edge and the eavesdropper, given its
+    basis on the edge's block (mult x l)."""
     l = edge_map.cols
     if l == 0:
         raise ReductionError(

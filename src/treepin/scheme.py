@@ -107,6 +107,18 @@ class CommScheme:
     surplus_mix: dict[int, FMatrix] = field(default_factory=dict)
     certificate: FMatrix | None = None
     key: KeyExtractor | None = None
+    # (F, left_nullspace_basis(F)) for the comm_matrix object last read
+    _null_of: tuple[FMatrix, FMatrix] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def null(self) -> FMatrix:
+        """N = left_nullspace_basis(comm_matrix): k x base_dim, N @ F = 0,
+        k = base_dim - rank F.  Built on first read and kept with the F it
+        came from; reassigning comm_matrix makes the next read rebuild it."""
+        f = self.comm_matrix
+        if self._null_of is None or self._null_of[0] is not f:
+            self._null_of = (f, left_nullspace_basis(f))
+        return self._null_of[1]
 
     @property
     def base_dim(self) -> int:
@@ -143,16 +155,13 @@ class CommScheme:
 
     def validate(self, source: TreePinSource, wiretapper: Wiretapper | None = None) -> None:
         """Check structural invariants; raises SchemeError on violation."""
-        self._validate(source, wiretapper, left_nullspace_basis(self.comm_matrix))
-
-    def _validate(self, source: TreePinSource, wiretapper: Wiretapper | None, null: FMatrix) -> None:
-        """validate, given N = left_nullspace_basis(F)."""
-        self.check_owners(source)
+        self.check_owners(source)  # the row count, before N (up to R x R for R rows)
         if self.ext_ctx.q != source.q:
             raise SchemeError("field characteristic mismatch")
         f = self.comm_matrix
         # rank F = base_dim - (rows of N) and rank([F | K]) = rank F +
         # rank(N @ K)
+        null = self.null
         if null.rows != self.s:
             raise SchemeError(
                 "communication matrix rank must be base_dim - s"
@@ -301,9 +310,8 @@ def _synth_from_certificate(
         surplus_mix=surplus_mix,
         certificate=cert,
     )
-    null = left_nullspace_basis(scheme.comm_matrix)
-    scheme.key = _key_from_null(scheme, null)
-    scheme._validate(source, wiretapper, null)
+    scheme.key = extract_key(scheme)
+    scheme.validate(source, wiretapper)
     return scheme
 
 
@@ -392,11 +400,7 @@ def extract_key(scheme: CommScheme) -> KeyExtractor:
     e_i extends col F and the earlier picks exactly when column i of N is
     independent of the columns before it: the picks are N's pivot columns.
     """
-    return _key_from_null(scheme, left_nullspace_basis(scheme.comm_matrix))
-
-
-def _key_from_null(scheme: CommScheme, null: FMatrix) -> KeyExtractor:
-    """extract_key, given N = left_nullspace_basis(F)."""
+    null = scheme.null
     if null.rows != scheme.s:
         raise SchemeError("communication matrix does not leave an s-dim key space")
     coords = rref(null).pivots

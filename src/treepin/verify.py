@@ -9,8 +9,8 @@ counts per block of n base realisations.  One symbol dimension corresponds
 to n*log2(q) bits per block, or log2(q) bits per realisation.
 
 Every check rests on one elimination of the communication matrix F
-(d x c).  The rows of N = left_nullspace_basis(F) (k x d, N @ F = 0,
-k = d - rank F) give, for any X with d rows,
+(d x c).  The rows of N (k x d, N @ F = 0, k = d - rank F) give, for any
+X with d rows,
 
     rank([F | X]) = rank F + rank(N @ X),
 
@@ -22,28 +22,22 @@ so with W the lifted tap and K the key columns:
  * the key is secret  iff  rank([N @ W | N @ K]) = rank(N @ W) + s.
 
 Per node only a k-row slice of N is left to eliminate (k = s on a
-scheme that passes `CommScheme.validate`).
+scheme that passes `CommScheme.validate`).  N lives on the scheme
+(`CommScheme.null`, left_nullspace_basis(F)) and is built once per
+communication matrix, so `validate` and `verify_scheme` on one scheme
+share a single elimination.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .capacity import capacity_report
-from .falinalg import FMatrix, left_nullspace_basis, lift, rank
+from .falinalg import FMatrix, lift, rank
 from .model import TreePinSource, Wiretapper
 from .scheme import CommScheme
 
-__all__ = [
-    "check_perfect_omniscience",
-    "check_perfect_alignment",
-    "leakage_symbol_dims",
-    "leakage_bits_per_realization",
-    "check_key_secrecy",
-    "VerifyReport",
-    "verify_scheme",
-]
+__all__ = ["leakage_symbol_dims", "VerifyReport", "verify_scheme"]
 
 
 def _tap_image(null: FMatrix, wiretapper: Wiretapper) -> FMatrix:
@@ -73,43 +67,11 @@ def _key_secret(scheme: CommScheme, null: FMatrix, tap: FMatrix) -> bool:
     return rank(tap.hstack(null @ scheme.key.matrix)) == rank(tap) + scheme.s
 
 
-def check_perfect_omniscience(
-    scheme: CommScheme, source: TreePinSource
-) -> dict[int, bool]:
-    """Can every node reconstruct the whole block vector from the
-    communication plus its own observation?  True per node iff the
-    communication columns and the node's coordinate selectors span
-    everything, i.e. iff N restricted to the node's coordinates has
-    full row rank."""
-    return _omniscience(left_nullspace_basis(scheme.comm_matrix), source)
-
-
-def check_perfect_alignment(scheme: CommScheme, wiretapper: Wiretapper) -> bool:
-    """Does the eavesdropper's view lie inside the communication span?
-    When it does, listening to the channel tells the eavesdropper nothing
-    it could not already compute."""
-    null = left_nullspace_basis(scheme.comm_matrix)
-    return _tap_image(null, wiretapper).is_zero()
-
-
 def leakage_symbol_dims(scheme: CommScheme, wiretapper: Wiretapper) -> int:
     """Extension-field dimensions the communication reveals beyond what the
     eavesdropper already observes: rank([F | W]) - rank(W)."""
-    null = left_nullspace_basis(scheme.comm_matrix)
+    null = scheme.null
     return _leakage_dims(null, _tap_image(null, wiretapper))
-
-
-def leakage_bits_per_realization(
-    scheme: CommScheme, wiretapper: Wiretapper
-) -> float:
-    return leakage_symbol_dims(scheme, wiretapper) * math.log2(scheme.ext_ctx.q)
-
-
-def check_key_secrecy(scheme: CommScheme, wiretapper: Wiretapper) -> bool:
-    """Is the key independent of communication and wiretap view combined?
-    Holds iff the key columns add full extra rank on top of [F | W]."""
-    null = left_nullspace_basis(scheme.comm_matrix)
-    return _key_secret(scheme, null, _tap_image(null, wiretapper))
 
 
 @dataclass(frozen=True)
@@ -141,12 +103,8 @@ def verify_scheme(
 ) -> VerifyReport:
     """Full audit: omniscience at every node, wiretap alignment, key
     secrecy, and leakage matched against the minimum achievable."""
-    return _verify(scheme, source, wiretapper, left_nullspace_basis(scheme.comm_matrix))
-
-
-def _verify(scheme: CommScheme, source: TreePinSource, wiretapper: Wiretapper, null: FMatrix) -> VerifyReport:
-    """verify_scheme, given N = left_nullspace_basis(F)."""
     report = capacity_report(source, wiretapper)
+    null = scheme.null
     tap = _tap_image(null, wiretapper)
     return VerifyReport(
         omniscient=_omniscience(null, source),

@@ -21,7 +21,9 @@ from treepin import (
     synth_random,
 )
 from treepin.falinalg import left_nullspace_basis, lift, rank, right_nullspace_basis, rref
-from treepin.reduce import ReductionError
+from treepin.mcf import _common_on_block
+from treepin.reduce import ReductionError, _reduce_step
+import treepin.scheme as scheme_module
 from treepin.scheme import (
     SchemeError,
     _default_root,
@@ -35,6 +37,51 @@ def in_col_span(a, v):
     if v.cols == 0:
         return True
     return rank(a.hstack(v)) == rank(a)
+
+
+def _rank_mod(a: list[list[int]], q: int) -> int:
+    """Referee: row rank of an integer matrix mod q (q prime), by its own
+    elimination on plain integers."""
+    a = [row[:] for row in a]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c] % q), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, q)
+        a[r] = [(x * inv) % q for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] % q:
+                f = a[i][c]
+                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def _det_mod(a: list[list[int]], q: int) -> int:
+    """Referee: determinant of a square integer matrix mod q (q prime)."""
+    a = [row[:] for row in a]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] % q), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = (-det) % q
+        det = (det * a[c][c]) % q
+        inv = pow(a[c][c], -1, q)
+        for i in range(c + 1, n):
+            if a[i][c] % q:
+                f = (a[i][c] * inv) % q
+                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[c])]
+    return det % q
 
 
 def parity_path():
@@ -201,6 +248,22 @@ def build_reducible_suite(count):
             continue
         out.append((source, wt2))
     return out
+
+
+def reduce_step(src, wt, edge_id):
+    """One reduction step on the given edge, as reduce_full takes it: the
+    common part on the edge's block, then the change of basis."""
+    return _reduce_step(src, wt, edge_id, _common_on_block(wt, src.edge_range(edge_id)))
+
+
+def count_null_builds(monkeypatch):
+    """The list of matrices CommScheme.null eliminates from now on."""
+    built = []
+    real = scheme_module.left_nullspace_basis
+    monkeypatch.setattr(
+        scheme_module, "left_nullspace_basis", lambda m: built.append(m) or real(m)
+    )
+    return built
 
 
 def w_minus_e_common(src, wt, edge_id):

@@ -39,7 +39,7 @@ from treepin.oracle import (
     mcf_exhaustive,
 )
 from treepin.scheme import sample_alignment_certificate
-from treepin.verify import check_perfect_omniscience, leakage_symbol_dims
+from treepin.verify import leakage_symbol_dims
 from treepin.falinalg import left_nullspace_basis
 
 from conftest import parity_path, published_scheme, wide_path_reducible
@@ -78,9 +78,7 @@ def test_path3_reference_values_and_handwritten_scheme(tmp_path, capsys):
     assert rep.omniscient == {0: True, 1: True, 2: True, 3: True}
     assert rep.aligned
     assert rep.leakage_dims == 1
-    from treepin.verify import leakage_bits_per_realization
-
-    assert leakage_bits_per_realization(scheme, wt) == 1.0
+    assert rep.leakage_dims * math.log2(scheme.ext_ctx.q) == 1.0
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     print(
@@ -283,9 +281,9 @@ def test_leakage_sandwich_for_omniscient_schemes(synthesized_suite):
 
     checked = 0
     for source, wt, scheme in corpus:
-        omni = check_perfect_omniscience(scheme, source)
-        assert all(omni.values()), "corpus scheme must be omniscient"
-        leak = leakage_symbol_dims(scheme, wt)
+        rep = verify_scheme(scheme, source, wt)
+        assert all(rep.omniscient.values()), "corpus scheme must be omniscient"
+        leak = rep.leakage_dims
         lower = (
             source.base_dim - wt.dim - capacity_report(source, wt).cw_dims
         )
@@ -303,9 +301,9 @@ def test_leakage_sandwich_for_omniscient_schemes(synthesized_suite):
         comm_matrix=FMatrix.zeros(ext1, 2, 0),
         owners=(),
     )
-    omni = check_perfect_omniscience(silent, nsrc)
-    assert not all(omni.values())
-    neg_leak = leakage_symbol_dims(silent, nwt)
+    rep = verify_scheme(silent, nsrc, nwt)
+    assert not all(rep.omniscient.values())
+    neg_leak = rep.leakage_dims
     neg_lower = (
         nsrc.base_dim - nwt.dim - capacity_report(nsrc, nwt).cw_dims
     )

@@ -7,7 +7,7 @@ import pytest
 from treepin import save_instance, save_scheme, synth_explicit_unit
 from treepin.cli import main
 
-from conftest import parity_path
+from conftest import count_null_builds, parity_path
 
 
 def run(capsys, *argv):
@@ -405,9 +405,10 @@ def test_bad_mix_block_exits_1_with_verify_message(
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-def test_verify_refuses_oversized_scheme_before_eliminating(capsys, tmp_path, wide_files):
+@pytest.mark.parametrize("command", ["verify", "simulate", "oracle-check"])
+def test_verify_refuses_oversized_scheme_before_eliminating(capsys, tmp_path, wide_files, command):
     """A 3000-row scheme with no columns is refused by its row count before
-    verify builds the 3000 x 3000 left-null basis of F."""
+    the command builds the 3000 x 3000 left-null basis of F."""
     import time
 
     inst, _ = wide_files
@@ -417,7 +418,19 @@ def test_verify_refuses_oversized_scheme_before_eliminating(capsys, tmp_path, wi
         "owners\nfmat rows=3000 cols=0\nkeycols 0\n"
     )
     start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "--in", inst, "--scheme", str(bad))
+    code, out, err = run(capsys, command, "--in", inst, "--scheme", str(bad))
     elapsed = time.perf_counter() - start
     assert (code, out, err) == (1, "", "error: scheme does not match the source\n")
     assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle-check"])
+def test_scheme_commands_build_one_left_null_basis(capsys, monkeypatch, tmp_path, wide_files, command):
+    """verify's structural and full checks, and oracle-check's structural
+    checks and leakage, share the loaded scheme's one N."""
+    built = count_null_builds(monkeypatch)
+    inst, text = wide_files
+    sch = tmp_path / "scheme.txt"
+    sch.write_text(text)
+    assert run(capsys, command, "--in", inst, "--scheme", str(sch))[0] == 0
+    assert len(built) == 1

@@ -23,9 +23,8 @@ from treepin.falinalg import (
     rref,
     solve_right,
 )
-from treepin.oracle import _det_mod, _rank_mod
 
-from conftest import in_col_span
+from conftest import _det_mod, _rank_mod, in_col_span
 
 F2 = make_ext_field(2, 1)
 F4 = make_ext_field(2, 2)

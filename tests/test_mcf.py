@@ -19,7 +19,6 @@ from treepin import (
     mcf_edge_wiretap,
     random_instance,
     reduce_full,
-    reduce_once,
 )
 from treepin.falinalg import col_space_intersect, rank
 from treepin.mcf import _common_on_block, _edge_overlaps
@@ -285,7 +284,6 @@ def test_mismatched_tap_raises_value_error():
         lambda: capacity_report(src, short),
         lambda: is_irreducible(src, short),
         lambda: reduce_full(src, short),
-        lambda: reduce_once(src, short, src.edges[0].edge_id),
     ):
         with pytest.raises(ValueError, match="wiretap matrix does not match the source dimension"):
             call()

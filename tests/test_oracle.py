@@ -11,13 +11,17 @@ import pytest
 from treepin import FMatrix, make_ext_field
 from treepin.falinalg import rank
 from treepin.oracle import (
+    MCF_BUDGET,
     BudgetError,
+    _all_vectors,
+    _base_code_matrix,
+    _image_labels,
     cond_mutual_info_exhaustive,
-    detform_property_check,
     entropy_exhaustive,
-    split_source_property_check,
     mcf_exhaustive,
 )
+
+from conftest import _det_mod, _rank_mod
 
 F2 = make_ext_field(2, 1)
 F3 = make_ext_field(3, 1)
@@ -29,6 +33,100 @@ def random_matrix(ctx, rows, cols, rng):
         [[rng.randrange(ctx.order) for _ in range(cols)] for _ in range(rows)],
         cols=cols,
     )
+
+
+# ---------------------------------------------------------------------------
+# Property oracles: exhaustive checks of identities the package relies on
+
+_DETFORM_BUDGET = 2**16
+
+
+def detform_property_check(
+    q: int, s: int, m: int, trials: int, seed: int
+) -> bool:
+    """Exhaustively test the determinant dichotomy behind randomized
+    certificate sampling: for the s x s matrix whose rows are x_i @ A
+    (x_i free row vectors of length m, A a fixed m x s coefficient matrix),
+    the determinant vanishes at every point iff the columns of A are
+    linearly dependent.
+
+    The determinant is multilinear in each x_i, so per-variable degree is
+    1 < q and vanishing on all of (F_q**m)**s decides the polynomial
+    identity.  Returns True iff no drawn A violates the dichotomy.
+    """
+    points = q ** (s * m)
+    if points > _DETFORM_BUDGET:
+        raise BudgetError(
+            f"determinant check needs {points} evaluation points, "
+            f"budget is {_DETFORM_BUDGET}"
+        )
+    rng = random.Random(seed)
+    grid = _all_vectors(q, s * m).reshape(points, s, m)
+    for _ in range(trials):
+        a = [[rng.randrange(q) for _ in range(s)] for _ in range(m)]
+        an = np.array(a, dtype=np.int64)
+        rows = (grid @ an) % q  # (points, s, s)
+        vanishes = True
+        for p in range(points):
+            if _det_mod(rows[p].tolist(), q):
+                vanishes = False
+                break
+        dependent = _rank_mod(a, q) < s
+        if vanishes != dependent:
+            return False
+    return True
+
+
+def split_source_property_check(
+    q: int, dims: tuple[int, int], trials: int, seed: int
+) -> bool:
+    """Random split-source sanity check: with observations X, Y drawn from
+    one coordinate block and Z from a disjoint block, adjoining Z to one or
+    both sides changes the common function in the predictable way only:
+
+      components(X ; (Y,Z)) == components(X ; Y)
+      components((X,Z) ; (Y,Z)) == components(X ; Y) * |image(Z)|
+
+    Counts are compared as exact integers.  Returns True iff every drawn
+    triple satisfies both identities.
+    """
+    d_shared, d_z = dims
+    d = d_shared + d_z
+    total = q**d
+    if total > MCF_BUDGET:
+        raise BudgetError(
+            f"split-source check needs {total} vectors, budget is {MCF_BUDGET}"
+        )
+    ctx = make_ext_field(q, 1)
+    rng = random.Random(seed)
+    vectors = _all_vectors(q, d)
+
+    def random_block(row_lo: int, row_hi: int, cols: int) -> FMatrix:
+        grid = [
+            [
+                rng.randrange(q) if row_lo <= i < row_hi else 0
+                for _ in range(cols)
+            ]
+            for i in range(d)
+        ]
+        return FMatrix.from_rows(ctx, grid, cols=cols)
+
+    for _ in range(trials):
+        mx = random_block(0, d_shared, rng.randint(1, max(1, d_shared)))
+        my = random_block(0, d_shared, rng.randint(1, max(1, d_shared)))
+        mz = random_block(d_shared, d, rng.randint(1, max(1, d_z)))
+
+        base = mcf_exhaustive(mx, my, q)
+        with_z_right = mcf_exhaustive(mx, my.hstack(mz), q)
+        with_z_both = mcf_exhaustive(mx.hstack(mz), my.hstack(mz), q)
+        _, z_counts, _ = _image_labels(vectors, _base_code_matrix(mz), q)
+        z_image = len(z_counts)
+
+        if with_z_right.n_components != base.n_components:
+            return False
+        if with_z_both.n_components != base.n_components * z_image:
+            return False
+    return True
 
 
 def test_entropy_examples():

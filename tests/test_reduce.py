@@ -15,7 +15,6 @@ from treepin import (
     capacity_report,
     is_irreducible,
     reduce_full,
-    reduce_once,
 )
 from treepin.falinalg import completion_indices, inverse, rank, right_nullspace_basis, solve_right
 from treepin.mcf import mcf_edge_wiretap
@@ -24,6 +23,7 @@ from conftest import (
     build_reducible_suite,
     late_pivot_instances,
     parity_path,
+    reduce_step,
     relabelled_instances,
     star3_no_wiretap,
     w_minus_e_common,
@@ -39,9 +39,9 @@ def test_is_irreducible_examples():
     assert not is_irreducible(*wide_path_reducible())
 
 
-def test_reduce_once_on_wide_path():
+def test_reduce_step_on_wide_path():
     src, wt = wide_path_reducible()
-    src2, wt2, step = reduce_once(src, wt, 0)
+    src2, wt2, step = reduce_step(src, wt, 0)
     assert step.edge_id == 0
     assert step.dim == 1
     assert step.new_mult == 1
@@ -56,10 +56,10 @@ def test_reduce_once_on_wide_path():
     assert is_irreducible(src2, wt2)
 
 
-def test_reduce_once_preserves_rates():
+def test_reduce_step_preserves_rates():
     src, wt = wide_path_reducible()
     before = capacity_report(src, wt)
-    src2, wt2, _ = reduce_once(src, wt, 0)
+    src2, wt2, _ = reduce_step(src, wt, 0)
     after = capacity_report(src2, wt2)
     assert before.cw_dims == after.cw_dims
     assert before.rl_dims == after.rl_dims
@@ -67,15 +67,15 @@ def test_reduce_once_preserves_rates():
     assert before.rl_bits == after.rl_bits
 
 
-def test_reduce_once_requires_overlap():
+def test_reduce_step_requires_overlap():
     src, wt = parity_path()
     for e in src.edges:
         assert mcf_edge_wiretap(src, wt, e.edge_id).dim == 0
         with pytest.raises(ReductionError):
-            reduce_once(src, wt, e.edge_id)
+            reduce_step(src, wt, e.edge_id)
 
 
-def test_reduce_once_rejects_fully_absorbed_edge():
+def test_reduce_step_rejects_fully_absorbed_edge():
     """An edge whose whole block is wiretapped cannot be shrunk to nothing."""
     src, _ = wide_path_reducible()
     from treepin import FMatrix, Wiretapper
@@ -87,7 +87,7 @@ def test_reduce_once_rejects_fully_absorbed_edge():
     )
     assert mcf_edge_wiretap(src, full, 0).dim == 2
     with pytest.raises(ReductionError):
-        reduce_once(src, full, 0)
+        reduce_step(src, full, 0)
 
 
 def test_reduce_full_trace_on_wide_path():
@@ -143,7 +143,7 @@ def _completion(m):
     return FMatrix.basis_columns(m.ctx, m.rows, completion_indices(m))
 
 
-def referee_reduce_once(src, wt, edge_id):
+def referee_reduce_step(src, wt, edge_id):
     """Referee: one reduction step with the common part taken through
     W_{-e} (W without the edge's rows), then the change of basis on the
     block and the column pivoting of the tap."""
@@ -190,7 +190,7 @@ def referee_reduce_full(src, wt):
         )
         if target is None:
             return steps, (src, wt)
-        src, wt, step = referee_reduce_once(src, wt, target)
+        src, wt, step = referee_reduce_step(src, wt, target)
         steps.append(step)
 
 
@@ -257,18 +257,18 @@ def test_reduce_full_trace_matches_referee_on_injected_taps(inst):
 
 def test_reduce_full_trace_matches_referee_on_reducible_suite():
     """The injected suite reduces cleanly, so every trace there is a
-    full one; reduce_once on each overlapping edge matches too."""
+    full one; a single step on each overlapping edge matches too."""
     steps = 0
     for src, wt in build_reducible_suite(40):
         steps += assert_trace_matches_referee(src, wt)
         for e in src.edges:
             try:
-                want = referee_reduce_once(src, wt, e.edge_id)
+                want = referee_reduce_step(src, wt, e.edge_id)
             except ReductionError as exc:
                 with pytest.raises(ReductionError, match=re.escape(str(exc))):
-                    reduce_once(src, wt, e.edge_id)
+                    reduce_step(src, wt, e.edge_id)
                 continue
-            got_src, got_wt, got_step = reduce_once(src, wt, e.edge_id)
+            got_src, got_wt, got_step = reduce_step(src, wt, e.edge_id)
             assert (got_src, got_wt, _fields(got_step)) == want
     assert steps >= 40
 

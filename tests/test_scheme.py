@@ -22,6 +22,7 @@ from treepin import (
     save_scheme,
     synth_explicit_unit,
     synth_random,
+    verify_scheme,
 )
 from treepin.falinalg import (
     completion_indices,
@@ -42,6 +43,7 @@ from treepin.scheme import (
 
 from conftest import (
     build_irreducible_suite,
+    count_null_builds,
     parity_path,
     published_scheme,
     scheme_over,
@@ -231,6 +233,43 @@ def test_validate_checks_wiretap_annihilation():
     )
     with pytest.raises(SchemeError):
         scheme.validate(src, hostile)
+
+
+def test_null_is_built_once_per_scheme(monkeypatch):
+    """synth_random eliminates F once for the key and its closing validate;
+    a loaded scheme's validate and verify_scheme share one elimination too.
+    The cached N takes no part in == or repr."""
+    built = count_null_builds(monkeypatch)
+    for i, (src, wt) in enumerate(build_irreducible_suite(20)):
+        before = len(built)
+        scheme = synth_random(src, wt, seed=400 + i)
+        assert built[before:] == [scheme.comm_matrix]
+        text = save_scheme(scheme)
+        loaded = load_scheme(text)
+        before = len(built)
+        loaded.validate(src, wt)
+        assert verify_scheme(loaded, src, wt).all_pass
+        assert built[before:] == [loaded.comm_matrix]
+        assert loaded.null is loaded.null
+        assert loaded.null == left_nullspace_basis(loaded.comm_matrix)
+        fresh = load_scheme(text)
+        assert loaded == fresh and repr(loaded) == repr(fresh)
+
+
+def test_null_follows_a_reassigned_comm_matrix():
+    """After N is read, a dropped column in F is caught: validate builds N
+    for the new F (one row more) instead of reusing the old one."""
+    src, wt = wide_path_irreducible()
+    scheme = synth_random(src, wt, seed=5)
+    scheme.validate(src, wt)
+    assert scheme.null.rows == scheme.s
+    keep = list(range(1, scheme.comm_matrix.cols))
+    scheme.comm_matrix = scheme.comm_matrix.take_cols(keep)
+    scheme.owners = tuple(scheme.owners[j] for j in keep)
+    with pytest.raises(SchemeError, match="communication matrix rank must be base_dim - s"):
+        scheme.validate(src, wt)
+    assert scheme.null.rows == scheme.s + 1
+    assert scheme.null == left_nullspace_basis(scheme.comm_matrix)
 
 
 def test_serialization_round_trip():

@@ -12,19 +12,14 @@ from treepin import (
     FMatrix,
     KeyExtractor,
     Wiretapper,
+    capacity_report,
     make_ext_field,
     synth_explicit_unit,
     synth_random,
     verify_scheme,
 )
 from treepin.falinalg import lift, rank
-from treepin.verify import (
-    check_key_secrecy,
-    check_perfect_alignment,
-    check_perfect_omniscience,
-    leakage_bits_per_realization,
-    leakage_symbol_dims,
-)
+from treepin.verify import leakage_symbol_dims
 
 from conftest import (
     in_col_span,
@@ -46,7 +41,7 @@ def test_published_scheme_passes_everything():
     assert rep.key_dims == 1 == rep.optimal_key_dims
     assert rep.leakage_optimal
     assert rep.all_pass
-    assert leakage_bits_per_realization(scheme, wt) == 1.0
+    assert rep.leakage_dims * math.log2(scheme.ext_ctx.q) == 1.0
 
 
 def test_synthesized_schemes_pass():
@@ -67,7 +62,7 @@ def test_omniscience_fails_without_enough_columns():
         owners=(1,),
         key=scheme.key,
     )
-    omni = check_perfect_omniscience(crippled, src)
+    omni = verify_scheme(crippled, src, wt).omniscient
     assert not all(omni.values())
     assert omni[3] is False  # node 3 never hears about coordinate 0
     # node-local data plus one mixing column is not a basis for anyone
@@ -86,28 +81,27 @@ def test_alignment_detects_exposed_communication():
         key=KeyExtractor(FMatrix.basis_columns(ext, 3, (2,)), (2,)),
     )
     raw.validate(src)
+    rep = verify_scheme(raw, src, wt)
     # the two exposed coordinates complete nodes 2 and 3 (they already hold
     # coordinate 2), but the left side never learns it
-    assert check_perfect_omniscience(raw, src) == {
-        0: False, 1: False, 2: True, 3: True,
-    }
-    assert not check_perfect_alignment(raw, wt)
-    assert leakage_symbol_dims(raw, wt) == 2
-    rep = verify_scheme(raw, src, wt)
+    assert rep.omniscient == {0: False, 1: False, 2: True, 3: True}
+    assert not rep.aligned
+    assert rep.leakage_dims == 2
     assert not rep.all_pass and not rep.leakage_optimal
 
 
 def test_alignment_trivial_without_wiretap():
     src, wt = star3_no_wiretap()
     scheme = synth_random(src, wt, seed=1)
-    assert check_perfect_alignment(scheme, wt)
-    assert leakage_symbol_dims(scheme, wt) == 2
+    rep = verify_scheme(scheme, src, wt)
+    assert rep.aligned
+    assert rep.leakage_dims == 2
 
 
 def test_key_inside_wiretap_span_is_not_secret():
     src, wt = parity_path()
     scheme = synth_explicit_unit(src, wt)
-    assert check_key_secrecy(scheme, wt)
+    assert verify_scheme(scheme, src, wt).key_secret
     # replace the key with the parity itself, which the tap observes
     leaky = CommScheme(
         ext_ctx=scheme.ext_ctx,
@@ -119,14 +113,14 @@ def test_key_inside_wiretap_span_is_not_secret():
             coords=(0,),
         ),
     )
-    assert not check_key_secrecy(leaky, wt)
-    assert check_key_secrecy(CommScheme(
+    assert not verify_scheme(leaky, src, wt).key_secret
+    assert verify_scheme(CommScheme(
         ext_ctx=scheme.ext_ctx,
         s=1,
         comm_matrix=scheme.comm_matrix,
         owners=scheme.owners,
         key=None,
-    ), wt) is False
+    ), src, wt).key_secret is False
 
 
 def test_identity_communication_leaks_everything():
@@ -140,16 +134,19 @@ def test_identity_communication_leaks_everything():
         comm_matrix=FMatrix.basis_columns(ext, 3, [0, 1]),
         owners=(0, 1),
     )
-    assert leakage_symbol_dims(ident, wt) == src.base_dim - wt.dim
-    assert leakage_bits_per_realization(ident, wt) == 2.0
+    dims = verify_scheme(ident, src, wt).leakage_dims
+    assert dims == src.base_dim - wt.dim
+    assert dims * math.log2(ident.ext_ctx.q) == 2.0
 
 
 def test_leakage_scales_with_extension_degree():
+    """A symbol of GF(q**n) carries n realisations, so leakage dims times
+    log2 q (not n log2 q) is the leakage in bits per realisation."""
     src, wt = wide_path_irreducible()
     scheme = synth_random(src, wt, seed=13)
-    dims = leakage_symbol_dims(scheme, wt)
-    bits = leakage_bits_per_realization(scheme, wt)
-    assert bits == dims * math.log2(src.q)
+    assert scheme.ext_ctx.n > 1
+    dims = verify_scheme(scheme, src, wt).leakage_dims
+    assert dims * math.log2(src.q) == capacity_report(src, wt).rl_bits
 
 
 def test_report_optimums_match_capacity():
@@ -206,10 +203,7 @@ def assert_matches_referee(scheme, source, wiretapper):
     aligned = referee_alignment(scheme, wiretapper)
     leak = referee_leakage(scheme, wiretapper)
     secret = referee_key_secrecy(scheme, wiretapper)
-    assert check_perfect_omniscience(scheme, source) == omni
-    assert check_perfect_alignment(scheme, wiretapper) == aligned
     assert leakage_symbol_dims(scheme, wiretapper) == leak
-    assert check_key_secrecy(scheme, wiretapper) == secret
     rep = verify_scheme(scheme, source, wiretapper)
     assert rep.omniscient == omni
     assert (rep.aligned, rep.leakage_dims, rep.key_secret) == (aligned, leak, secret)
