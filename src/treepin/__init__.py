@@ -18,7 +18,6 @@ from .model import (
     random_instance,
     save_instance,
 )
-from .mcf import LinearMcf, mcf_edge_wiretap
 from .capacity import CapacityReport, capacity_report
 from .reduce import (
     ReductionError,
@@ -68,8 +67,6 @@ __all__ = [
     "load_instance",
     "random_instance",
     "save_instance",
-    "LinearMcf",
-    "mcf_edge_wiretap",
     "CapacityReport",
     "capacity_report",
     "ReductionError",

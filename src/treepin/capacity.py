@@ -6,14 +6,22 @@ All quantities are integer counts of q-ary symbols per base realisation
 secret key capacity is the smallest residual entropy of an edge given the
 common part of that edge and the eavesdropper's view; the minimum leakage
 rate for omniscience complements it against the eavesdropper-adjusted total.
+
+Each edge's overlap with the tap comes from N_W, the left-null basis of the
+tap matrix W (D x n_w, full column rank; N_W @ W = 0): col W is exactly
+what N_W annihilates, so rank([W | S_e]) = n_w + rank(N_W S_e) for the
+selector S_e of e's block, and the overlap is mult_e - rank(N_W[:, block_e]).
+The wiretapper keeps N_W from its one elimination; an edge whose block holds
+no pivot coordinate of that elimination overlaps in nothing and skips its
+rank (`Wiretapper.null_rank`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
-from .mcf import _edge_overlaps
 from .model import TreePinSource, Wiretapper
 
 __all__ = [
@@ -21,6 +29,14 @@ __all__ = [
     "CapacityReport",
     "capacity_report",
 ]
+
+
+def _edge_overlaps(source: TreePinSource, wiretapper: Wiretapper) -> Iterator[int]:
+    """Each edge's overlap dimension with the tap, lazily, in listed order."""
+    if wiretapper.rows != source.base_dim:
+        raise ValueError("wiretap matrix does not match the source dimension")
+    for e in source.edges:
+        yield e.mult - wiretapper.null_rank(source.edge_range(e.edge_id))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import sys
 from . import __version__
 from .capacity import capacity_report
 from .falinalg import FMatrix, expand_to_base, lift
-from .mcf import mcf_edge_wiretap
 from .model import (
     InstanceError,
     load_instance,
@@ -219,11 +218,10 @@ def _cmd_oracle_check(args) -> int:
     _emit("wiretap_entropy_ok", ent_ok)
     ok = ok and ent_ok
 
-    for e in source.edges:
+    for e in capacity_report(source, wiretapper).per_edge:
         sel = source.edge_block_selector(e.edge_id)
         exh = mcf_exhaustive(sel, wiretapper.matrix, q, budget=min(budget, 2**14))
-        lin = mcf_edge_wiretap(source, wiretapper, e.edge_id)
-        edge_ok = exh.bits == math.log2(q**lin.dim)
+        edge_ok = exh.bits == math.log2(q**e.mcf_dim)
         _emit(f"edge_{e.edge_id}_mcf_bits", exh.bits)
         _emit(f"edge_{e.edge_id}_mcf_ok", edge_ok)
         ok = ok and edge_ok

@@ -88,15 +88,6 @@ def _pnorm(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(p[:i])
 
 
-def _padd(a: Sequence[int], b: Sequence[int], q: int) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % q
-    return _pnorm(out)
-
-
 def _psub(a: Sequence[int], b: Sequence[int], q: int) -> tuple[int, ...]:
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):

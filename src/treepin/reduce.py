@@ -11,8 +11,12 @@ same key capacity and the same leakage rate:
  * complete Me to an invertible change of basis [Me | Ne] on the edge block,
    so the block splits into G (known to the eavesdropper) and a residual
    block of mult - l fresh symbols;
- * rewrite the wiretap matrix in the new coordinates, column-reduce it so
-   the G rows carry an identity block, and drop those rows and columns.
+ * keep the columns of W at the greedy completion of X, the unique
+   solution of W X = S_e Me (X says which tap columns carry G), and rewrite
+   only the edge's rows of those columns in the residual coordinates.
+
+The common part on the block is null(N_W[:, block_e]), read off the left-null
+basis N_W the wiretapper keeps (see `capacity` for the overlap identity).
 
 Both endpoints of e can compute G, the eavesdropper can compute G, and G is
 independent of everything else, so removing it changes no rate of interest.
@@ -22,8 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .falinalg import FMatrix, completion_indices, inverse, solve_right
-from .mcf import _common_on_block, _edge_overlaps
+from .capacity import _edge_overlaps
+from .falinalg import (
+    FMatrix,
+    _mat,
+    completion_indices,
+    inverse,
+    left_nullspace_basis,
+    rref,
+    solve_right,
+)
 from .model import TreePinSource, Wiretapper
 
 __all__ = [
@@ -63,6 +75,12 @@ def is_irreducible(source: TreePinSource, wiretapper: Wiretapper) -> bool:
     return not any(_edge_overlaps(source, wiretapper))
 
 
+def _common_on_block(wiretapper: Wiretapper, block: range) -> FMatrix:
+    """mult x l basis of the common part on the block: the reduced row
+    echelon basis of null(N_W[:, block]), read as rows."""
+    return rref(left_nullspace_basis(wiretapper.null_rows(block))).matrix.transpose()
+
+
 def _greedy_basis_completion(m: FMatrix) -> FMatrix:
     """Standard basis columns (ascending index) completing m's columns to a
     basis of the ambient space."""
@@ -86,42 +104,31 @@ def _reduce_step(
             f"reduced source would lose the edge entirely"
         )
     block = source.edge_range(edge_id)
-    ctx = source.base_ctx
-    d = source.base_dim
-    n_w = wiretapper.dim
+    w = wiretapper.matrix
 
     completion = _greedy_basis_completion(edge_map)
-    change = edge_map.hstack(completion)          # mult x mult, invertible
-    change_inv = inverse(change)
+    # rows l.. of the inverse change of basis [Me | Ne] map the block to its
+    # residual coordinates
+    residual = inverse(edge_map.hstack(completion)).take_rows(range(l, edge.mult))
 
-    # Rewrite the wiretap matrix in the new block coordinates.
-    w = wiretapper.matrix
-    new_block = change_inv @ w.take_rows(block)
-    grid = w.to_code_rows()
-    grid[block.start : block.stop] = new_block.to_code_rows()
-    w_new = FMatrix.from_rows(ctx, grid, cols=n_w)
+    # The common part is a function of the eavesdropper's view: X with
+    # W X = S_e Me exists and is unique, since W has full column rank, so it
+    # is solved on the tap's pivot coordinates, where W is square and
+    # invertible.
+    pivots = wiretapper.pivot_coords
+    on_block = edge_map.to_code_rows()
+    zero = [0] * l
+    target = [on_block[c - block.start] if c in block else zero for c in pivots]
+    x = solve_right(w.take_rows(pivots), _mat(w.ctx, target, l))
 
-    # The common part's coordinates are now the first l rows of the block.
-    g_rows = range(block.start, block.start + l)
-    g_selector = FMatrix.basis_columns(ctx, d, g_rows)
-
-    # The common part is a function of the eavesdropper's view, so the
-    # selector columns lie in the column space of w_new; pivot them into the
-    # leading columns.
-    coeffs = solve_right(w_new, g_selector)
-    if coeffs is None:
-        raise AssertionError("common part not contained in the wiretap span")
-    u = coeffs.hstack(_greedy_basis_completion(coeffs))
-    w_pivoted = w_new @ u
-
-    # The leading l columns are exactly the selector columns, so dropping
-    # the G rows and those columns leaves the eavesdropper's view of the
-    # rest.
-    reduced = FMatrix.from_rows(
-        ctx,
-        [row[l:] for i, row in enumerate(w_pivoted.to_code_rows()) if i not in g_rows],
-        cols=n_w - l,
-    )
+    # [X | E_J] is invertible for X's greedy completion J, so W's columns at
+    # J and the common part S_e Me span col W together: with the block's
+    # rows rewritten in residual coordinates, they are the eavesdropper's
+    # view of the rest.
+    kept = w.take_cols(completion_indices(x))
+    grid = kept.to_code_rows()
+    grid[block.start : block.stop] = (residual @ kept.take_rows(block)).to_code_rows()
+    reduced = _mat(w.ctx, grid, kept.cols)
 
     new_source = source.with_multiplicity(edge_id, edge.mult - l)
     new_wiretapper = Wiretapper(reduced)

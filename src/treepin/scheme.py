@@ -55,8 +55,8 @@ from .falinalg import (
     rref,
 )
 from .gfield import _TABLE_LIMIT, ExtFieldCtx, make_ext_field
-from .mcf import _edge_overlaps
 from .model import TreePinSource, Wiretapper
+from .reduce import is_irreducible
 
 __all__ = [
     "SchemeError",
@@ -317,7 +317,7 @@ def _synth_from_certificate(
 
 def _irreducible_tap_null(source: TreePinSource, wiretapper: Wiretapper) -> FMatrix:
     """N_W, the tap's left-null basis, once no edge overlaps the tap."""
-    if any(_edge_overlaps(source, wiretapper)):
+    if not is_irreducible(source, wiretapper):
         raise SchemeError(
             "instance is reducible; strip the eavesdropper's common parts "
             "first (reduce_full)"

@@ -48,9 +48,13 @@ def _tap_image(null: FMatrix, wiretapper: Wiretapper) -> FMatrix:
     return null @ lift(wiretapper.matrix, null.ctx)
 
 
-def _omniscience(null: FMatrix, source: TreePinSource) -> dict[int, bool]:
-    if null.cols != source.base_dim:
+def _check_rows(scheme: CommScheme, base_dim: int) -> None:
+    """Refuse a scheme whose F has the wrong row count before N is built."""
+    if scheme.base_dim != base_dim:
         raise ValueError("scheme does not match the source")
+
+
+def _omniscience(null: FMatrix, source: TreePinSource) -> dict[int, bool]:
     return {
         v: rank(null.take_cols(source.node_view(v).coords)) == null.rows
         for v in range(source.vertex_count)
@@ -70,6 +74,7 @@ def _key_secret(scheme: CommScheme, null: FMatrix, tap: FMatrix) -> bool:
 def leakage_symbol_dims(scheme: CommScheme, wiretapper: Wiretapper) -> int:
     """Extension-field dimensions the communication reveals beyond what the
     eavesdropper already observes: rank([F | W]) - rank(W)."""
+    _check_rows(scheme, wiretapper.rows)
     null = scheme.null
     return _leakage_dims(null, _tap_image(null, wiretapper))
 
@@ -103,6 +108,7 @@ def verify_scheme(
 ) -> VerifyReport:
     """Full audit: omniscience at every node, wiretap alignment, key
     secrecy, and leakage matched against the minimum achievable."""
+    _check_rows(scheme, source.base_dim)
     report = capacity_report(source, wiretapper)
     null = scheme.null
     tap = _tap_image(null, wiretapper)

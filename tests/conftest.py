@@ -21,8 +21,7 @@ from treepin import (
     synth_random,
 )
 from treepin.falinalg import left_nullspace_basis, lift, rank, right_nullspace_basis, rref
-from treepin.mcf import _common_on_block
-from treepin.reduce import ReductionError, _reduce_step
+from treepin.reduce import ReductionError, _common_on_block, _reduce_step
 import treepin.scheme as scheme_module
 from treepin.scheme import (
     SchemeError,

@@ -30,7 +30,6 @@ from treepin import (
 )
 from treepin.cli import main
 from treepin.falinalg import expand_to_base, lift, rank
-from treepin.mcf import mcf_edge_wiretap
 from treepin.oracle import (
     ENTROPY_BUDGET,
     MCF_BUDGET,
@@ -157,11 +156,10 @@ def test_linear_algebra_matches_exhaustive_oracles(synthesized_suite):
         ent_checked += 1
 
         if q**d <= MCF_BUDGET:
-            for e in source.edges:
+            for e in capacity_report(source, wt).per_edge:
                 sel = source.edge_block_selector(e.edge_id)
                 exh = mcf_exhaustive(sel, wt.matrix, q)
-                lin = mcf_edge_wiretap(source, wt, e.edge_id)
-                assert exh.bits == lin.dim * lg == 0.0
+                assert exh.bits == e.mcf_dim * lg == 0.0
                 mcf_checked += 1
 
         fb = expand_to_base(scheme.comm_matrix)

@@ -1,5 +1,6 @@
 """The public surface: what `__all__`, the CLI, perfbench/ and the README
-promise exists, and no module carries an import it never uses."""
+promise exists, no module carries an import it never uses, and no private
+name is left that nothing reads."""
 
 from __future__ import annotations
 
@@ -90,6 +91,65 @@ def test_no_module_imports_a_name_it_never_uses():
     for path in sorted(PACKAGE.glob("*.py")):
         unused += [f"{path.name}:{u}" for u in _unused_imports(path.read_text(encoding="utf-8"))]
     assert unused == []
+
+
+def _names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name the tree loads and every attribute it reads, outside the
+    subtree `skip`."""
+    reads = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return reads
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Each module-level name with one leading underscore, and the
+    statement that defines it."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((name, node) for name in targets if name[:1] == "_" and name[:2] != "__")
+    return out
+
+
+def _unread_private_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """`module name` for every module-level private name of `modules` that
+    no source in `modules` or `readers` reads outside its own definition."""
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    reads = {name: _names_read(tree) for name, tree in trees.items()}
+    outside = set().union(*(_names_read(ast.parse(text)) for text in readers))
+    unread = []
+    for module, tree in trees.items():
+        elsewhere = outside.union(*(r for m, r in reads.items() if m != module))
+        for name, node in _private_definitions(tree).items():
+            if name not in elsewhere and name not in _names_read(tree, skip=node):
+                unread.append(f"{module} {name}")
+    return unread
+
+
+def test_every_private_name_is_read():
+    toy = {
+        "a": "def _f():\n    return _f()\n_x = 1\n_y = _x\ndef _g():\n    pass\n",
+        "b": "import a\na._g\n",
+    }
+    assert _unread_private_names(toy, []) == ["a _f", "a _y"]
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _unread_private_names(modules, readers) == []
 
 
 def test_readme_library_block_runs():

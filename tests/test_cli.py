@@ -7,7 +7,7 @@ import pytest
 from treepin import save_instance, save_scheme, synth_explicit_unit
 from treepin.cli import main
 
-from conftest import count_null_builds, parity_path
+from conftest import count_null_builds, parity_path, wide_path_reducible
 
 
 def run(capsys, *argv):
@@ -142,8 +142,6 @@ def test_exit_1_on_missing_and_malformed_input(capsys, tmp_path):
 
 def test_exit_1_on_unsatisfiable_synth(capsys, tmp_path):
     """Explicit synthesis on a reducible instance is a validation failure."""
-    from conftest import wide_path_reducible
-
     inst = tmp_path / "wide.txt"
     inst.write_text(save_instance(*wide_path_reducible()))
     sch = str(tmp_path / "s.txt")
@@ -151,6 +149,29 @@ def test_exit_1_on_unsatisfiable_synth(capsys, tmp_path):
                        "--method", "random", "--out", sch)
     assert code == 1
     assert "error:" in err
+
+
+def test_oracle_check_on_an_edge_that_overlaps_the_tap(capsys, tmp_path):
+    """Edge 0 of the wide path shares one symbol with the tap: the brute
+    force common function of that edge has 1 bit, as analyze's overlap
+    says."""
+    inst = tmp_path / "wide.txt"
+    inst.write_text(save_instance(*wide_path_reducible()))
+    code, out, err = run(capsys, "oracle-check", "--in", str(inst))
+    assert code == 0 and err == ""
+    assert out == (
+        "wiretap_entropy_bits = 2\n"
+        "wiretap_entropy_ok = true\n"
+        "edge_0_mcf_bits = 1\n"
+        "edge_0_mcf_ok = true\n"
+        "edge_1_mcf_bits = 0\n"
+        "edge_1_mcf_ok = true\n"
+        "edge_2_mcf_bits = 0\n"
+        "edge_2_mcf_ok = true\n"
+        "oracle_ok = true\n"
+    )
+    _, analyzed, _ = run(capsys, "analyze", "--in", str(inst))
+    assert lines_of(analyzed)["edge_0_mcf_dim"] == "1"
 
 
 def test_exit_3_on_budget(capsys, parity_file, tmp_path):
@@ -172,8 +193,6 @@ def test_version_flag(capsys):
 
 
 def test_reduce_trace_fields(capsys, tmp_path):
-    from conftest import wide_path_reducible
-
     inst = tmp_path / "wide.txt"
     inst.write_text(save_instance(*wide_path_reducible()))
     red = str(tmp_path / "red.txt")

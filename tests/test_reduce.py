@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 import re
 
 import pytest
@@ -14,13 +16,24 @@ from treepin import (
     Wiretapper,
     capacity_report,
     is_irreducible,
+    make_ext_field,
     reduce_full,
 )
-from treepin.falinalg import completion_indices, inverse, rank, right_nullspace_basis, solve_right
-from treepin.mcf import mcf_edge_wiretap
+from treepin.falinalg import (
+    col_space_intersect,
+    completion_indices,
+    inverse,
+    rank,
+    right_nullspace_basis,
+    solve_right,
+)
+from treepin.oracle import mcf_exhaustive
+from treepin.reduce import _common_on_block
 
 from conftest import (
     build_reducible_suite,
+    in_col_span,
+    instances,
     late_pivot_instances,
     parity_path,
     reduce_step,
@@ -70,7 +83,7 @@ def test_reduce_step_preserves_rates():
 def test_reduce_step_requires_overlap():
     src, wt = parity_path()
     for e in src.edges:
-        assert mcf_edge_wiretap(src, wt, e.edge_id).dim == 0
+        assert _common_on_block(wt, src.edge_range(e.edge_id)).cols == 0
         with pytest.raises(ReductionError):
             reduce_step(src, wt, e.edge_id)
 
@@ -85,7 +98,7 @@ def test_reduce_step_rejects_fully_absorbed_edge():
             src.base_ctx, [[1, 0, 0, 0], [0, 1, 0, 0]], rows=4
         )
     )
-    assert mcf_edge_wiretap(src, full, 0).dim == 2
+    assert _common_on_block(full, src.edge_range(0)).cols == 2
     with pytest.raises(ReductionError):
         reduce_step(src, full, 0)
 
@@ -135,7 +148,7 @@ def test_overlap_dim_bounded():
     suite = build_reducible_suite(15)
     for src, wt in suite:
         for e in src.edges:
-            l = mcf_edge_wiretap(src, wt, e.edge_id).dim
+            l = _common_on_block(wt, src.edge_range(e.edge_id)).cols
             assert l <= min(e.mult, wt.dim)
 
 
@@ -311,3 +324,134 @@ def test_reduction_steps_carry_fresh_tap_bases():
         steps += len(trace.steps)
     assert steps >= 40
     assert_steps_carry_fresh_bases(reduce_full(*wide_path_reducible()))
+
+
+# ---------------------------------------------------------------------------
+# Common parts of pairs of linear observations, and of an edge and the tap
+
+F2 = make_ext_field(2, 1)
+F3 = make_ext_field(3, 1)
+
+
+def random_matrix(ctx, rows, cols, rng):
+    return FMatrix.from_rows(
+        ctx,
+        [[rng.randrange(ctx.order) for _ in range(cols)] for _ in range(rows)],
+        cols=cols,
+    )
+
+
+def test_self_mcf_has_full_dim():
+    rng = random.Random(4)
+    for _ in range(20):
+        m = random_matrix(F3, 4, 3, rng)
+        assert col_space_intersect(m, m).cols == rank(m)
+
+
+def test_independent_observations_share_nothing():
+    a = FMatrix.basis_columns(F2, 4, [0, 1])
+    b = FMatrix.basis_columns(F2, 4, [2, 3])
+    assert col_space_intersect(a, b).cols == 0
+
+
+def test_entropy_bits():
+    m = FMatrix.identity(F3, 2)
+    assert col_space_intersect(m, m).cols == 2
+    assert mcf_exhaustive(m, m, 3).bits == 2 * math.log2(3)
+
+
+def test_mcf_dim_bounded_by_ranks():
+    rng = random.Random(8)
+    for _ in range(60):
+        a = random_matrix(F2, 5, rng.randint(1, 4), rng)
+        b = random_matrix(F2, 5, rng.randint(1, 4), rng)
+        g = col_space_intersect(a, b)
+        assert g.cols <= min(rank(a), rank(b))
+        for j in range(g.cols):
+            col = g.take_cols([j])
+            assert in_col_span(a, col)
+            assert in_col_span(b, col)
+
+
+def test_wiretap_column_growth_is_monotone():
+    """Adding wiretap columns can only grow what the edge shares with it."""
+    rng = random.Random(15)
+    src, _ = wide_path_reducible()
+    blk = src.edge_block_selector(0)
+    for _ in range(40):
+        w1 = random_matrix(F2, src.base_dim, 2, rng)
+        extra = random_matrix(F2, src.base_dim, 1, rng)
+        w2 = w1.hstack(extra)
+        assert col_space_intersect(blk, w1).cols <= col_space_intersect(blk, w2).cols
+
+
+def test_agrees_with_exhaustive_enumeration():
+    """The subspace computation matches brute force over all base vectors."""
+    rng = random.Random(42)
+    checked = 0
+    for _ in range(25):
+        rows = rng.randint(2, 4)
+        a = random_matrix(F2, rows, rng.randint(1, 3), rng)
+        b = random_matrix(F2, rows, rng.randint(1, 3), rng)
+        dim = col_space_intersect(a, b).cols
+        brute = mcf_exhaustive(a, b, 2)
+        assert brute.n_components == 2**dim
+        assert brute.bits == math.log2(2**dim)
+        checked += 1
+    assert checked == 25
+
+
+def test_exhaustive_labels_are_functions_of_linear_mcf():
+    """Both label maps factor through the linear common function and back:
+    realisations of X a with equal component labels give equal X mg values,
+    and distinct labels give distinct values."""
+    src, wt = wide_path_reducible()
+    blk = src.edge_block_selector(0)
+    mg = col_space_intersect(blk, wt.matrix)
+    brute = mcf_exhaustive(blk, wt.matrix, src.q)
+    assert brute.n_components == 2**mg.cols
+
+    # map each observed left value to its mcf value by scanning base vectors
+    label_to_mcf: dict[int, tuple[int, ...]] = {}
+    mcf_to_label: dict[tuple[int, ...], int] = {}
+    for codes in _all_base_vectors(src.base_dim):
+        vec = [F2(c) for c in codes]
+        left = tuple(x.code for x in _apply(vec, blk))
+        g = tuple(x.code for x in _apply(vec, mg))
+        lab = brute.labels_left[left]
+        if lab in label_to_mcf:
+            assert label_to_mcf[lab] == g
+        else:
+            label_to_mcf[lab] = g
+        if g in mcf_to_label:
+            assert mcf_to_label[g] == lab
+        else:
+            mcf_to_label[g] = lab
+    assert len(label_to_mcf) == brute.n_components
+
+
+def _all_base_vectors(dim):
+    for k in range(2**dim):
+        yield [(k >> i) & 1 for i in range(dim)]
+
+
+def _apply(vec, m):
+    """Row vector times matrix."""
+    return (FMatrix(m.ctx, [vec], cols=m.rows) @ m).row(0)
+
+
+@seed(20260107)
+@settings(max_examples=120, deadline=None)
+@given(instances())
+def test_edge_overlap_identity_matches_zassenhaus(inst):
+    """The common part on the block, placed by the edge's selector, is the
+    very basis the Zassenhaus intersection returns, and its dimension is
+    n_w - rank(W without e)."""
+    src, wt = inst
+    for e in src.edges:
+        block = src.edge_range(e.edge_id)
+        sel = src.edge_block_selector(e.edge_id)
+        got = sel @ _common_on_block(wt, block)
+        assert got == col_space_intersect(sel, wt.matrix)
+        outside = [i for i in range(src.base_dim) if i not in block]
+        assert got.cols == wt.dim - rank(wt.matrix.take_rows(outside))

@@ -22,6 +22,7 @@ from treepin.falinalg import lift, rank
 from treepin.verify import leakage_symbol_dims
 
 from conftest import (
+    count_null_builds,
     in_col_span,
     parity_path,
     published_scheme,
@@ -147,6 +148,21 @@ def test_leakage_scales_with_extension_degree():
     assert scheme.ext_ctx.n > 1
     dims = verify_scheme(scheme, src, wt).leakage_dims
     assert dims * math.log2(src.q) == capacity_report(src, wt).rl_bits
+
+
+def test_wrong_row_count_is_refused_before_n_is_built(monkeypatch):
+    """A 4-row scheme against a 3-coordinate source: both checks refuse it
+    by its row count, without eliminating F."""
+    scheme = synth_random(*wide_path_irreducible(), seed=5)
+    src, wt = parity_path()
+    built = count_null_builds(monkeypatch)
+    for call in (
+        lambda: verify_scheme(scheme, src, wt),
+        lambda: leakage_symbol_dims(scheme, wt),
+    ):
+        with pytest.raises(ValueError, match="^scheme does not match the source$"):
+            call()
+    assert built == []
 
 
 def test_report_optimums_match_capacity():
