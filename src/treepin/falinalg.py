@@ -6,7 +6,7 @@ appear only at the API edge: the public constructors take and validate
 them, and `m[i, j]`, `row` and `col` hand them out.  Everything inside works
 on the codes with the context's bound code operations.
 
-`rref`, `rank` and `det` share one elimination kernel, `_eliminate`: plain
+`rref` and `rank` share one elimination kernel, `_eliminate`: plain
 Gaussian elimination with deterministic pivoting (first nonzero entry
 scanning top to bottom), so repeated runs produce identical results.  One
 kernel over integer codes, with the field arithmetic supplied by the
@@ -28,7 +28,6 @@ __all__ = [
     "RrefResult",
     "rref",
     "rank",
-    "det",
     "inverse",
     "left_inverse",
     "solve_right",
@@ -233,7 +232,7 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def _eliminate(ctx: ExtFieldCtx, rows: list, limit: int, full: bool) -> tuple[list[int], int]:
+def _eliminate(ctx: ExtFieldCtx, rows: list, limit: int, full: bool) -> list[int]:
     """The elimination kernel, in place on a list of code rows.
 
     Columns 0..limit-1 are scanned in order; the pivot of a column is the
@@ -241,17 +240,11 @@ def _eliminate(ctx: ExtFieldCtx, rows: list, limit: int, full: bool) -> tuple[li
     It is swapped up, scaled to a leading 1, and the column is cleared in
     every row below it, and also above it when `full` (Gauss-Jordan, which
     leaves the reduced row echelon form).  Whole rows are updated, so an
-    augmented [A | B] block is carried along.
-
-    Returns the pivot columns and the product of the pivot values, negated
-    once per row swap: the determinant when the block is square and every
-    column has a pivot.
+    augmented [A | B] block is carried along.  Returns the pivot columns.
     """
     mul, sub, inv = ctx.mul_code, ctx.sub_code, ctx.inv_code
     nrows = len(rows)
     pivots: list[int] = []
-    det = 1
-    swapped = False
     prow = 0
     for c in range(limit):
         if prow == nrows:
@@ -263,11 +256,9 @@ def _eliminate(ctx: ExtFieldCtx, rows: list, limit: int, full: bool) -> tuple[li
             continue
         if pr != prow:
             rows[prow], rows[pr] = rows[pr], rows[prow]
-            swapped = not swapped
         p = rows[prow]
         pv = p[c]
         if pv != 1:
-            det = mul(det, pv)
             pinv = inv(pv)
             p = rows[prow] = [mul(pinv, b) for b in p]
         for i in range(0 if full else prow + 1, nrows):
@@ -281,9 +272,7 @@ def _eliminate(ctx: ExtFieldCtx, rows: list, limit: int, full: bool) -> tuple[li
                     rows[i] = [sub(a, mul(f, b)) if b else a for a, b in zip(r, p)]
         pivots.append(c)
         prow += 1
-    if swapped:
-        det = ctx.neg_code(det)
-    return pivots, det
+    return pivots
 
 
 def rref(m: FMatrix, pivot_cols: int | None = None) -> RrefResult:
@@ -295,22 +284,14 @@ def rref(m: FMatrix, pivot_cols: int | None = None) -> RrefResult:
     """
     limit = m.cols if pivot_cols is None else pivot_cols
     data = list(m._codes)
-    pivots, _ = _eliminate(m.ctx, data, limit, full=True)
+    pivots = _eliminate(m.ctx, data, limit, full=True)
     return RrefResult(_mat(m.ctx, data, m.cols), tuple(pivots), len(pivots))
 
 
 def rank(m: FMatrix) -> int:
     """Matrix rank via forward elimination (no back substitution)."""
-    pivots, _ = _eliminate(m.ctx, list(m._codes), m.cols, full=False)
+    pivots = _eliminate(m.ctx, list(m._codes), m.cols, full=False)
     return len(pivots)
-
-
-def det(m: FMatrix) -> FieldElem:
-    """Determinant (exact, via forward elimination with pivot tracking)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    pivots, value = _eliminate(m.ctx, list(m._codes), m.cols, full=False)
-    return FieldElem(m.ctx, value if len(pivots) == m.rows else 0)
 
 
 def completion_indices(m: FMatrix) -> tuple[int, ...]:
@@ -321,7 +302,7 @@ def completion_indices(m: FMatrix) -> tuple[int, ...]:
     is independent of the columns before it, so the pivots that fall in
     the identity part are the greedy picks.
     """
-    pivots, _ = _eliminate(
+    pivots = _eliminate(
         m.ctx, list(m.hstack(FMatrix.identity(m.ctx, m.rows))._codes), m.cols + m.rows, full=False
     )
     return tuple(c - m.cols for c in pivots if c >= m.cols)
@@ -415,7 +396,7 @@ def _right_null_parts(m: FMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
     """right_nullspace_basis(m) in the size of m: the pivot columns of one
     forward elimination of m and the basis's coordinate rows at them."""
     rows = list(m._codes)
-    pivots, _ = _eliminate(m.ctx, rows, m.cols, full=False)
+    pivots = _eliminate(m.ctx, rows, m.cols, full=False)
     return tuple(pivots), _null_pivot_rows(m.ctx, rows, pivots, m.cols)
 
 

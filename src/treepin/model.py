@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .falinalg import FMatrix, _null_basis_rows, _right_null_parts, rank
+from .falinalg import FMatrix, _mat, _null_basis_rows, _right_null_parts, rank
 from .gfield import ExtFieldCtx, make_ext_field
 
 __all__ = [
@@ -349,7 +349,8 @@ def load_instance(text: str) -> tuple[TreePinSource, Wiretapper]:
     if pos != len(lines):
         raise InstanceError(f"line {lines[pos][0]}: trailing content")
 
-    matrix = FMatrix.from_rows(source.base_ctx, rows or [[] for _ in range(source.base_dim)], cols=n_w)
+    # every entry passed the range check above
+    matrix = _mat(source.base_ctx, rows or [()] * source.base_dim, n_w)
     return source, Wiretapper(matrix)
 
 

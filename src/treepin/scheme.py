@@ -11,11 +11,13 @@ driven by one object: a certificate matrix S (s x base_dim) whose rows
 annihilate both F and the eavesdropper's (lifted) matrix, and whose per-edge
 leading s x s blocks S_e are all invertible.
 
-The certificate unfolds into the scheme in one pass: a walk from the root
-records each node's parent edge and child edges, each S_e is inverted once,
-and node v's relay block for child edge e is -S_e^-1 S_up (S_up the block
-of v's parent edge), edge e's surplus block -S_e^-1 T_e (T_e the rest of S
-on e).  Their columns are written straight into F as integer codes.
+Each S_e is inverted once, when the certificate is drawn: the inversion is
+also the draw's nonsingularity test.  The certificate and those inverses
+unfold into the scheme in one pass: a walk from the root records each
+node's parent edge and child edges, and node v's relay block for child edge
+e is -S_e^-1 S_up (S_up the block of v's parent edge), edge e's surplus
+block -S_e^-1 T_e (T_e the rest of S on e).  Their columns are written
+straight into F as integer codes.
 
 The key coordinates are the greedy completion of col F by standard basis
 vectors.  For N the left-null basis of F, rank([F | X]) = rank F +
@@ -47,7 +49,6 @@ from functools import lru_cache
 from .falinalg import (
     FMatrix,
     _mat,
-    det,
     inverse,
     left_nullspace_basis,
     lift,
@@ -143,11 +144,11 @@ class CommScheme:
                 raise SchemeError(
                     f"owner {owner} of column {j} is not a node of the tree"
                 )
+        visible = {o: set(source.node_view(o).coords) for o in set(self.owners)}
         columns = f.transpose().to_code_rows()
         for j, (owner, col) in enumerate(zip(self.owners, columns)):
-            visible = set(source.node_view(owner).coords)
             for i, code in enumerate(col):
-                if code and i not in visible:
+                if code and i not in visible[owner]:
                     raise SchemeError(
                         f"column {j} uses coordinate {i} that node {owner} "
                         f"cannot observe"
@@ -169,7 +170,7 @@ class CommScheme:
         for (node, edge_id), a in self.child_mix.items():
             if a.rows != self.s or a.cols != self.s:
                 raise SchemeError(f"mix block for node {node}, edge {edge_id} has wrong shape")
-            if not det(a).code:
+            if rank(a) < self.s:
                 raise SchemeError(f"mix block for node {node}, edge {edge_id} is singular")
         if self.certificate is not None:
             cert = self.certificate
@@ -213,26 +214,32 @@ def _lead_block(source: TreePinSource, cert: FMatrix, edge_id: int, s: int) -> F
     return cert.take_cols(range(start, start + s))
 
 
+def _lead_inverses(source: TreePinSource, cert: FMatrix, s: int) -> dict[int, FMatrix] | None:
+    """S_e^-1 for every edge e; None as soon as some S_e is singular."""
+    lead_inv: dict[int, FMatrix] = {}
+    for e in source.edges:
+        try:
+            lead_inv[e.edge_id] = inverse(_lead_block(source, cert, e.edge_id, s))
+        except ValueError:
+            return None
+    return lead_inv
+
+
 def sample_alignment_certificate(
     source: TreePinSource,
     null_basis: FMatrix,
     s: int,
     rng: random.Random,
-) -> FMatrix | None:
+) -> tuple[FMatrix, dict[int, FMatrix]] | None:
     """One uniform draw of a certificate candidate from the row space of
-    null_basis; None when some per-edge leading block is singular."""
+    null_basis, with the inverse of each edge's leading block (keyed by
+    edge id); None when some such block is singular."""
     ext = null_basis.ctx
     m = null_basis.rows
-    coeff = FMatrix.from_rows(
-        ext,
-        [[rng.randrange(ext.order) for _ in range(m)] for _ in range(s)],
-        cols=m,
-    )
+    coeff = _mat(ext, [[rng.randrange(ext.order) for _ in range(m)] for _ in range(s)], m)
     cert = coeff @ null_basis
-    for e in source.edges:
-        if not det(_lead_block(source, cert, e.edge_id, s)).code:
-            return None
-    return cert
+    lead_inv = _lead_inverses(source, cert, s)
+    return None if lead_inv is None else (cert, lead_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +251,11 @@ def _synth_from_certificate(
     wiretapper: Wiretapper,
     ext: ExtFieldCtx,
     cert: FMatrix,
+    lead_inv: dict[int, FMatrix],
     root: int,
 ) -> CommScheme:
-    """Unfold the certificate into the scheme in one walk from the root."""
+    """Unfold the certificate into the scheme in one walk from the root;
+    lead_inv holds S_e^-1 for every edge, as _lead_inverses gives it."""
     s = source.min_mult
     d = source.base_dim
     parent_edge: dict[int, int] = {}
@@ -261,13 +270,11 @@ def _synth_from_certificate(
                 child_edges[v].append(e.edge_id)
                 stack.append(other)
 
-    # S_e^-1 once per edge; S_e B_e = -T_e for the surplus block T_e
+    # S_e B_e = -T_e for the surplus block T_e
     lead: dict[int, FMatrix] = {}
-    lead_inv: dict[int, FMatrix] = {}
     surplus_mix: dict[int, FMatrix] = {}
     for e in source.edges:
         lead[e.edge_id] = _lead_block(source, cert, e.edge_id, s)
-        lead_inv[e.edge_id] = inverse(lead[e.edge_id])
         if e.mult > s:
             block = source.edge_range(e.edge_id)
             tail = cert.take_cols(range(block.start + s, block.stop))
@@ -303,7 +310,7 @@ def _synth_from_certificate(
     scheme = CommScheme(
         ext_ctx=ext,
         s=s,
-        comm_matrix=FMatrix.from_cols(ext, cols, rows=d),
+        comm_matrix=_mat(ext, cols, d).transpose(),  # d x 0 when cols is empty
         owners=tuple(owners),
         root=root,
         child_mix=child_mix,
@@ -345,9 +352,9 @@ def synth_random(
         )
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
-        cert = sample_alignment_certificate(source, null_basis, s, rng)
-        if cert is not None:
-            return _synth_from_certificate(source, wiretapper, ext, cert, root)
+        draw = sample_alignment_certificate(source, null_basis, s, rng)
+        if draw is not None:
+            return _synth_from_certificate(source, wiretapper, ext, *draw, root)
     raise SchemeError(
         f"no nonsingular certificate found in {_MAX_ATTEMPTS} attempts"
     )
@@ -381,14 +388,16 @@ def synth_explicit_unit(
         raise SchemeError("eavesdropper already sees a full basis")
     ext = make_ext_field(source.q, k)
     # power basis element x**j has code q**j
-    powers = FMatrix.from_rows(ext, [[source.q**j for j in range(k)]], cols=k)
+    powers = _mat(ext, [[source.q**j for j in range(k)]], k)
     cert = powers @ lift(null_w, ext)
-    if not all(cert.to_code_rows()[0]):
+    # s = 1 and every edge has one coordinate: S_e is the entry itself
+    lead_inv = _lead_inverses(source, cert, 1)
+    if lead_inv is None:
         raise AssertionError(
             "zero certificate entry; instance was not irreducible"
         )
     return _synth_from_certificate(
-        source, wiretapper, ext, cert, _default_root(source)
+        source, wiretapper, ext, cert, lead_inv, _default_root(source)
     )
 
 

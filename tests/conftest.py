@@ -153,11 +153,11 @@ def scheme_over(q, n, seed):
         null_basis = left_nullspace_basis(lift(wt.matrix, ext))
         if null_basis.rows < src.min_mult:
             continue
-        cert = sample_alignment_certificate(src, null_basis, src.min_mult, rng)
-        if cert is None:
+        draw = sample_alignment_certificate(src, null_basis, src.min_mult, rng)
+        if draw is None:
             continue
         try:
-            scheme = _synth_from_certificate(src, wt, ext, cert, _default_root(src))
+            scheme = _synth_from_certificate(src, wt, ext, *draw, _default_root(src))
         except SchemeError:
             continue
         return src, wt, scheme

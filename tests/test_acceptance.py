@@ -11,12 +11,9 @@ import math
 import random
 import time
 
-import pytest
-
 from treepin import (
     CommScheme,
     FMatrix,
-    KeyExtractor,
     TreePinSource,
     Wiretapper,
     capacity_report,
@@ -25,7 +22,6 @@ from treepin import (
     run_protocol,
     save_scheme,
     synth_explicit_unit,
-    synth_random,
     verify_scheme,
 )
 from treepin.cli import main

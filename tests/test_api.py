@@ -1,6 +1,6 @@
 """The public surface: what `__all__`, the CLI, perfbench/ and the README
-promise exists, no module carries an import it never uses, and no private
-name is left that nothing reads."""
+promise exists, no module or test file carries an import it never uses,
+and no private name is left that nothing reads."""
 
 from __future__ import annotations
 
@@ -88,8 +88,9 @@ def _unused_imports(source: str) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses():
     assert _unused_imports("import math\nfrom x import y as z\nz()\n") == ["1 math"]
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        unused += [f"{path.name}:{u}" for u in _unused_imports(path.read_text(encoding="utf-8"))]
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        unused += [f"{path.relative_to(ROOT)}:{u}" for u in _unused_imports(text)]
     assert unused == []
 
 

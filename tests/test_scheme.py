@@ -100,6 +100,18 @@ def test_explicit_unit_preconditions():
         synth_explicit_unit(src, wt)
 
 
+def test_explicit_unit_refuses_a_zero_certificate_entry(monkeypatch):
+    """With the irreducibility gate bypassed, a unit edge the tap sees
+    whole leaves a zero column in N_W, so its 1 x 1 lead block is singular."""
+    src = TreePinSource(2, 4, [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 3, 1)])
+    wt = Wiretapper(FMatrix.from_cols(src.base_ctx, [[1, 0, 0]], rows=3))
+    monkeypatch.setattr("treepin.scheme.is_irreducible", lambda *_: True)
+    with pytest.raises(
+        AssertionError, match="^zero certificate entry; instance was not irreducible$"
+    ):
+        synth_explicit_unit(src, wt)
+
+
 def test_synth_random_deterministic_per_seed():
     src, wt = wide_path_irreducible()
     a = synth_random(src, wt, seed=7)
@@ -130,14 +142,18 @@ def test_certificate_sampler_rejects_bad_draws():
     null_basis = left_nullspace_basis(lift(wt.matrix, ext))
     hits = misses = 0
     for seed in range(200):
-        cert = sample_alignment_certificate(src, null_basis, 1, random.Random(seed))
-        if cert is None:
+        draw = sample_alignment_certificate(src, null_basis, 1, random.Random(seed))
+        if draw is None:
             misses += 1
             continue
         hits += 1
+        cert, lead_inv = draw
         assert (cert @ lift(wt.matrix, ext)).is_zero()
-        for j in range(3):
+        assert sorted(lead_inv) == [e.edge_id for e in src.edges]
+        for e in src.edges:
+            j = src.edge_range(e.edge_id).start
             assert cert[0, j].code != 0
+            assert lead_inv[e.edge_id] @ cert.take_cols([j]) == FMatrix.identity(ext, 1)
     assert hits and misses
 
 
@@ -479,6 +495,17 @@ def test_unfolding_matches_referee_on_suite(irreducible_suite, synthesized_suite
     assert explicit
 
 
+def test_certificate_is_a_basis_of_the_left_nullspace_of_f(synthesized_suite):
+    """C F = 0 and rank C = s = D - rank F, so the certificate's rows span
+    F's left nullspace: C and N = left_nullspace_basis(F) share one reduced
+    echelon form, and its pivots are the key coordinates."""
+    for _, _, scheme in synthesized_suite:
+        got = rref(scheme.certificate)
+        want = rref(left_nullspace_basis(scheme.comm_matrix))
+        assert got.matrix == want.matrix
+        assert got.pivots == scheme.key.coords
+
+
 def test_unfolding_matches_referee_with_edges_out_of_id_order():
     # node 1 meets edges 3, 0, 2 in listed order; its relay columns still
     # follow ascending child edge id
@@ -588,9 +615,9 @@ def synth_random_referee(src, wt, seed):
     null_basis = left_nullspace_basis(lift(wt.matrix, ext))
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
-        cert = sample_alignment_certificate(src, null_basis, src.min_mult, rng)
-        if cert is not None:
-            return _synth_from_certificate(src, wt, ext, cert, _default_root(src))
+        draw = sample_alignment_certificate(src, null_basis, src.min_mult, rng)
+        if draw is not None:
+            return _synth_from_certificate(src, wt, ext, *draw, _default_root(src))
     raise AssertionError("referee found no certificate")
 
 
