@@ -411,16 +411,18 @@ def left_nullspace_basis(m: FMatrix) -> FMatrix:
     return right_nullspace_basis(m.transpose()).transpose()
 
 
-def _left_null_and_ginverse(f: FMatrix) -> tuple[FMatrix, FMatrix]:
-    """(N, L) for f (d x c) from one elimination of [f^T | I_c].
+def _left_null_and_ginverse(f: FMatrix) -> tuple[FMatrix, FMatrix, tuple[int, ...]]:
+    """(N, L, free) for f (d x c) from one elimination of [f^T | I_c].
 
     The rows of N (k x d, k = d - rank f) are the basis of {y : y @ f = 0}
     that left_nullspace_basis(f) returns, read off the free columns of the
-    left block.  L (c x d) is a generalized inverse, f @ L @ f = f: with
-    E the right block (the row operations), column p_k of L is row k of E,
-    for the k-th pivot column p_k.  Row k of E @ f^T has a 1 at p_k and 0 at
-    the other pivots and spans the rows of f^T, which gives f^T L^T f^T =
-    f^T.
+    left block.  `free` lists those k free (non-pivot) coordinates in
+    ascending order; N is the identity there: row i of N is 1 at free[i]
+    and 0 at the other free coordinates.  L (c x d) is a generalized
+    inverse, f @ L @ f = f: with E the right block (the row operations),
+    column p_k of L is row k of E, for the k-th pivot column p_k.  Row k of
+    E @ f^T has a 1 at p_k and 0 at the other pivots and spans the rows of
+    f^T, which gives f^T L^T f^T = f^T.
     """
     ctx, d, c = f.ctx, f.rows, f.cols
     r = rref(f.transpose().hstack(FMatrix.identity(ctx, c)), pivot_cols=d)
@@ -430,7 +432,9 @@ def _left_null_and_ginverse(f: FMatrix) -> tuple[FMatrix, FMatrix]:
     lt = [(0,) * c] * d
     for k, p in enumerate(r.pivots):
         lt[p] = red[k][d:]
-    return null, _mat(ctx, lt, c).transpose()
+    pivotset = set(r.pivots)
+    free = tuple(j for j in range(d) if j not in pivotset)
+    return null, _mat(ctx, lt, c).transpose(), free
 
 
 def col_space_intersect(a: FMatrix, b: FMatrix) -> FMatrix:

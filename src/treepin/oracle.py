@@ -23,6 +23,7 @@ enumeration with exact counts, no rank shortcut.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,11 +59,17 @@ def _base_code_matrix(m: FMatrix) -> np.ndarray:
     return np.array(m.to_code_rows(), dtype=np.int64).reshape(m.rows, m.cols)
 
 
+@functools.lru_cache(maxsize=1)
 def _all_vectors(q: int, dim: int) -> np.ndarray:
-    """(q**dim, dim) array of all base vectors, coordinate j = digit j."""
+    """(q**dim, dim) array of all base vectors, coordinate j = digit j.
+
+    The oracles of one check enumerate the same space over and over, so the
+    last array is kept; it is read-only because every caller shares it."""
     idx = np.arange(q**dim, dtype=np.int64)
     powers = q ** np.arange(dim, dtype=np.int64)
-    return (idx[:, None] // powers[None, :]) % q
+    vectors = (idx[:, None] // powers[None, :]) % q
+    vectors.setflags(write=False)
+    return vectors
 
 
 def _image_labels(

@@ -25,23 +25,46 @@ N and L serve the eavesdropper's replay: the tap W is predictable from the
 communication iff N @ W = 0, L @ W then reconstructs it, and
 d - rank([F | W]) = k - rank(N @ W) dimensions stay unknown to it.
 
-Trials run in batches of up to _CHUNK rows.  The draws of a batch become
-a rows x (base_dim * n) array of base-q digits, and every linear map (the
-communication, L, each node's R_v, N, the key, the lifted tap and the
-reconstruction) is applied to the whole batch as its F_q realisation
+Trials run in batches of up to _CHUNK rows, and each batch is a fixed
+number of array operations, whatever the vertex count.  Every linear map
+is applied to the whole batch as its F_q realisation
 (`falinalg.expand_to_base`): one integer matrix product reduced mod q.
 Running GF(q**n) maps as F_q-linear maps on digit arrays is how the galois
 package (https://github.com/mhostetter/galois) vectorises extension-field
 arithmetic.  Arrays are int64 while every inner product fits (small q),
-Python-int object arrays above that.  The draws are the same
-`randrange(order)` calls, trial by trial, as a loop over single trials
-would make, so the tallies and the order of `key_counts` do not depend on
-the batching.
+Python-int object arrays above that.  A batch runs:
+
+- Draws.  They are the values `randrange(order)` returns, in order, so the
+  tallies and the order of `key_counts` do not depend on the batching.  For
+  an order of at most 32 bits randrange keeps the top order.bit_length()
+  bits of one MT19937 word and draws again while the value is >= order.
+  getrandbits(32 * m) returns m such words, lowest first, so one call, one
+  shift and one filter give a batch of draws; accepted values past the
+  batch wait in a buffer for the next one.  Wider orders (only a prime
+  field above 2**32 has one) call randrange once per value.
+- One product of the digits x with [F | key | W] (W only when the tap is
+  replayed) gives comm, the key and the tap.  Keys are tallied with a
+  Counter, which keeps first-seen order.
+- Decoders, stacked.  e = x - x0 = (x - comm @ L) mod q.  Node v's digit
+  columns are padded to the widest view into one (V, w*n) index array, and
+  its R_v, padded with zero rows, into one (V, w*n, k*n) array, so
+  y = e[:, cols] @ R, one batched product, is every node's y_v at once.
+- Decode check.  N is the identity at the free coordinates of the
+  elimination; let a be the digits of e there.  x0 + y_v @ N = x means
+  y_v @ N = e, and at the free coordinates y_v @ N is y_v itself, so node v
+  decodes iff y_v = a and a @ N = e: one rows x (d*n) check for all nodes.
+- Key mismatches.  A node that decodes holds x itself, and its key x @ K
+  is the true key, so `key_mismatches` is 0 by construction; the field
+  stays in SimReport because the CLI prints it.  The per-trial referee in
+  tests/test_simulate.py still computes it from each decoded vector.
+- Tap replay.  The prediction comm @ (L @ W) equals x0 @ W, so it misses
+  the observation x @ W iff e @ W != 0.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +74,7 @@ from .falinalg import (
     _from_digits,
     _int_dtype,
     _left_null_and_ginverse,
+    _mat,
     _to_digits,
     left_inverse,
     lift,
@@ -86,8 +110,40 @@ class SimReport:
         )
 
 
-# Trials per batch: bounds every digit array at _CHUNK x (base_dim + cols) * n.
+# Trials per batch: bounds every digit array at _CHUNK x (base_dim + cols) * n
+# entries, and the stacked decoder gather at _CHUNK x vertex_count x w * n.
 _CHUNK = 1024
+
+
+def _code_draws(rng: random.Random, order: int, dtype):
+    """draw(count): the next `count` values of rng.randrange(order), as a
+    dtype array.  Up to 32 bits, randrange's rule (top bits of one MT19937
+    word, rejected while >= order) runs on whole words from getrandbits;
+    the module docstring has the details."""
+    shift = 32 - order.bit_length()
+    if shift < 0:
+        randrange = rng.randrange
+
+        def draw(count: int) -> np.ndarray:
+            return np.array([randrange(order) for _ in range(count)], dtype=dtype)
+
+        return draw
+
+    getrandbits = rng.getrandbits
+    accept = order / 2 ** order.bit_length()   # at least 1/2
+    left = np.empty(0, dtype=np.uint32)
+
+    def draw(count: int) -> np.ndarray:
+        nonlocal left
+        while len(left) < count:
+            words = int((count - len(left)) / accept) + 16
+            raw = getrandbits(32 * words).to_bytes(4 * words, "little")
+            values = np.frombuffer(raw, "<u4") >> shift
+            left = np.concatenate([left, values[values < order]])
+        out, left = left[:count], left[count:]
+        return out.astype(dtype)
+
+    return draw
 
 
 def run_protocol(
@@ -114,75 +170,74 @@ def run_protocol(
     # node v recovers x = x0 + ((x_v - x0_v) @ R_v) @ N, with x0 = comm @ L
     # shared by all nodes and R_v a right inverse of N's columns at v's
     # coordinates, which exists iff v can decode.
-    null, ginv = _left_null_and_ginverse(f)
+    null, ginv, free = _left_null_and_ginverse(f)
+    k = null.rows
     dtype = _int_dtype(ext, (d + f.cols) * n)
-    decoders = []
-    for v in range(source.vertex_count):
-        coords = source.node_view(v).coords
+    views = [source.node_view(v).coords for v in range(source.vertex_count)]
+    width = max(map(len, views), default=0)
+    # R_v stacked, each padded with zero rows to `width` rows; the padded
+    # digit columns point at column 0 and meet only those zero rows
+    stacked: list[list[int]] = []
+    digit_cols = np.zeros((len(views), width * n), dtype=np.intp)
+    for v, coords in enumerate(views):
         try:
-            right_inv = left_inverse(null.take_cols(coords).transpose())
+            left_inv = left_inverse(null.take_cols(coords).transpose())
         except ValueError:
             raise SimulationError(
                 f"node {v} cannot reach omniscience with this scheme"
             ) from None
-        digit_cols = np.array(
-            [c * n + k for c in coords for k in range(n)], dtype=np.intp
-        )
-        decoders.append((digit_cols, _expand(right_inv.transpose(), dtype)))
+        stacked += left_inv.transpose().to_code_rows()
+        stacked += [(0,) * k] * (width - len(coords))
+        digit_cols[v, : len(coords) * n] = [c * n + i for c in coords for i in range(n)]
+    right_invs = _expand(_mat(ext, stacked, k), dtype).reshape(len(views), width * n, k * n)
+    free_cols = np.array([c * n + i for c in free for i in range(n)], dtype=np.intp)
 
     wl = lift(wiretapper.matrix, ext)
     tap = null @ wl
-    recon = ginv @ wl if tap.is_zero() else None
-    unknown_dims = null.rows - rank(tap)
-
-    comm_map = _expand(f, dtype)
+    predictable = tap.is_zero()
+    unknown_dims = k - rank(tap)
+    # the tap is replayed only for an aligned scheme with a nonempty tap
+    replay = predictable and wl.cols > 0
+    # F, the key and the tap share their d rows, and so one expansion
+    comm_cols, key_cols = f.cols * n, scheme.key.matrix.cols * n
+    maps = _expand(f.hstack(scheme.key.matrix, wl), dtype)
+    comm_key_map = maps[:, : comm_cols + key_cols]
+    wiretap_map = maps[:, comm_cols + key_cols :]
     ginv_map = _expand(ginv, dtype)
     null_map = _expand(null, dtype)
-    key_map = _expand(scheme.key.matrix, dtype)
-    # the tap is replayed only for an aligned scheme with a nonempty tap
-    wiretap_map = recon_map = None
-    if recon is not None and wl.cols:
-        wiretap_map, recon_map = _expand(wl, dtype), _expand(recon, dtype)
 
-    rng = random.Random(seed)
-    randrange, order = rng.randrange, ext.order
+    draw = _code_draws(random.Random(seed), ext.order, dtype)
     decode_failures = 0
-    key_mismatches = 0
     mispredictions = 0
-    key_counts: dict[tuple[int, ...], int] = {}
+    key_counts: Counter[tuple[int, ...]] = Counter()
 
     for start in range(0, trials, _CHUNK):
         rows = min(_CHUNK, trials - start)
-        codes = np.array([randrange(order) for _ in range(rows * d)], dtype=dtype)
-        x = _to_digits(codes.reshape(rows, d), ext)
-        comm = x @ comm_map % q
-        key_true = x @ key_map % q
-        for key in map(tuple, _from_digits(key_true, ext).tolist()):
-            key_counts[key] = key_counts.get(key, 0) + 1
+        x = _to_digits(draw(rows * d).reshape(rows, d), ext)
+        out = x @ comm_key_map % q
+        key_counts.update(map(tuple, _from_digits(out[:, comm_cols:], ext).tolist()))
 
-        x0 = comm @ ginv_map % q
-        for digit_cols, right_inv in decoders:
-            y = (x[:, digit_cols] - x0[:, digit_cols]) @ right_inv % q
-            recovered = (x0 + y @ null_map) % q
-            decoded = (recovered == x).all(axis=1)
-            decode_failures += rows - int(np.count_nonzero(decoded))
-            key_here = recovered[decoded] @ key_map % q
-            key_mismatches += int(
-                np.count_nonzero((key_here != key_true[decoded]).any(axis=1))
-            )
+        # node v decodes iff y_v @ N = e, and N is the identity at the free
+        # coordinates (see the module docstring)
+        e = (x - out[:, :comm_cols] @ ginv_map) % q
+        y = e[:, digit_cols].transpose(1, 0, 2) @ right_invs % q
+        a = e[:, free_cols]
+        consistent = ((a @ null_map - e) % q == 0).all(axis=1)
+        decoded = (y == a).all(axis=2) & consistent
+        decode_failures += decoded.size - int(np.count_nonzero(decoded))
 
-        if recon_map is not None:
-            z = x @ wiretap_map % q
-            z_pred = comm @ recon_map % q
-            mispredictions += int(np.count_nonzero((z_pred != z).any(axis=1)))
+        if replay:
+            # the prediction comm @ (L @ W) is x0 @ W, so it misses iff e @ W != 0
+            mispredictions += int(np.count_nonzero((e @ wiretap_map % q).any(axis=1)))
 
     return SimReport(
         trials=trials,
         block_len=n,
         decode_failures=decode_failures,
-        key_mismatches=key_mismatches,
-        wiretap_predictable=recon is not None,
+        # a node that decodes holds x itself, so its key x @ K is the true key
+        key_mismatches=0,
+        wiretap_predictable=predictable,
         wiretap_mispredictions=mispredictions,
         eavesdropper_unknown_dims=unknown_dims,
-        key_counts=key_counts,
+        key_counts=dict(key_counts),
     )

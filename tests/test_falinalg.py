@@ -360,8 +360,9 @@ def test_nullspaces_match_reduced_echelon_reference(m):
 @settings(max_examples=150, deadline=None)
 @given(matrices(PRIME_FIELDS + EXT_FIELDS + [make_ext_field(2, 13)]))
 def test_left_null_and_ginverse(f):
-    null, ginv = _left_null_and_ginverse(f)
+    null, ginv, free = _left_null_and_ginverse(f)
     assert null == left_nullspace_basis(f)
+    assert null.take_cols(free) == FMatrix.identity(f.ctx, null.rows)
     assert ginv.shape == (f.cols, f.rows)
     assert f @ ginv @ f == f
 

@@ -129,6 +129,16 @@ def split_source_property_check(
     return True
 
 
+def test_all_vectors_is_shared_and_read_only():
+    vectors = _all_vectors(3, 2)
+    assert vectors.tolist() == [[a % 3, a // 3] for a in range(9)]
+    assert _all_vectors(3, 2) is vectors
+    assert not vectors.flags.writeable
+    with pytest.raises(ValueError):
+        vectors[0, 0] = 1
+    assert _all_vectors(2, 3).shape == (8, 3)
+
+
 def test_entropy_examples():
     assert entropy_exhaustive(FMatrix.zeros(F2, 3, 2), 2) == 0.0
     assert entropy_exhaustive(FMatrix.identity(F2, 3), 2) == 3.0

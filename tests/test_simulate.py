@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from treepin import (
     CommScheme,
@@ -21,8 +23,17 @@ from treepin import (
     synth_explicit_unit,
     synth_random,
 )
-from treepin.falinalg import left_inverse, lift, rank, solve_right
-from treepin.simulate import _CHUNK
+from treepin import simulate
+from treepin.falinalg import (
+    _expand,
+    _int_dtype,
+    _to_digits,
+    left_inverse,
+    lift,
+    rank,
+    solve_right,
+)
+from treepin.simulate import _CHUNK, _code_draws
 
 from conftest import (
     parity_path,
@@ -364,3 +375,161 @@ def test_tap_outside_col_f_matches_referee(q, n):
     assert list(got.key_counts.items()) == list(want.key_counts.items())
     assert not got.wiretap_predictable
     assert got.eavesdropper_unknown_dims == scheme.s - 1
+
+
+# ---------------------------------------------------------------------------
+# Draws: whole MT19937 words against randrange, value by value.
+
+DRAW_ORDERS = [
+    2, 8, 2**16, 2**31,                   # powers of two
+    3, 9, 5**3, 7**2, 3**13, 3**20,       # odd prime powers
+    2**31 + 11, 2**32 - 1,                # largest shift 1 and shift 0
+]
+DRAW_SPLIT = (1, 0, 5, 1000, 3, 2500, 7)
+
+
+def _split_draws(order, seed, split, dtype=np.int64):
+    draw = _code_draws(random.Random(seed), order, dtype)
+    parts = [draw(count) for count in split]
+    assert [len(p) for p in parts] == list(split)
+    assert all(p.dtype == dtype for p in parts)
+    return [v for p in parts for v in p.tolist()]
+
+
+def _randrange_draws(order, seed, count):
+    rng = random.Random(seed)
+    return [rng.randrange(order) for _ in range(count)]
+
+
+@pytest.mark.parametrize("order", DRAW_ORDERS)
+@pytest.mark.parametrize("seed", (0, 7, 20260419))
+def test_code_draws_match_randrange(order, seed):
+    """The stream split over several calls, so the buffer of accepted
+    values carries draws from one call into the next."""
+    want = _randrange_draws(order, seed, sum(DRAW_SPLIT))
+    assert _split_draws(order, seed, DRAW_SPLIT) == want
+    assert _split_draws(order, seed, (sum(DRAW_SPLIT),)) == want
+
+
+@seed(20260419)
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.integers(2, 2**32 - 1),
+        st.sampled_from(DRAW_ORDERS),
+        st.builds(pow, st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 9)),
+    ),
+    st.integers(0, 2**64),
+    st.lists(st.integers(0, 400), max_size=8),
+)
+def test_code_draws_match_randrange_hypothesis(order, seed_value, split):
+    want = _randrange_draws(order, seed_value, sum(split))
+    assert _split_draws(order, seed_value, split) == want
+
+
+class _CountingRandom(random.Random):
+    def randrange(self, *args):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize(
+    "order, dtype, calls",
+    [
+        (2**32 - 1, np.int64, 0),
+        (2**32, np.int64, 300),         # 33 bits
+        (4294967311, object, 300),      # the prime above 2**32
+        (7**20, np.int64, 300),
+    ],
+)
+def test_orders_above_32_bits_call_randrange(order, dtype, calls):
+    rng = _CountingRandom(5)
+    draw = _code_draws(rng, order, dtype)
+    got = draw(100).tolist() + draw(200).tolist()
+    assert getattr(rng, "calls", 0) == calls
+    assert got == _randrange_draws(order, 5, 300)
+
+
+# ---------------------------------------------------------------------------
+# The stacked decode check against the per-node check it replaced: node v
+# decodes a trial iff (x0 + y_v @ N) % q == x.  The per-trial referee above
+# builds its own decoders, so it cannot see a fault in run_protocol's L or
+# R_v; this one reads them through the functions run_protocol calls.
+
+
+def _per_node_decode_failures(scheme, source, seed, trials):
+    ext = scheme.ext_ctx
+    q, n, d = ext.q, ext.n, source.base_dim
+    f = scheme.comm_matrix
+    null, ginv, _ = simulate._left_null_and_ginverse(f)
+    dtype = _int_dtype(ext, (d + f.cols) * n)
+    rng = random.Random(seed)
+    codes = np.array([rng.randrange(ext.order) for _ in range(trials * d)], dtype=dtype)
+    x = _to_digits(codes.reshape(trials, d), ext)
+    x0 = (x @ _expand(f, dtype) % q) @ _expand(ginv, dtype) % q
+    null_map = _expand(null, dtype)
+    failures = 0
+    for v in range(source.vertex_count):
+        coords = source.node_view(v).coords
+        right_inv = simulate.left_inverse(null.take_cols(coords).transpose()).transpose()
+        cols = [c * n + i for c in coords for i in range(n)]
+        y = (x[:, cols] - x0[:, cols]) @ _expand(right_inv, dtype) % q
+        recovered = (x0 + y @ null_map) % q
+        failures += trials - int(np.count_nonzero((recovered == x).all(axis=1)))
+    return failures
+
+
+def _bumped(m, i, j):
+    """m with 1 added to entry (i, j)."""
+    rows = m.to_code_rows()
+    rows[i][j] = m.ctx.add_code(rows[i][j], 1)
+    return FMatrix.from_rows(m.ctx, rows, cols=m.cols)
+
+
+FAULT_FIELDS = [(2, 1), (3, 1), (2, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("q, n", FAULT_FIELDS)
+def test_decode_check_sees_a_wrong_generalized_inverse(monkeypatch, q, n):
+    """L with one entry off at (j, i), F[i][j] != 0: then x0 @ F differs
+    from comm whenever comm_j != 0, and no node can recover x."""
+    src, wt, scheme = _scheme_over(q, n, seed=q * 10 + n)
+    f = scheme.comm_matrix.to_code_rows()
+    i, j = next((i, j) for i, row in enumerate(f) for j, c in enumerate(row) if c)
+    real = simulate._left_null_and_ginverse
+
+    def wrong(m):
+        null, ginv, free = real(m)
+        return null, _bumped(ginv, j, i), free
+
+    monkeypatch.setattr(simulate, "_left_null_and_ginverse", wrong)
+    rep = run_protocol(scheme, src, wt, seed=11, trials=200)
+    assert rep.decode_failures > 0
+    assert rep.decode_failures == _per_node_decode_failures(scheme, src, 11, 200)
+    assert not rep.perfect
+
+
+@pytest.mark.parametrize("q, n", FAULT_FIELDS)
+def test_decode_check_sees_a_wrong_right_inverse(monkeypatch, q, n):
+    """R_v of one node with one entry off, at a coordinate t of that node
+    where N is nonzero: y_v is off whenever e_t != 0."""
+    src, wt, scheme = _scheme_over(q, n, seed=q * 10 + n)
+    null, _, _ = simulate._left_null_and_ginverse(scheme.comm_matrix)
+    cols = null.transpose().to_code_rows()
+    v, t = next(
+        (v, t)
+        for v in range(src.vertex_count)
+        for t, c in enumerate(src.node_view(v).coords)
+        if any(cols[c])
+    )
+    target = null.take_cols(src.node_view(v).coords).transpose()
+
+    def wrong(m):
+        inv = left_inverse(m)
+        return _bumped(inv, 0, t) if m == target else inv
+
+    monkeypatch.setattr(simulate, "left_inverse", wrong)
+    rep = run_protocol(scheme, src, wt, seed=12, trials=200)
+    assert rep.decode_failures > 0
+    assert rep.decode_failures == _per_node_decode_failures(scheme, src, 12, 200)
+    assert rep.decode_failures <= 200   # the other nodes still decode
