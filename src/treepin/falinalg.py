@@ -6,11 +6,11 @@ appear only at the API edge: the public constructors take and validate
 them, and `m[i, j]`, `row` and `col` hand them out.  Everything inside works
 on the codes with the context's bound code operations.
 
-`rref` and `rank` share one elimination kernel, `_eliminate`: plain
-Gaussian elimination with deterministic pivoting (first nonzero entry
-scanning top to bottom), so repeated runs produce identical results.  One
-kernel over integer codes, with the field arithmetic supplied by the
-context, follows the design of the galois package
+`rref`, `rank` and `left_inverse` share one elimination kernel,
+`_eliminate`: plain Gaussian elimination with deterministic pivoting (first
+nonzero entry scanning top to bottom), so repeated runs produce identical
+results.  One kernel over integer codes, with the field arithmetic supplied
+by the context, follows the design of the galois package
 (https://github.com/mhostetter/galois).  No floats anywhere.
 """
 
@@ -315,13 +315,20 @@ def inverse(m: FMatrix) -> FMatrix:
 
 
 def left_inverse(m: FMatrix) -> FMatrix:
-    """E with E @ m = identity; requires full column rank."""
-    r = rref(m.hstack(FMatrix.identity(m.ctx, m.rows)), pivot_cols=m.cols)
-    if r.rank < m.cols:
+    """E with E @ m = identity; requires full column rank.
+
+    One Gauss-Jordan elimination of the code rows of [m | I], pivoting in
+    m's columns only: the first m.cols rows then end in E.
+    """
+    c = m.cols
+    rows = []
+    for i, r in enumerate(m._codes):
+        row = list(r) + [0] * m.rows
+        row[c + i] = 1
+        rows.append(row)
+    if len(_eliminate(m.ctx, rows, c, full=True)) < c:
         raise ValueError("matrix does not have full column rank")
-    return r.matrix.take_rows(range(m.cols)).take_cols(
-        range(m.cols, m.cols + m.rows)
-    )
+    return _mat(m.ctx, [r[c:] for r in rows[:c]], m.rows)
 
 
 def solve_right(a: FMatrix, b: FMatrix) -> FMatrix | None:

@@ -21,7 +21,11 @@ straight into F as integer codes.
 
 The key coordinates are the greedy completion of col F by standard basis
 vectors.  For N the left-null basis of F, rank([F | X]) = rank F +
-rank(N X), so they are the pivot columns of the echelon form of N.
+rank(N X), so they are the pivot columns of the reduced echelon form of N.
+The certificate C spans the same row space as N (C F = 0 and rank C = s =
+base_dim - rank F), so synthesis reads them off the pivots of rref(C),
+which equal those of N.  The scheme is valid by construction and is not
+validated again; a loaded scheme is.
 
 Synthesis strategies:
 
@@ -87,6 +91,11 @@ class KeyExtractor:
 
     matrix: FMatrix
     coords: tuple[int, ...]
+
+
+def _key_at(ext: ExtFieldCtx, base_dim: int, coords: tuple[int, ...]) -> KeyExtractor:
+    """The key map that reads the block vector at `coords`."""
+    return KeyExtractor(matrix=FMatrix.basis_columns(ext, base_dim, coords), coords=coords)
 
 
 @dataclass
@@ -248,14 +257,25 @@ def sample_alignment_certificate(
 
 def _synth_from_certificate(
     source: TreePinSource,
-    wiretapper: Wiretapper,
     ext: ExtFieldCtx,
     cert: FMatrix,
     lead_inv: dict[int, FMatrix],
     root: int,
 ) -> CommScheme:
     """Unfold the certificate into the scheme in one walk from the root;
-    lead_inv holds S_e^-1 for every edge, as _lead_inverses gives it."""
+    lead_inv holds S_e^-1 for every edge, as _lead_inverses gives it.
+
+    The result is valid by construction, so it is not validated again:
+    every mix block -S_e^-1 S_up is a product of invertible blocks; F's
+    d - s columns are independent (on each child edge's lead block its
+    relay columns are an invertible mix block, and each surplus column has
+    its own unit); rank C = s because each S_e is invertible; C F = 0 by the
+    relay and surplus identities; and C annihilates the tap because the
+    caller drew C from the row space of the lifted N_W.  So C spans F's
+    left nullspace, and the key coordinates, the pivots of N's reduced
+    echelon form, are those of C's: an s-row elimination instead of one
+    of F.
+    """
     s = source.min_mult
     d = source.base_dim
     parent_edge: dict[int, int] = {}
@@ -307,7 +327,7 @@ def _synth_from_certificate(
         if up in surplus_mix:
             add_columns(v, range(block.start + s, block.stop), block.start, surplus_mix[up])
 
-    scheme = CommScheme(
+    return CommScheme(
         ext_ctx=ext,
         s=s,
         comm_matrix=_mat(ext, cols, d).transpose(),  # d x 0 when cols is empty
@@ -316,10 +336,8 @@ def _synth_from_certificate(
         child_mix=child_mix,
         surplus_mix=surplus_mix,
         certificate=cert,
+        key=_key_at(ext, d, rref(cert).pivots),
     )
-    scheme.key = extract_key(scheme)
-    scheme.validate(source, wiretapper)
-    return scheme
 
 
 def _irreducible_tap_null(source: TreePinSource, wiretapper: Wiretapper) -> FMatrix:
@@ -354,7 +372,7 @@ def synth_random(
     for _ in range(_MAX_ATTEMPTS):
         draw = sample_alignment_certificate(source, null_basis, s, rng)
         if draw is not None:
-            return _synth_from_certificate(source, wiretapper, ext, *draw, root)
+            return _synth_from_certificate(source, ext, *draw, root)
     raise SchemeError(
         f"no nonsingular certificate found in {_MAX_ATTEMPTS} attempts"
     )
@@ -396,9 +414,7 @@ def synth_explicit_unit(
         raise AssertionError(
             "zero certificate entry; instance was not irreducible"
         )
-    return _synth_from_certificate(
-        source, wiretapper, ext, cert, lead_inv, _default_root(source)
-    )
+    return _synth_from_certificate(source, ext, cert, lead_inv, _default_root(source))
 
 
 def extract_key(scheme: CommScheme) -> KeyExtractor:
@@ -412,10 +428,7 @@ def extract_key(scheme: CommScheme) -> KeyExtractor:
     null = scheme.null
     if null.rows != scheme.s:
         raise SchemeError("communication matrix does not leave an s-dim key space")
-    coords = rref(null).pivots
-    return KeyExtractor(
-        matrix=FMatrix.basis_columns(scheme.ext_ctx, null.cols, coords), coords=coords
-    )
+    return _key_at(scheme.ext_ctx, null.cols, rref(null).pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +644,7 @@ def load_scheme(text: str) -> CommScheme:
                 raise SchemeError(
                     f"keycols must be distinct coordinates in [0, {comm.rows})"
                 )
-            key = KeyExtractor(
-                matrix=FMatrix.basis_columns(ext, comm.rows, coords),
-                coords=coords,
-            )
+            key = _key_at(ext, comm.rows, coords)
         else:
             raise SchemeError(f"unknown scheme block {parts[0]!r}")
     return CommScheme(

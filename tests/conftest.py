@@ -18,6 +18,7 @@ from treepin import (
     make_ext_field,
     random_instance,
     reduce_full,
+    synth_explicit_unit,
     synth_random,
 )
 from treepin.falinalg import left_nullspace_basis, lift, rank, right_nullspace_basis, rref
@@ -156,11 +157,7 @@ def scheme_over(q, n, seed):
         draw = sample_alignment_certificate(src, null_basis, src.min_mult, rng)
         if draw is None:
             continue
-        try:
-            scheme = _synth_from_certificate(src, wt, ext, *draw, _default_root(src))
-        except SchemeError:
-            continue
-        return src, wt, scheme
+        return src, wt, _synth_from_certificate(src, ext, *draw, _default_root(src))
     raise AssertionError(f"no scheme found over GF({q}^{n})")
 
 
@@ -335,6 +332,21 @@ def synthesized_suite(irreducible_suite):
     out = []
     for i, (source, wt) in enumerate(irreducible_suite):
         out.append((source, wt, synth_random(source, wt, seed=31000 + i)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def explicit_unit_suite(irreducible_suite):
+    """synth_explicit_unit on the all-unit members of the suite with a tap
+    that the explicit certificate covers."""
+    out = []
+    for source, wt in irreducible_suite:
+        if wt.dim and all(e.mult == 1 for e in source.edges):
+            try:
+                out.append((source, wt, synth_explicit_unit(source, wt)))
+            except SchemeError:
+                continue
+    assert out
     return out
 
 

@@ -151,6 +151,43 @@ def test_left_inverse():
         left_inverse(wide)
 
 
+def left_inverse_referee(m):
+    """Referee: the reduced echelon form of [m | I], pivoting in m's
+    columns, read off as FMatrix blocks."""
+    r = rref(m.hstack(FMatrix.identity(m.ctx, m.rows)), pivot_cols=m.cols)
+    if r.rank < m.cols:
+        raise ValueError("matrix does not have full column rank")
+    return r.matrix.take_rows(range(m.cols)).take_cols(range(m.cols, m.cols + m.rows))
+
+
+@pytest.mark.parametrize("ctx", [F16, make_ext_field(2, 13), make_ext_field(7, 1)])
+def test_left_inverse_matches_referee(ctx):
+    """The code-row kernel gives the very inverse the [m | I] echelon form
+    gives, on square and tall matrices (1 x 1 included); a rank-deficient
+    m raises ValueError, and inverse still refuses a non-square m."""
+    rng = random.Random(ctx.order)
+    shapes = [(1, 1), (2, 2), (3, 3), (2, 1), (4, 2), (5, 3)]
+    for rows, cols in shapes:
+        for _ in range(8):
+            m = random_matrix(ctx, rows, cols, rng)
+            if rank(m) < cols:
+                continue
+            got = left_inverse(m)
+            assert got == left_inverse_referee(m)
+            assert got @ m == FMatrix.identity(ctx, cols)
+            if rows == cols:
+                assert inverse(m) == got
+    for rows, cols in shapes:
+        # a repeated column, or a zero one, leaves the rank below cols
+        m = random_matrix(ctx, rows, cols, rng)
+        m = m.take_cols([0] * cols) if cols > 1 else FMatrix.zeros(ctx, rows, 1)
+        for fn in (left_inverse, left_inverse_referee):
+            with pytest.raises(ValueError, match="full column rank"):
+                fn(m)
+    with pytest.raises(ValueError, match="non-square"):
+        inverse(random_matrix(ctx, 3, 2, rng))
+
+
 def test_zassenhaus_dimension_law():
     """dim(U cap V) = dim U + dim V - dim(U + V) on random subspaces."""
     rng = random.Random(23)

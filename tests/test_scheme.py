@@ -252,14 +252,15 @@ def test_validate_checks_wiretap_annihilation():
 
 
 def test_null_is_built_once_per_scheme(monkeypatch):
-    """synth_random eliminates F once for the key and its closing validate;
-    a loaded scheme's validate and verify_scheme share one elimination too.
-    The cached N takes no part in == or repr."""
+    """synth_random never eliminates F: its key comes from the certificate
+    and the scheme is valid by construction.  A loaded scheme's validate and
+    verify_scheme share one elimination.  The cached N takes no part in ==
+    or repr."""
     built = count_null_builds(monkeypatch)
     for i, (src, wt) in enumerate(build_irreducible_suite(20)):
         before = len(built)
         scheme = synth_random(src, wt, seed=400 + i)
-        assert built[before:] == [scheme.comm_matrix]
+        assert built[before:] == []
         text = save_scheme(scheme)
         loaded = load_scheme(text)
         before = len(built)
@@ -480,30 +481,30 @@ def assert_matches_unfolding_referee(src, scheme):
     assert scheme.key.coords == completion_indices(comm)
 
 
-def test_unfolding_matches_referee_on_suite(irreducible_suite, synthesized_suite):
-    for src, _, scheme in synthesized_suite:
+def test_unfolding_matches_referee_on_suite(synthesized_suite, explicit_unit_suite):
+    for src, _, scheme in synthesized_suite + explicit_unit_suite:
         assert_matches_unfolding_referee(src, scheme)
-    explicit = 0
-    for src, wt in irreducible_suite:
-        if wt.dim and all(e.mult == 1 for e in src.edges):
-            try:
-                scheme = synth_explicit_unit(src, wt)
-            except SchemeError:
-                continue
-            assert_matches_unfolding_referee(src, scheme)
-            explicit += 1
-    assert explicit
+
+
+def test_synthesized_schemes_pass_validate(synthesized_suite, explicit_unit_suite):
+    """Synthesis does not validate what it builds; every scheme it gives
+    still passes the full validate, certificate and tap checks included,
+    and its key coordinates are the pivots of N = left_nullspace_basis(F)."""
+    for src, wt, scheme in synthesized_suite + explicit_unit_suite:
+        scheme.validate(src, wt)
+        want = rref(left_nullspace_basis(scheme.comm_matrix)).pivots
+        assert scheme.key.coords == want
 
 
 def test_certificate_is_a_basis_of_the_left_nullspace_of_f(synthesized_suite):
     """C F = 0 and rank C = s = D - rank F, so the certificate's rows span
     F's left nullspace: C and N = left_nullspace_basis(F) share one reduced
-    echelon form, and its pivots are the key coordinates."""
+    echelon form, and its pivots (the N referee) are the key coordinates."""
     for _, _, scheme in synthesized_suite:
         got = rref(scheme.certificate)
         want = rref(left_nullspace_basis(scheme.comm_matrix))
         assert got.matrix == want.matrix
-        assert got.pivots == scheme.key.coords
+        assert scheme.key.coords == want.pivots
 
 
 def test_unfolding_matches_referee_with_edges_out_of_id_order():
@@ -617,7 +618,7 @@ def synth_random_referee(src, wt, seed):
     for _ in range(_MAX_ATTEMPTS):
         draw = sample_alignment_certificate(src, null_basis, src.min_mult, rng)
         if draw is not None:
-            return _synth_from_certificate(src, wt, ext, *draw, _default_root(src))
+            return _synth_from_certificate(src, ext, *draw, _default_root(src))
     raise AssertionError("referee found no certificate")
 
 
