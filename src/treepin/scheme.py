@@ -11,31 +11,37 @@ driven by one object: a certificate matrix S (s x base_dim) whose rows
 annihilate both F and the eavesdropper's (lifted) matrix, and whose per-edge
 leading s x s blocks S_e are all invertible.
 
+A certificate is drawn as C = R N_W, R an s x m matrix of uniform entries
+and N_W (m x base_dim) the tap's left-null basis, in the style of random
+linear network coding (Ho et al., IEEE Trans. IT 52(10), 2006).  N_W is
+the identity at the tap's free coordinates, so C's columns there are R's,
+and only its columns at the tap's n_w pivot coordinates are products: a
+draw costs s * m * n_w field products, whether it is kept or rejected.
 Each S_e is inverted once, when the certificate is drawn: the inversion is
-also the draw's nonsingularity test.  The certificate and those inverses
-unfold into the scheme in one pass: a walk from the root records each
-node's parent edge and child edges, and node v's relay block for child edge
-e is -S_e^-1 S_up (S_up the block of v's parent edge), edge e's surplus
-block -S_e^-1 T_e (T_e the rest of S on e).  Their columns are written
-straight into F as integer codes.
+also the draw's nonsingularity test.  The certificate and those inverses,
+all code rows, unfold into the scheme in one pass: a walk from the root
+records each node's parent edge and child edges, and node v's relay block
+for child edge e is -S_e^-1 S_up (S_up the block of v's parent edge), edge
+e's surplus block -S_e^-1 T_e (T_e the rest of S on e).  Their columns are
+written straight into F as integer codes; an FMatrix is built only for
+each stored block, F, the key map and the certificate itself.
 
 The key coordinates are the greedy completion of col F by standard basis
 vectors.  For N the left-null basis of F, rank([F | X]) = rank F +
 rank(N X), so they are the pivot columns of the reduced echelon form of N.
 The certificate C spans the same row space as N (C F = 0 and rank C = s =
-base_dim - rank F), so synthesis reads them off the pivots of rref(C),
-which equal those of N.  The scheme is valid by construction and is not
+base_dim - rank F), so synthesis reads them off the pivots of C, which
+equal those of N.  The scheme is valid by construction and is not
 validated again; a loaded scheme is.
 
-Synthesis strategies:
+Synthesis strategies, both on the path above:
 
- * synth_random: sample the certificate uniformly from the left nullspace
-   of the lifted wiretap matrix and retry while some per-edge block is
-   singular (each attempt fails with probability at most
+ * synth_random: draw R uniformly over GF(q**n) and retry while some
+   per-edge block is singular (each attempt fails with probability at most
    s * edge_count / q**n < 1);
  * synth_explicit_unit: for all-unit multiplicities, a deterministic,
-   seed-free certificate built from a power basis of GF(q**k), k =
-   edge_count - wiretap_dim.
+   seed-free certificate whose R is the power row (1, x, ..., x^(k-1)) of
+   GF(q**k), k = edge_count - wiretap_dim.
 
 Scheme files are line oriented and round-trip exactly; entries are written
 as comma-joined coefficient lists, lowest degree first.  For a field of order
@@ -52,8 +58,8 @@ from functools import lru_cache
 
 from .falinalg import (
     FMatrix,
+    _eliminate,
     _mat,
-    inverse,
     left_nullspace_basis,
     lift,
     rank,
@@ -215,40 +221,100 @@ def choose_extension_degree(source: TreePinSource) -> int:
 
 # ---------------------------------------------------------------------------
 # Certificate machinery
+#
+# A certificate and its lead inverses are code rows (lists of codes of the
+# extension field); synthesis wraps only the blocks a scheme stores in
+# FMatrix objects.
 
 
-def _lead_block(source: TreePinSource, cert: FMatrix, edge_id: int, s: int) -> FMatrix:
-    """The leading s x s block S_e of the certificate on an edge."""
-    start = source.edge_range(edge_id).start
-    return cert.take_cols(range(start, start + s))
+def _neg_product(ext: ExtFieldCtx, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """-(a @ b) on code rows (b has at least one row): each nonzero entry
+    of a is negated once and scales a whole row of b."""
+    add, mul, neg = ext.add_code, ext.mul_code, ext.neg_code
+    width = len(b[0])
+    out = []
+    for arow in a:
+        acc = [0] * width
+        for x, brow in zip(arow, b):
+            if x:
+                x = neg(x)
+                acc = [add(y, mul(x, z)) if z else y for y, z in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
-def _lead_inverses(source: TreePinSource, cert: FMatrix, s: int) -> dict[int, FMatrix] | None:
-    """S_e^-1 for every edge e; None as soon as some S_e is singular."""
-    lead_inv: dict[int, FMatrix] = {}
+def _lead_inverse(ext: ExtFieldCtx, cert: list[list[int]], start: int, s: int) -> list[list[int]] | None:
+    """S_e^-1 for the s x s block of cert at columns start..start+s-1, from
+    one Gauss-Jordan elimination of [S_e | I]; None when S_e is singular.
+    For s = 1, S_e is one entry and its inverse is the field's."""
+    if s == 1:
+        lead = cert[0][start]
+        return [[ext.inv_code(lead)]] if lead else None
+    rows = []
+    for i, r in enumerate(cert):
+        row = r[start : start + s] + [0] * s
+        row[s + i] = 1
+        rows.append(row)
+    if len(_eliminate(ext, rows, s, full=True)) < s:
+        return None
+    return [r[s:] for r in rows]
+
+
+def _certificate(
+    source: TreePinSource,
+    wiretapper: Wiretapper,
+    ext: ExtFieldCtx,
+    coeff: list[list[int]],
+) -> tuple[list[list[int]], dict[int, list[list[int]]]] | None:
+    """C = coeff N_W over ext, as code rows, with S_e^-1 for every edge e
+    (keyed by edge id); None as soon as some S_e is singular.
+
+    N_W is the identity at the tap's free (non-pivot) coordinates: its
+    columns there are the unit vectors, in order.  So C's columns there are
+    coeff's columns, and only C's columns at the tap's pivot coordinates are
+    products, coeff times N_W^T's rows there (lifted code for code): s * m
+    * n_w field products for coeff of shape s x m and n_w pivots."""
+    add, mul = ext.add_code, ext.mul_code
+    pivots = wiretapper.pivot_coords
+    pivot_rows = wiretapper.null_rows(pivots).to_code_rows()
+    cert = []
+    for r in coeff:
+        # before pivot k, len(row) - k free coordinates are written
+        row: list[int] = []
+        for k, (p, prow) in enumerate(zip(pivots, pivot_rows)):
+            row += r[len(row) - k : p - k]
+            acc = 0
+            for a, b in zip(r, prow):
+                if a and b:
+                    acc = add(acc, mul(a, b))
+            row.append(acc)
+        row += r[len(row) - len(pivots) :]
+        cert.append(row)
+    s = len(coeff)
+    lead_inv: dict[int, list[list[int]]] = {}
     for e in source.edges:
-        try:
-            lead_inv[e.edge_id] = inverse(_lead_block(source, cert, e.edge_id, s))
-        except ValueError:
+        inv = _lead_inverse(ext, cert, source.edge_range(e.edge_id).start, s)
+        if inv is None:
             return None
-    return lead_inv
+        lead_inv[e.edge_id] = inv
+    return cert, lead_inv
 
 
 def sample_alignment_certificate(
     source: TreePinSource,
-    null_basis: FMatrix,
+    wiretapper: Wiretapper,
+    ext: ExtFieldCtx,
     s: int,
     rng: random.Random,
-) -> tuple[FMatrix, dict[int, FMatrix]] | None:
-    """One uniform draw of a certificate candidate from the row space of
-    null_basis, with the inverse of each edge's leading block (keyed by
-    edge id); None when some such block is singular."""
-    ext = null_basis.ctx
-    m = null_basis.rows
-    coeff = _mat(ext, [[rng.randrange(ext.order) for _ in range(m)] for _ in range(s)], m)
-    cert = coeff @ null_basis
-    lead_inv = _lead_inverses(source, cert, s)
-    return None if lead_inv is None else (cert, lead_inv)
+) -> tuple[list[list[int]], dict[int, list[list[int]]]] | None:
+    """One uniform draw of a certificate candidate over ext from the row
+    space of N_W, the tap's left-null basis: C = R N_W for an s x m matrix
+    R of uniform entries (m = rows of N_W), drawn row by row.  Returns C's
+    code rows and the code rows of the inverse of each edge's leading s x s
+    block (keyed by edge id); None when some such block is singular."""
+    m = wiretapper.rows - wiretapper.dim
+    coeff = [[rng.randrange(ext.order) for _ in range(m)] for _ in range(s)]
+    return _certificate(source, wiretapper, ext, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +324,23 @@ def sample_alignment_certificate(
 def _synth_from_certificate(
     source: TreePinSource,
     ext: ExtFieldCtx,
-    cert: FMatrix,
-    lead_inv: dict[int, FMatrix],
+    cert: list[list[int]],
+    lead_inv: dict[int, list[list[int]]],
     root: int,
 ) -> CommScheme:
-    """Unfold the certificate into the scheme in one walk from the root;
-    lead_inv holds S_e^-1 for every edge, as _lead_inverses gives it.
+    """Unfold the certificate (code rows) into the scheme in one walk from
+    the root; lead_inv holds the code rows of S_e^-1 for every edge, as
+    sample_alignment_certificate gives them.
 
     The result is valid by construction, so it is not validated again:
     every mix block -S_e^-1 S_up is a product of invertible blocks; F's
     d - s columns are independent (on each child edge's lead block its
     relay columns are an invertible mix block, and each surplus column has
     its own unit); rank C = s because each S_e is invertible; C F = 0 by the
-    relay and surplus identities; and C annihilates the tap because the
-    caller drew C from the row space of the lifted N_W.  So C spans F's
-    left nullspace, and the key coordinates, the pivots of N's reduced
-    echelon form, are those of C's: an s-row elimination instead of one
-    of F.
+    relay and surplus identities; and C annihilates the tap because it was
+    drawn from the row space of N_W.  So C spans F's left nullspace, and the
+    key coordinates, the pivots of N's reduced echelon form, are those of
+    C's: an s-row elimination instead of one of F.
     """
     s = source.min_mult
     d = source.base_dim
@@ -291,21 +357,21 @@ def _synth_from_certificate(
                 stack.append(other)
 
     # S_e B_e = -T_e for the surplus block T_e
-    lead: dict[int, FMatrix] = {}
-    surplus_mix: dict[int, FMatrix] = {}
+    lead: dict[int, list[list[int]]] = {}
+    surplus: dict[int, list[list[int]]] = {}
     for e in source.edges:
-        lead[e.edge_id] = _lead_block(source, cert, e.edge_id, s)
+        block = source.edge_range(e.edge_id)
+        lead[e.edge_id] = [r[block.start : block.start + s] for r in cert]
         if e.mult > s:
-            block = source.edge_range(e.edge_id)
-            tail = cert.take_cols(range(block.start + s, block.stop))
-            surplus_mix[e.edge_id] = -(lead_inv[e.edge_id] @ tail)
+            tail = [r[block.start + s : block.stop] for r in cert]
+            surplus[e.edge_id] = _neg_product(ext, lead_inv[e.edge_id], tail)
 
     cols: list[list[int]] = []
     owners: list[int] = []
 
-    def add_columns(owner: int, units: range, start: int, mix: FMatrix) -> None:
+    def add_columns(owner: int, units: range, start: int, mix: list[list[int]]) -> None:
         # one column per unit row; column j of mix fills rows start..start+s-1
-        for unit, codes in zip(units, mix.transpose().to_code_rows()):
+        for unit, codes in zip(units, zip(*mix)):
             col = [0] * d
             col[unit] = 1
             col[start : start + s] = codes
@@ -322,32 +388,34 @@ def _synth_from_certificate(
         block = source.edge_range(up)
         for eid in sorted(child_edges[v]):
             # S_up + S_e A = 0 aligns the relayed pair with the certificate
-            a = child_mix[(v, eid)] = -(lead_inv[eid] @ lead[up])
+            a = _neg_product(ext, lead_inv[eid], lead[up])
+            child_mix[(v, eid)] = _mat(ext, a, s)
             add_columns(v, range(block.start, block.start + s), source.edge_range(eid).start, a)
-        if up in surplus_mix:
-            add_columns(v, range(block.start + s, block.stop), block.start, surplus_mix[up])
+        if up in surplus:
+            add_columns(v, range(block.start + s, block.stop), block.start, surplus[up])
 
+    # C's pivots: a forward elimination finds the columns rref would
+    pivots = _eliminate(ext, [list(r) for r in cert], d, full=False)
     return CommScheme(
         ext_ctx=ext,
         s=s,
-        comm_matrix=_mat(ext, cols, d).transpose(),  # d x 0 when cols is empty
+        comm_matrix=_mat(ext, zip(*cols), len(cols)) if cols else _mat(ext, [()] * d, 0),
         owners=tuple(owners),
         root=root,
         child_mix=child_mix,
-        surplus_mix=surplus_mix,
-        certificate=cert,
-        key=_key_at(ext, d, rref(cert).pivots),
+        surplus_mix={eid: _mat(ext, b, len(b[0])) for eid, b in surplus.items()},
+        certificate=_mat(ext, cert, d),
+        key=_key_at(ext, d, tuple(pivots)),
     )
 
 
-def _irreducible_tap_null(source: TreePinSource, wiretapper: Wiretapper) -> FMatrix:
-    """N_W, the tap's left-null basis, once no edge overlaps the tap."""
+def _require_irreducible(source: TreePinSource, wiretapper: Wiretapper) -> None:
+    """Raise SchemeError unless no edge overlaps the tap."""
     if not is_irreducible(source, wiretapper):
         raise SchemeError(
             "instance is reducible; strip the eavesdropper's common parts "
             "first (reduce_full)"
         )
-    return wiretapper.null_t.transpose()
 
 
 def synth_random(
@@ -356,21 +424,18 @@ def synth_random(
     seed: int,
 ) -> CommScheme:
     """Randomised certificate synthesis for an irreducible instance."""
-    null_w = _irreducible_tap_null(source, wiretapper)
+    _require_irreducible(source, wiretapper)
     s = source.min_mult
     n = choose_extension_degree(source)
     ext = make_ext_field(source.q, n)
     root = _default_root(source)
-    # eliminating the lifted tap repeats the base-field steps on the same
-    # codes, so its left-null basis is the lifted N_W
-    null_basis = lift(null_w, ext)
-    if null_basis.rows < s:
+    if wiretapper.rows - wiretapper.dim < s:
         raise SchemeError(
             "wiretap dimension too large: no certificate space left"
         )
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
-        draw = sample_alignment_certificate(source, null_basis, s, rng)
+        draw = sample_alignment_certificate(source, wiretapper, ext, s, rng)
         if draw is not None:
             return _synth_from_certificate(source, ext, *draw, root)
     raise SchemeError(
@@ -400,21 +465,19 @@ def synth_explicit_unit(
             "explicit synthesis needs at least one wiretap column; use "
             "synth_random instead"
         )
-    null_w = _irreducible_tap_null(source, wiretapper)
-    k = null_w.rows
+    _require_irreducible(source, wiretapper)
+    k = wiretapper.rows - wiretapper.dim
     if k < 1:
         raise SchemeError("eavesdropper already sees a full basis")
     ext = make_ext_field(source.q, k)
-    # power basis element x**j has code q**j
-    powers = _mat(ext, [[source.q**j for j in range(k)]], k)
-    cert = powers @ lift(null_w, ext)
-    # s = 1 and every edge has one coordinate: S_e is the entry itself
-    lead_inv = _lead_inverses(source, cert, 1)
-    if lead_inv is None:
+    # power basis element x**j has code q**j; s = 1 and every edge has one
+    # coordinate, so S_e is the entry itself
+    draw = _certificate(source, wiretapper, ext, [[source.q**j for j in range(k)]])
+    if draw is None:
         raise AssertionError(
             "zero certificate entry; instance was not irreducible"
         )
-    return _synth_from_certificate(source, ext, cert, lead_inv, _default_root(source))
+    return _synth_from_certificate(source, ext, *draw, _default_root(source))
 
 
 def extract_key(scheme: CommScheme) -> KeyExtractor:
@@ -523,21 +586,25 @@ def _ints(values: list[str], what: str) -> list[int]:
         raise SchemeError(f"malformed {what}") from None
 
 
-def _tag_ints(parts: list[str], names: tuple[str, ...]) -> list[int]:
-    """Values of the named non-negative integer fields of a block tag line
-    such as 'amat node=1 edge=0 rows=2 cols=2'."""
+def _tag_fields(parts: list[str]) -> dict[str, str]:
+    """The key=value fields of a block tag line such as 'amat node=1 edge=0
+    rows=2 cols=2', split once."""
     if not all("=" in p for p in parts[1:]):
         raise SchemeError(f"malformed {parts[0]} tag: fields must be key=value")
-    fields = dict(p.split("=", 1) for p in parts[1:])
+    return dict(p.split("=", 1) for p in parts[1:])
+
+
+def _tag_ints(tag: str, fields: dict[str, str], names: tuple[str, ...]) -> list[int]:
+    """Values of the named non-negative integer fields of a `tag` line."""
     try:
         values = [int(fields[name]) for name in names]
     except (KeyError, ValueError):
         raise SchemeError(
-            f"malformed {parts[0]} tag: needs integer "
+            f"malformed {tag} tag: needs integer "
             + " ".join(f"{name}=" for name in names)
         ) from None
     if any(v < 0 for v in values):
-        raise SchemeError(f"malformed {parts[0]} tag: negative field")
+        raise SchemeError(f"malformed {tag} tag: negative field")
     return values
 
 
@@ -599,11 +666,11 @@ def load_scheme(text: str) -> CommScheme:
     owners = tuple(_ints(oline[1:], "owners line"))
     codes = _entry_tables(ext)[1]
 
-    def read_matrix(tag_parts: list[str], s_rows: bool = False) -> FMatrix:
-        rows, cols = _tag_ints(tag_parts, ("rows", "cols"))
+    def read_matrix(tag: str, fields: dict[str, str], s_rows: bool = False) -> FMatrix:
+        rows, cols = _tag_ints(tag, fields, ("rows", "cols"))
         if s_rows and rows != s:
             raise SchemeError(
-                f"{tag_parts[0]} block has rows={rows}, must have s = {s} rows"
+                f"{tag} block has rows={rows}, must have s = {s} rows"
             )
         grid = []
         for _ in range(rows):
@@ -620,7 +687,7 @@ def load_scheme(text: str) -> CommScheme:
     fline = take("fmat").split()
     if fline[0] != "fmat":
         raise SchemeError("expected fmat block")
-    comm = read_matrix(fline)
+    comm = read_matrix("fmat", _tag_fields(fline))
     if len(owners) != comm.cols:
         raise SchemeError("owners count does not match communication columns")
 
@@ -631,11 +698,13 @@ def load_scheme(text: str) -> CommScheme:
         line = take("block")
         parts = line.split()
         if parts[0] == "amat":
-            node, eid = _tag_ints(parts, ("node", "edge"))
-            child_mix[(node, eid)] = read_matrix(parts, s_rows=True)
+            fields = _tag_fields(parts)
+            node, eid = _tag_ints("amat", fields, ("node", "edge"))
+            child_mix[(node, eid)] = read_matrix("amat", fields, s_rows=True)
         elif parts[0] == "bmat":
-            (eid,) = _tag_ints(parts, ("edge",))
-            surplus_mix[eid] = read_matrix(parts, s_rows=True)
+            fields = _tag_fields(parts)
+            (eid,) = _tag_ints("bmat", fields, ("edge",))
+            surplus_mix[eid] = read_matrix("bmat", fields, s_rows=True)
         elif parts[0] == "keycols":
             coords = tuple(_ints(parts[1:], "keycols line"))
             if len(set(coords)) != len(coords) or not all(

@@ -21,7 +21,7 @@ from treepin import (
     synth_explicit_unit,
     synth_random,
 )
-from treepin.falinalg import left_nullspace_basis, lift, rank, right_nullspace_basis, rref
+from treepin.falinalg import inverse, rank, right_nullspace_basis, rref
 from treepin.reduce import ReductionError, _common_on_block, _reduce_step
 import treepin.scheme as scheme_module
 from treepin.scheme import (
@@ -151,14 +151,34 @@ def scheme_over(q, n, seed):
             )
         except InstanceError:
             continue
-        null_basis = left_nullspace_basis(lift(wt.matrix, ext))
-        if null_basis.rows < src.min_mult:
+        if wt.rows - wt.dim < src.min_mult:
             continue
-        draw = sample_alignment_certificate(src, null_basis, src.min_mult, rng)
+        draw = sample_alignment_certificate(src, wt, ext, src.min_mult, rng)
         if draw is None:
             continue
         return src, wt, _synth_from_certificate(src, ext, *draw, _default_root(src))
     raise AssertionError(f"no scheme found over GF({q}^{n})")
+
+
+def sample_certificate_referee(source, null_basis, s, rng):
+    """Referee for sample_alignment_certificate: the draw in product form.
+    C = R @ null_basis for null_basis the left-null basis of the lifted tap,
+    left_nullspace_basis(lift(W, ext)), and each edge's lead block taken
+    out as a matrix and inverted.  Draws R as the sampler does and returns
+    what it returns: C's code rows and each S_e^-1's, or None when some
+    S_e is singular."""
+    ext = null_basis.ctx
+    m = null_basis.rows
+    coeff = FMatrix.from_rows(ext, [[rng.randrange(ext.order) for _ in range(m)] for _ in range(s)], cols=m)
+    cert = coeff @ null_basis
+    lead_inv = {}
+    for e in source.edges:
+        start = source.edge_range(e.edge_id).start
+        try:
+            lead_inv[e.edge_id] = inverse(cert.take_cols(range(start, start + s))).to_code_rows()
+        except ValueError:
+            return None
+    return cert.to_code_rows(), lead_inv
 
 
 def build_irreducible_suite(count):
@@ -260,6 +280,26 @@ def count_null_builds(monkeypatch):
         scheme_module, "left_nullspace_basis", lambda m: built.append(m) or real(m)
     )
     return built
+
+
+def count_null_reads(monkeypatch):
+    """The reads of N_W^T any Wiretapper makes from now on: (rows, coords)
+    for each null_rows call, and "null_t" for each read of the whole."""
+    reads = []
+    real = Wiretapper.null_rows
+
+    def null_rows(self, coords):
+        coords = tuple(coords)
+        reads.append((self.rows, coords))
+        return real(self, coords)
+
+    def null_t(self):
+        reads.append("null_t")
+        return real(self, range(self.rows))
+
+    monkeypatch.setattr(Wiretapper, "null_rows", null_rows)
+    monkeypatch.setattr(Wiretapper, "null_t", property(null_t))
+    return reads
 
 
 def w_minus_e_common(src, wt, edge_id):

@@ -35,7 +35,6 @@ from treepin.oracle import (
 )
 from treepin.scheme import sample_alignment_certificate
 from treepin.verify import leakage_symbol_dims
-from treepin.falinalg import left_nullspace_basis
 
 from conftest import parity_path, published_scheme, wide_path_reducible
 
@@ -187,12 +186,11 @@ def test_certificate_sampling_success_rate_bound():
     rate may be much smaller."""
     src, wt = parity_path()
     ext = make_ext_field(2, 2)
-    null_basis = left_nullspace_basis(lift(wt.matrix, ext))
     rng = random.Random(424242)
     draws = 10_000
     singular = 0
     for _ in range(draws):
-        if sample_alignment_certificate(src, null_basis, 1, rng) is None:
+        if sample_alignment_certificate(src, wt, ext, 1, rng) is None:
             singular += 1
     rate = singular / draws
     bound = 0.75 + 3 * math.sqrt(0.75 * 0.25 / draws)

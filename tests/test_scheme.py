@@ -44,8 +44,10 @@ from treepin.scheme import (
 from conftest import (
     build_irreducible_suite,
     count_null_builds,
+    count_null_reads,
     parity_path,
     published_scheme,
+    sample_certificate_referee,
     scheme_over,
     star3_no_wiretap,
     wide_path_irreducible,
@@ -139,22 +141,78 @@ def test_certificate_sampler_rejects_bad_draws():
     """Certificates with a singular per-edge lead block are discarded."""
     src, wt = parity_path()
     ext = make_ext_field(2, 2)
-    null_basis = left_nullspace_basis(lift(wt.matrix, ext))
     hits = misses = 0
     for seed in range(200):
-        draw = sample_alignment_certificate(src, null_basis, 1, random.Random(seed))
+        draw = sample_alignment_certificate(src, wt, ext, 1, random.Random(seed))
         if draw is None:
             misses += 1
             continue
         hits += 1
-        cert, lead_inv = draw
+        cert_rows, lead_inv = draw
+        cert = FMatrix.from_rows(ext, cert_rows)
         assert (cert @ lift(wt.matrix, ext)).is_zero()
         assert sorted(lead_inv) == [e.edge_id for e in src.edges]
         for e in src.edges:
             j = src.edge_range(e.edge_id).start
             assert cert[0, j].code != 0
-            assert lead_inv[e.edge_id] @ cert.take_cols([j]) == FMatrix.identity(ext, 1)
+            inv = FMatrix.from_rows(ext, lead_inv[e.edge_id])
+            assert inv @ cert.take_cols([j]) == FMatrix.identity(ext, 1)
     assert hits and misses
+
+
+def test_certificate_draw_matches_product_referee(irreducible_suite):
+    """Draw for draw, the sampler that reads C off N_W's free coordinates
+    gives the product-form referee's certificate codes, lead inverses and
+    rejections, and leaves the rng in the same state, on the irreducible
+    suite and on the parity path over several (q, n)."""
+    cases = [(src, wt, choose_extension_degree(src), src.min_mult) for src, wt in irreducible_suite]
+    for q in (2, 3, 5):
+        base = make_ext_field(q, 1)
+        src = TreePinSource(q, 4, [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 3, 1)])
+        wt = Wiretapper(FMatrix.from_cols(base, [[1, 1, 1]], rows=3))
+        cases += [(src, wt, n, 1) for n in (1, 2, 3)]
+    hits = misses = 0
+    for i, (src, wt, n, s) in enumerate(cases):
+        if wt.rows - wt.dim < s:
+            continue
+        ext = make_ext_field(src.q, n)
+        null_basis = left_nullspace_basis(lift(wt.matrix, ext))
+        got_rng, want_rng = random.Random(i), random.Random(i)
+        for _ in range(6):
+            got = sample_alignment_certificate(src, wt, ext, s, got_rng)
+            want = sample_certificate_referee(src, null_basis, s, want_rng)
+            assert got == want
+            assert got_rng.getstate() == want_rng.getstate()
+            if got is None:
+                misses += 1
+            else:
+                hits += 1
+    assert hits >= 100 and misses >= 10
+
+
+def test_synthesis_reads_no_full_tap_null(monkeypatch, irreducible_suite, explicit_unit_suite):
+    """synth_random and synth_explicit_unit read N_W^T only at the tap's
+    pivot coordinates: no null_t read and no null_rows call that spans
+    every coordinate.  Instances with one edge are left out, because there
+    the irreducibility check ranks the one edge's block, which is every
+    coordinate."""
+    reads = count_null_reads(monkeypatch)
+    synthesized = 0
+    for i, (src, wt) in enumerate(irreducible_suite):
+        if src.edge_count < 2:
+            continue
+        try:
+            synth_random(src, wt, seed=i)
+        except SchemeError:
+            continue
+        synthesized += 1
+    for src, wt, _ in explicit_unit_suite:
+        if src.edge_count >= 2:
+            synth_explicit_unit(src, wt)
+            synthesized += 1
+    assert synthesized >= 20
+    assert reads and "null_t" not in reads
+    assert all(len(coords) < wt_rows for wt_rows, coords in reads)
 
 
 def test_extract_key_properties():
@@ -353,6 +411,27 @@ def test_load_rejects_malformed_scheme_text():
     lines[6] = lines[6].replace(",", "", 1)  # break one element token
     with pytest.raises(SchemeError):
         load_scheme("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "tag, message",
+    [
+        ("amat node=1 edge=1 cols=1", "malformed amat tag: needs integer rows= cols="),
+        ("amat node=x edge=1 rows=1 cols=1", "malformed amat tag: needs integer node= edge="),
+        ("amat node=1 edge=1 rows=1 cols=-1", "malformed amat tag: negative field"),
+        ("amat node=1 edge=1 rows=1 cols1", "malformed amat tag: fields must be key=value"),
+        ("amat node=-1 edge=1 rows=x cols=1", "malformed amat tag: negative field"),
+    ],
+)
+def test_load_scheme_pins_malformed_tag_messages(tag, message):
+    """Each amat tag line is split into fields once; node/edge are read
+    before rows/cols, so a bad node= wins over a bad rows=."""
+    good = save_scheme(synth_explicit_unit(*parity_path()))
+    text = good.replace("amat node=1 edge=1 rows=1 cols=1", tag)
+    assert text != good
+    with pytest.raises(SchemeError) as err:
+        load_scheme(text)
+    assert str(err.value) == message
 
 
 def test_load_scheme_reuses_the_canonical_context():
@@ -610,13 +689,13 @@ def test_explicit_unit_certificate_matches_echelon_referee():
 
 
 def synth_random_referee(src, wt, seed):
-    """Referee: synth_random with its certificate space taken from an
-    elimination of the lifted tap over GF(q**n)."""
+    """Referee: synth_random with its certificates drawn in product form
+    from an elimination of the lifted tap over GF(q**n)."""
     ext = make_ext_field(src.q, choose_extension_degree(src))
     null_basis = left_nullspace_basis(lift(wt.matrix, ext))
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
-        draw = sample_alignment_certificate(src, null_basis, src.min_mult, rng)
+        draw = sample_certificate_referee(src, null_basis, src.min_mult, rng)
         if draw is not None:
             return _synth_from_certificate(src, ext, *draw, _default_root(src))
     raise AssertionError("referee found no certificate")
