@@ -11,12 +11,18 @@ on the codes with the context's bound code operations.
 nonzero entry scanning top to bottom), so repeated runs produce identical
 results.  One kernel over integer codes, with the field arithmetic supplied
 by the context, follows the design of the galois package
-(https://github.com/mhostetter/galois).  No floats anywhere.
+(https://github.com/mhostetter/galois).  No floats anywhere.  The kernel
+touches only the pivot row's nonzero entries: it scales them, and updates
+each row it clears at those columns alone.  Most matrices eliminated here
+are sparse (an identity half, or a communication matrix whose columns use
+a few coordinates each), so the work per pivot follows the row's support,
+not its width.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -232,8 +238,8 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def _eliminate(ctx: ExtFieldCtx, rows: list, limit: int, full: bool) -> list[int]:
-    """The elimination kernel, in place on a list of code rows.
+def _eliminate(ctx: ExtFieldCtx, rows: list[list[int]], limit: int, full: bool) -> list[int]:
+    """The elimination kernel, in place on a list of code rows (lists).
 
     Columns 0..limit-1 are scanned in order; the pivot of a column is the
     first row at or below the current pivot row with a nonzero entry there.
@@ -241,9 +247,16 @@ def _eliminate(ctx: ExtFieldCtx, rows: list, limit: int, full: bool) -> list[int
     every row below it, and also above it when `full` (Gauss-Jordan, which
     leaves the reduced row echelon form).  Whole rows are updated, so an
     augmented [A | B] block is carried along.  Returns the pivot columns.
+
+    A pivot row is zero before its pivot column, so the row operations read
+    only its support past the pivot column, found once per pivot (and only
+    when the row is scaled or some row is hit): the scaling and each hit
+    row's update touch those entries and no others, and a hit row's entry
+    at the pivot column is cleared outright.
     """
     mul, sub, inv = ctx.mul_code, ctx.sub_code, ctx.inv_code
     nrows = len(rows)
+    width = len(rows[0]) if rows else 0
     pivots: list[int] = []
     prow = 0
     for c in range(limit):
@@ -254,25 +267,46 @@ def _eliminate(ctx: ExtFieldCtx, rows: list, limit: int, full: bool) -> list[int
                 break
         else:
             continue
+        p = rows[pr]
         if pr != prow:
-            rows[prow], rows[pr] = rows[pr], rows[prow]
-        p = rows[prow]
+            rows[pr] = rows[prow]
+            rows[prow] = p
+        support = None
         pv = p[c]
         if pv != 1:
+            support = list(compress(range(c + 1, width), p[c + 1 :]))
             pinv = inv(pv)
-            p = rows[prow] = [mul(pinv, b) for b in p]
+            p[c] = 1
+            for j in support:
+                p[j] = mul(pinv, p[j])
         for i in range(0 if full else prow + 1, nrows):
             r = rows[i]
             f = r[c]
             if f and i != prow:
+                if support is None:
+                    support = list(compress(range(c + 1, width), p[c + 1 :]))
+                r[c] = 0
                 # f == 1 saves the multiply; over GF(2) every factor is 1
                 if f == 1:
-                    rows[i] = [sub(a, b) if b else a for a, b in zip(r, p)]
+                    for j in support:
+                        r[j] = sub(r[j], p[j])
                 else:
-                    rows[i] = [sub(a, mul(f, b)) if b else a for a, b in zip(r, p)]
+                    for j in support:
+                        r[j] = sub(r[j], mul(f, p[j]))
         pivots.append(c)
         prow += 1
     return pivots
+
+
+def _with_identity(codes: Iterable[Sequence[int]], width: int, n: int) -> list[list[int]]:
+    """Code rows of [A | I_n] for the n rows `codes` of A (width columns)."""
+    rows = []
+    for i, r in enumerate(codes):
+        row = list(r)
+        row += [0] * n
+        row[width + i] = 1
+        rows.append(row)
+    return rows
 
 
 def rref(m: FMatrix, pivot_cols: int | None = None) -> RrefResult:
@@ -283,14 +317,14 @@ def rref(m: FMatrix, pivot_cols: int | None = None) -> RrefResult:
     [A | B] style augmented eliminations work.
     """
     limit = m.cols if pivot_cols is None else pivot_cols
-    data = list(m._codes)
+    data = m.to_code_rows()
     pivots = _eliminate(m.ctx, data, limit, full=True)
     return RrefResult(_mat(m.ctx, data, m.cols), tuple(pivots), len(pivots))
 
 
 def rank(m: FMatrix) -> int:
     """Matrix rank via forward elimination (no back substitution)."""
-    pivots = _eliminate(m.ctx, list(m._codes), m.cols, full=False)
+    pivots = _eliminate(m.ctx, m.to_code_rows(), m.cols, full=False)
     return len(pivots)
 
 
@@ -302,9 +336,7 @@ def completion_indices(m: FMatrix) -> tuple[int, ...]:
     is independent of the columns before it, so the pivots that fall in
     the identity part are the greedy picks.
     """
-    pivots = _eliminate(
-        m.ctx, list(m.hstack(FMatrix.identity(m.ctx, m.rows))._codes), m.cols + m.rows, full=False
-    )
+    pivots = _eliminate(m.ctx, _with_identity(m._codes, m.cols, m.rows), m.cols + m.rows, full=False)
     return tuple(c - m.cols for c in pivots if c >= m.cols)
 
 
@@ -321,11 +353,7 @@ def left_inverse(m: FMatrix) -> FMatrix:
     m's columns only: the first m.cols rows then end in E.
     """
     c = m.cols
-    rows = []
-    for i, r in enumerate(m._codes):
-        row = list(r) + [0] * m.rows
-        row[c + i] = 1
-        rows.append(row)
+    rows = _with_identity(m._codes, c, m.rows)
     if len(_eliminate(m.ctx, rows, c, full=True)) < c:
         raise ValueError("matrix does not have full column rank")
     return _mat(m.ctx, [r[c:] for r in rows[:c]], m.rows)
@@ -402,7 +430,7 @@ def _null_basis_rows(ctx: ExtFieldCtx, pivots: Sequence[int], pivot_rows: Sequen
 def _right_null_parts(m: FMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
     """right_nullspace_basis(m) in the size of m: the pivot columns of one
     forward elimination of m and the basis's coordinate rows at them."""
-    rows = list(m._codes)
+    rows = m.to_code_rows()
     pivots = _eliminate(m.ctx, rows, m.cols, full=False)
     return tuple(pivots), _null_pivot_rows(m.ctx, rows, pivots, m.cols)
 
@@ -432,14 +460,14 @@ def _left_null_and_ginverse(f: FMatrix) -> tuple[FMatrix, FMatrix, tuple[int, ..
     f^T, which gives f^T L^T f^T = f^T.
     """
     ctx, d, c = f.ctx, f.rows, f.cols
-    r = rref(f.transpose().hstack(FMatrix.identity(ctx, c)), pivot_cols=d)
-    red = r.matrix._codes
-    pivot_rows = _null_pivot_rows(ctx, red, r.pivots, d)
-    null = _null_basis_rows(ctx, r.pivots, pivot_rows, range(d), d - r.rank).transpose()
+    red = _with_identity(zip(*f._codes) if d else [()] * c, d, c)
+    pivots = _eliminate(ctx, red, d, full=True)
+    pivot_rows = _null_pivot_rows(ctx, red, pivots, d)
+    null = _null_basis_rows(ctx, pivots, pivot_rows, range(d), d - len(pivots)).transpose()
     lt = [(0,) * c] * d
-    for k, p in enumerate(r.pivots):
+    for k, p in enumerate(pivots):
         lt[p] = red[k][d:]
-    pivotset = set(r.pivots)
+    pivotset = set(pivots)
     free = tuple(j for j in range(d) if j not in pivotset)
     return null, _mat(ctx, lt, c).transpose(), free
 
@@ -493,7 +521,7 @@ def expand_to_base(m: FMatrix) -> FMatrix:
     original product coefficientwise.  Shape (rows*n) x (cols*n).
     """
     ctx = m.ctx
-    grid = _expand(m, _int_dtype(ctx, ctx.n))
+    grid = _expand([m], _int_dtype(ctx, ctx.n))[0]
     return _mat(make_ext_field(ctx.q, 1), grid.tolist(), m.cols * ctx.n)
 
 
@@ -529,14 +557,16 @@ def _from_digits(digits: np.ndarray, ctx: ExtFieldCtx) -> np.ndarray:
     return digits.reshape(*digits.shape[:-1], digits.shape[-1] // n, n) @ powers
 
 
-def _expand(m: FMatrix, dtype) -> np.ndarray:
-    """The array behind expand_to_base.
+def _expand(mats: Sequence[FMatrix], dtype) -> list[np.ndarray]:
+    """The arrays behind expand_to_base, one per matrix of `mats` (all over
+    one context, at least one matrix).
 
     Entry a = sum_k a_k x^k gives the block R[r][c] = sum_k a_k *
-    coeff_c(x^(r+k) mod modulus), so one product of the digit array of m
-    with the table of the powers x^0 .. x^(2n-2) builds every block.
+    coeff_c(x^(r+k) mod modulus), so one product of the digit array of
+    every entry of every matrix with the table of the powers x^0 ..
+    x^(2n-2) builds every block; each result is a slice of that product.
     """
-    ctx = m.ctx
+    ctx = mats[0].ctx
     q, n = ctx.q, ctx.n
     # x has code q; n = 1 needs only x^0
     powers = [1]
@@ -546,10 +576,18 @@ def _expand(m: FMatrix, dtype) -> np.ndarray:
     k = np.arange(n)
     # hankel[k, r*n + c] = coeff_c(x^(k+r))
     hankel = table[k[:, None] + k[None, :]].reshape(n, n * n)
-    codes = np.array(m._codes, dtype=dtype).reshape(m.rows * m.cols, 1)
-    blocks = _to_digits(codes, ctx) @ hankel % q
-    return (
-        blocks.reshape(m.rows, m.cols, n, n)
-        .transpose(0, 2, 1, 3)
-        .reshape(m.rows * n, m.cols * n)
-    )
+    total = sum(m.rows * m.cols for m in mats)
+    codes = np.fromiter(chain.from_iterable(chain.from_iterable(m._codes for m in mats)), dtype, total)
+    blocks = _to_digits(codes.reshape(total, 1), ctx) @ hankel % q
+    out = []
+    start = 0
+    for m in mats:
+        stop = start + m.rows * m.cols
+        out.append(
+            blocks[start:stop]
+            .reshape(m.rows, m.cols, n, n)
+            .transpose(0, 2, 1, 3)
+            .reshape(m.rows * n, m.cols * n)
+        )
+        start = stop
+    return out

@@ -55,11 +55,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress, filterfalse
 
 from .falinalg import (
     FMatrix,
     _eliminate,
     _mat,
+    _with_identity,
     left_nullspace_basis,
     lift,
     rank,
@@ -160,14 +162,15 @@ class CommScheme:
                     f"owner {owner} of column {j} is not a node of the tree"
                 )
         visible = {o: set(source.node_view(o).coords) for o in set(self.owners)}
-        columns = f.transpose().to_code_rows()
-        for j, (owner, col) in enumerate(zip(self.owners, columns)):
-            for i, code in enumerate(col):
-                if code and i not in visible[owner]:
-                    raise SchemeError(
-                        f"column {j} uses coordinate {i} that node {owner} "
-                        f"cannot observe"
-                    )
+        coords = range(f.rows)
+        for j, (owner, col) in enumerate(zip(self.owners, zip(*f._codes))):
+            # the column's nonzero coordinates, lowest first
+            unseen = next(filterfalse(visible[owner].__contains__, compress(coords, col)), None)
+            if unseen is not None:
+                raise SchemeError(
+                    f"column {j} uses coordinate {unseen} that node {owner} "
+                    f"cannot observe"
+                )
 
     def validate(self, source: TreePinSource, wiretapper: Wiretapper | None = None) -> None:
         """Check structural invariants; raises SchemeError on violation."""
@@ -250,11 +253,7 @@ def _lead_inverse(ext: ExtFieldCtx, cert: list[list[int]], start: int, s: int) -
     if s == 1:
         lead = cert[0][start]
         return [[ext.inv_code(lead)]] if lead else None
-    rows = []
-    for i, r in enumerate(cert):
-        row = r[start : start + s] + [0] * s
-        row[s + i] = 1
-        rows.append(row)
+    rows = _with_identity((r[start : start + s] for r in cert), s, s)
     if len(_eliminate(ext, rows, s, full=True)) < s:
         return None
     return [r[s:] for r in rows]

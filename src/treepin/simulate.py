@@ -32,7 +32,9 @@ is applied to the whole batch as its F_q realisation
 Running GF(q**n) maps as F_q-linear maps on digit arrays is how the galois
 package (https://github.com/mhostetter/galois) vectorises extension-field
 arithmetic.  Arrays are int64 while every inner product fits (small q),
-Python-int object arrays above that.  A batch runs:
+Python-int object arrays above that.  Every map a run uses ([F | key | W],
+L, N and the stacked R_v) comes out of one expansion: one digit product
+over the entries of all four (`falinalg._expand`).  A batch runs:
 
 - Draws.  They are the values `randrange(order)` returns, in order, so the
   tallies and the order of `key_counts` do not depend on the batching.  For
@@ -171,6 +173,7 @@ def run_protocol(
     # shared by all nodes and R_v a right inverse of N's columns at v's
     # coordinates, which exists iff v can decode.
     null, ginv, free = _left_null_and_ginverse(f)
+    null_t = null.transpose()
     k = null.rows
     dtype = _int_dtype(ext, (d + f.cols) * n)
     views = [source.node_view(v).coords for v in range(source.vertex_count)]
@@ -181,7 +184,7 @@ def run_protocol(
     digit_cols = np.zeros((len(views), width * n), dtype=np.intp)
     for v, coords in enumerate(views):
         try:
-            left_inv = left_inverse(null.take_cols(coords).transpose())
+            left_inv = left_inverse(null_t.take_rows(coords))
         except ValueError:
             raise SimulationError(
                 f"node {v} cannot reach omniscience with this scheme"
@@ -189,7 +192,6 @@ def run_protocol(
         stacked += left_inv.transpose().to_code_rows()
         stacked += [(0,) * k] * (width - len(coords))
         digit_cols[v, : len(coords) * n] = [c * n + i for c in coords for i in range(n)]
-    right_invs = _expand(_mat(ext, stacked, k), dtype).reshape(len(views), width * n, k * n)
     free_cols = np.array([c * n + i for c in free for i in range(n)], dtype=np.intp)
 
     wl = lift(wiretapper.matrix, ext)
@@ -198,13 +200,15 @@ def run_protocol(
     unknown_dims = k - rank(tap)
     # the tap is replayed only for an aligned scheme with a nonempty tap
     replay = predictable and wl.cols > 0
-    # F, the key and the tap share their d rows, and so one expansion
+    # every map in one expansion; F, the key and the tap share their d
+    # rows, and so one block of it
     comm_cols, key_cols = f.cols * n, scheme.key.matrix.cols * n
-    maps = _expand(f.hstack(scheme.key.matrix, wl), dtype)
+    maps, ginv_map, null_map, right_invs = _expand(
+        [f.hstack(scheme.key.matrix, wl), ginv, null, _mat(ext, stacked, k)], dtype
+    )
     comm_key_map = maps[:, : comm_cols + key_cols]
     wiretap_map = maps[:, comm_cols + key_cols :]
-    ginv_map = _expand(ginv, dtype)
-    null_map = _expand(null, dtype)
+    right_invs = right_invs.reshape(len(views), width * n, k * n)
 
     draw = _code_draws(random.Random(seed), ext.order, dtype)
     decode_failures = 0

@@ -84,6 +84,50 @@ def _det_mod(a: list[list[int]], q: int) -> int:
     return det % q
 
 
+def dense_eliminate(ctx, rows, limit, full):
+    """Referee for falinalg._eliminate: the kernel as it was before it
+    skipped zeros.  It rebuilds every scaled or hit row whole, one entry
+    per column, in place on the list `rows`; returns the pivot columns."""
+    mul, sub, inv = ctx.mul_code, ctx.sub_code, ctx.inv_code
+    nrows = len(rows)
+    pivots = []
+    prow = 0
+    for c in range(limit):
+        if prow == nrows:
+            break
+        for pr in range(prow, nrows):
+            if rows[pr][c]:
+                break
+        else:
+            continue
+        if pr != prow:
+            rows[prow], rows[pr] = rows[pr], rows[prow]
+        p = rows[prow]
+        pv = p[c]
+        if pv != 1:
+            pinv = inv(pv)
+            p = rows[prow] = [mul(pinv, b) for b in p]
+        for i in range(0 if full else prow + 1, nrows):
+            r = rows[i]
+            f = r[c]
+            if f and i != prow:
+                if f == 1:
+                    rows[i] = [sub(a, b) if b else a for a, b in zip(r, p)]
+                else:
+                    rows[i] = [sub(a, mul(f, b)) if b else a for a, b in zip(r, p)]
+        pivots.append(c)
+        prow += 1
+    return pivots
+
+
+# Fields of the kernel, expansion and protocol referee tests: q up to 7
+# with n up to 6, and the two paths below
+REFEREE_FIELDS = [(q, n) for q in (2, 3, 5, 7) for n in range(1, 7)] + [
+    (2, 13),  # no log/exp tables: generic field multiply
+    (4294967311, 1),  # prime above 2**32: object arrays
+]
+
+
 def parity_path():
     """Path on 4 nodes, unit multiplicities over F_2; the eavesdropper sees
     the sum of all three edge symbols."""

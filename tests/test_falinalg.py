@@ -9,6 +9,9 @@ from hypothesis import given, seed, settings, strategies as st
 
 from treepin import ExtFieldCtx, FMatrix, make_ext_field
 from treepin.falinalg import (
+    _eliminate,
+    _expand,
+    _int_dtype,
     _left_null_and_ginverse,
     col_space_intersect,
     completion_indices,
@@ -23,7 +26,7 @@ from treepin.falinalg import (
     solve_right,
 )
 
-from conftest import _rank_mod, in_col_span
+from conftest import REFEREE_FIELDS, _rank_mod, dense_eliminate, in_col_span
 
 F2 = make_ext_field(2, 1)
 F4 = make_ext_field(2, 2)
@@ -482,3 +485,99 @@ def test_many_pivot_nullspaces_match_reduced_echelon_reference(m):
     assert right_nullspace_basis(m) == want.transpose()
     assert left_nullspace_basis(m.transpose()) == want
     assert _left_null_and_ginverse(m.transpose())[0] == want
+
+
+# ---------------------------------------------------------------------------
+# The kernel skips the pivot row's zeros; the dense kernel it replaced
+# (conftest.dense_eliminate) must leave the same rows and the same pivots.
+
+
+def _grid(ctx, rows, cols, density, rng):
+    return [
+        [rng.randrange(1, ctx.order) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def _kernel_cases(ctx, rng):
+    """(rows, limit) pairs: dense, sparse and augmented [A | I] grids, each
+    eliminated up to its width and up to a limit short of it."""
+    for rows, cols in ((5, 7), (7, 5), (6, 6), (1, 9), (9, 1), (0, 4), (3, 0)):
+        for density in (1.0, 0.8, 0.2):
+            grid = _grid(ctx, rows, cols, density, rng)
+            if rows > 2:
+                # a dependent row: some columns lose their pivot
+                grid[-1] = [ctx.add_code(a, b) for a, b in zip(grid[0], grid[1])]
+            yield grid, cols
+            yield grid, cols // 2
+            augmented = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(grid)]
+            yield augmented, cols
+            yield augmented, cols + rows
+
+
+def _assert_kernel_matches(ctx, grid, limit, full):
+    got, want = [list(r) for r in grid], [list(r) for r in grid]
+    assert _eliminate(ctx, got, limit, full) == dense_eliminate(ctx, want, limit, full)
+    assert got == want
+
+
+@pytest.mark.parametrize("q, n", REFEREE_FIELDS)
+def test_sparse_kernel_matches_dense_referee(q, n):
+    ctx = make_ext_field(q, n)
+    rng = random.Random(q * 100 + n)
+    for grid, limit in _kernel_cases(ctx, rng):
+        for full in (False, True):
+            _assert_kernel_matches(ctx, grid, limit, full)
+
+
+@seed(20260120)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(REFEREE_FIELDS),
+    st.integers(0, 7),
+    st.integers(0, 9),
+    st.sampled_from((0.1, 0.4, 1.0)),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_hypothesis_sparse_kernel_matches_dense_referee(field, rows, cols, density, augment, full, data):
+    ctx = make_ext_field(*field)
+    grid = _grid(ctx, rows, cols, density, random.Random(data.draw(st.integers(0, 10**6))))
+    if augment:
+        grid = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(grid)]
+    limit = data.draw(st.integers(0, len(grid[0]) if grid else cols))
+    _assert_kernel_matches(ctx, grid, limit, full)
+
+
+# ---------------------------------------------------------------------------
+# One expansion of several matrices: each piece is the matrix's own
+# expansion, whatever its neighbours, empty pieces included.
+
+
+@pytest.mark.parametrize("q, n", REFEREE_FIELDS)
+def test_expansion_of_several_matrices_matches_each_alone(q, n):
+    ctx = make_ext_field(q, n)
+    rng = random.Random(q * 100 + n)
+    d = 4
+    pieces = [
+        random_matrix(ctx, d, 3, rng),   # [F | key]
+        FMatrix.zeros(ctx, d, 0),        # no tap columns
+        random_matrix(ctx, 3, d, rng),   # L
+        FMatrix.zeros(ctx, 0, d),        # L of an F with no columns
+        random_matrix(ctx, 1, 2, rng),   # N
+        random_matrix(ctx, 6, 1, rng),   # stacked R_v
+    ]
+    dtype = _int_dtype(ctx, 8 * n)
+    got = _expand(pieces, dtype)
+    assert len(got) == len(pieces)
+    for m, part in zip(pieces, got):
+        alone = _expand([m], dtype)[0]
+        assert part.shape == alone.shape == (m.rows * n, m.cols * n)
+        assert part.tolist() == alone.tolist() == reference_expand(m)
+    # the maps of a run on a single-edge source, whose F has no columns
+    f = FMatrix.zeros(ctx, 1, 0)
+    null, ginv, _ = _left_null_and_ginverse(f)
+    maps = [f.hstack(FMatrix.identity(ctx, 1)), ginv, null]
+    for m, part in zip(maps, _expand(maps, dtype)):
+        assert part.tolist() == reference_expand(m)

@@ -236,6 +236,26 @@ def test_columns_of_partitions_ownership():
     assert sorted(all_cols) == list(range(scheme.comm_matrix.cols))
 
 
+def test_owner_error_names_the_lowest_unseen_coordinate():
+    """Column 1 of the published scheme, x X_1 + X_2, uses coordinates 1
+    and 2, and node 0 sees only coordinate 0: the error names coordinate 1.
+    Column 0 (X_0 + (1+x) X_1, owned by node 1) passes."""
+    src, wt, scheme = published_scheme()
+    bad = CommScheme(
+        ext_ctx=scheme.ext_ctx,
+        s=scheme.s,
+        comm_matrix=scheme.comm_matrix,
+        owners=(1, 0),
+        key=scheme.key,
+    )
+    message = "column 1 uses coordinate 1 that node 0 cannot observe"
+    with pytest.raises(SchemeError) as err:
+        bad.check_owners(src)
+    assert str(err.value) == message
+    with pytest.raises(SchemeError, match=message):
+        bad.validate(src, wt)
+
+
 def test_validate_rejects_broken_schemes():
     src, wt = parity_path()
     good = synth_explicit_unit(src, wt)

@@ -36,6 +36,7 @@ from treepin.falinalg import (
 from treepin.simulate import _CHUNK, _code_draws
 
 from conftest import (
+    REFEREE_FIELDS,
     parity_path,
     published_scheme,
     scheme_over as _scheme_over,
@@ -281,12 +282,6 @@ def _row_dot(row, vec, add, mul):
     return acc
 
 
-REFEREE_FIELDS = [(q, n) for q in (2, 3, 5, 7) for n in range(1, 7)] + [
-    (2, 13),  # no log/exp tables: generic field multiply
-    (4294967311, 1),  # prime above 2**32: object arrays
-]
-
-
 @pytest.mark.parametrize("q, n", REFEREE_FIELDS)
 def test_batched_run_matches_per_trial_referee(q, n):
     src, wt, scheme = _scheme_over(q, n, seed=q * 10 + n)
@@ -466,14 +461,14 @@ def _per_node_decode_failures(scheme, source, seed, trials):
     rng = random.Random(seed)
     codes = np.array([rng.randrange(ext.order) for _ in range(trials * d)], dtype=dtype)
     x = _to_digits(codes.reshape(trials, d), ext)
-    x0 = (x @ _expand(f, dtype) % q) @ _expand(ginv, dtype) % q
-    null_map = _expand(null, dtype)
+    f_map, ginv_map, null_map = _expand([f, ginv, null], dtype)
+    x0 = (x @ f_map % q) @ ginv_map % q
     failures = 0
     for v in range(source.vertex_count):
         coords = source.node_view(v).coords
         right_inv = simulate.left_inverse(null.take_cols(coords).transpose()).transpose()
         cols = [c * n + i for c in coords for i in range(n)]
-        y = (x[:, cols] - x0[:, cols]) @ _expand(right_inv, dtype) % q
+        y = (x[:, cols] - x0[:, cols]) @ _expand([right_inv], dtype)[0] % q
         recovered = (x0 + y @ null_map) % q
         failures += trials - int(np.count_nonzero((recovered == x).all(axis=1)))
     return failures
