@@ -36,6 +36,7 @@ from .model import (
 from .oracle import (
     BudgetError,
     ENTROPY_BUDGET,
+    MCF_BUDGET,
     cond_mutual_info_exhaustive,
     entropy_exhaustive,
     mcf_exhaustive,
@@ -220,7 +221,7 @@ def _cmd_oracle_check(args) -> int:
 
     for e in capacity_report(source, wiretapper).per_edge:
         sel = source.edge_block_selector(e.edge_id)
-        exh = mcf_exhaustive(sel, wiretapper.matrix, q, budget=min(budget, 2**14))
+        exh = mcf_exhaustive(sel, wiretapper.matrix, q, budget=min(budget, MCF_BUDGET))
         edge_ok = exh.bits == math.log2(q**e.mcf_dim)
         _emit(f"edge_{e.edge_id}_mcf_bits", exh.bits)
         _emit(f"edge_{e.edge_id}_mcf_ok", edge_ok)

@@ -13,12 +13,26 @@ check.  Non-uniform label distributions (possible for component labels of
 arbitrary pairs) fall back to the exact rational formula
 ``log2(total) - sum(c*log2 c)/total``.
 
+The arithmetic runs in float64, where numpy multiplies through BLAS, and it
+is exact: float64 holds every integer below 2**53.  Every base vector is
+mapped, as one product ``vectors @ M`` whose entries are sums of ``rows``
+products below q**2, so none reaches 2**53 while (q-1)**2 * rows < 2**53.
+Past that bound the oracles raise BudgetError before they enumerate
+anything (such an enumeration would need at least 2**26 vectors).  The
+product is reduced mod q as ``x - q*floor(x/q)``: for an integer x below
+2**53 the rounded quotient never crosses an integer, so the floor is exact.
+(Multiplying by a rounded 1/q instead is not: 103 * (1/103) < 1.)  Image
+rows are then packed into single base-q numbers by one more product with
+q-powers, exact while q**cols <= 2**53; wider images fall back to
+row-wise uniqueness.
+
 The conditional mutual information needs the image sizes of four joint
 maps, [ma|mc], [mb|mc], [ma|mb|mc] and [mc].  The image of a stacked map is
 exactly the matching columns of the image of the whole stack, so every base
 vector is mapped once, through [ma|mc|mb], and each joint image is a column
-slice of that one enumeration whose distinct rows are counted: still full
-enumeration with exact counts, no rank shortcut.
+slice of that one enumeration.  The four slices are packed by one product
+with a (cols x 4) power matrix and their distinct values counted with one
+sort: still full enumeration with exact counts, no rank shortcut.
 """
 
 from __future__ import annotations
@@ -50,26 +64,72 @@ ENTROPY_BUDGET = 2**18
 MCF_BUDGET = 2**14
 
 
+_EXACT = 2**53     # float64 holds every integer up to here
+_MOD_BLOCK = 8192  # entries per floor-mod pass in _image
+
+
 def _base_code_matrix(m: FMatrix) -> np.ndarray:
     if m.ctx.n != 1:
         raise ValueError(
             "exhaustive oracles work over the base field; expand extension "
             "matrices to base coordinates first"
         )
-    return np.array(m.to_code_rows(), dtype=np.int64).reshape(m.rows, m.cols)
+    return np.array(m.to_code_rows(), dtype=np.float64).reshape(m.rows, m.cols)
 
 
-@functools.lru_cache(maxsize=1)
+def _check_exact(q: int, rows: int) -> None:
+    """Refuse an image whose float64 entries could reach 2**53 (module
+    docstring)."""
+    if (q - 1) ** 2 * rows >= _EXACT:
+        raise BudgetError(
+            f"a {rows}-row image over GF({q}) has entries up to "
+            f"{(q - 1) ** 2 * rows}, past the exact float64 range 2**53"
+        )
+
+
+@functools.lru_cache(maxsize=2)
 def _all_vectors(q: int, dim: int) -> np.ndarray:
-    """(q**dim, dim) array of all base vectors, coordinate j = digit j.
+    """(q**dim, dim) float64 array of all base vectors, coordinate j = digit j.
 
-    The oracles of one check enumerate the same space over and over, so the
-    last array is kept; it is read-only because every caller shares it."""
-    idx = np.arange(q**dim, dtype=np.int64)
-    powers = q ** np.arange(dim, dtype=np.int64)
-    vectors = (idx[:, None] // powers[None, :]) % q
+    One check alternates between two spaces (the instance's D and the
+    scheme's D*n), so the last two arrays are kept; they are read-only
+    because every caller shares them.  Coordinate j is built as one
+    contiguous row, the digits broadcast into blocks of q**j, and the
+    array is its transpose (BLAS takes either layout)."""
+    digits = np.arange(q, dtype=np.float64)[:, None]
+    coords = np.empty((dim, q**dim))
+    for j in range(dim):
+        coords[j].reshape(q ** (dim - 1 - j), q, q**j)[...] = digits
+    vectors = coords.T
     vectors.setflags(write=False)
     return vectors
+
+
+@functools.lru_cache(maxsize=64)
+def _powers(q: int, cols: int) -> np.ndarray:
+    """q**0 .. q**(cols-1) as float64, for packing rows with q**cols <= 2**53
+    (cached and shared, so read-only)."""
+    powers = np.array([q**j for j in range(cols)], dtype=np.float64)
+    powers.setflags(write=False)
+    return powers
+
+
+def _image(vectors: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
+    """vectors @ m reduced mod q, exact under _check_exact (module docstring).
+
+    The quotient is taken _MOD_BLOCK entries at a time: a temporary the
+    size of the image would cost more in fresh pages than the arithmetic."""
+    img = vectors @ m
+    flat = img.reshape(-1)
+    quot = np.empty(min(flat.size, _MOD_BLOCK))
+    for lo in range(0, flat.size, _MOD_BLOCK):
+        part = flat[lo : lo + _MOD_BLOCK]
+        t = quot[: part.size]
+        np.divide(part, q, out=t)
+        np.floor(t, out=t)
+        t *= q
+        part -= t
+    return img
 
 
 def _image_labels(
@@ -79,44 +139,60 @@ def _image_labels(
 
     Returns (labels, counts, values): labels[i] in [0, k) identifies the
     image of vector i, counts[j] is the fiber size of value j, values[j]
-    is that value's coordinate row.  Rows are packed into single base-q
-    integers when they fit in an int64; wider images fall back to row-wise
-    uniqueness.
+    is that value's coordinate row, as int64 digits.  Rows are packed into
+    single base-q numbers when q**cols <= 2**53 and labelled by one sort;
+    wider images fall back to row-wise uniqueness.
     """
     n, cols = vectors.shape[0], m.shape[1]
-    if cols == 0:
-        return (
-            np.zeros(n, dtype=np.int64),
-            np.array([n], dtype=np.int64),
-            np.zeros((1, 0), dtype=np.int64),
-        )
-    img = (vectors @ m) % q
-    if q**cols <= 2**62:
-        powers = q ** np.arange(cols, dtype=np.int64)
-        packed = img @ powers
-        uniq, inverse, counts = np.unique(
-            packed, return_inverse=True, return_counts=True
-        )
-        values = (uniq[:, None] // powers[None, :]) % q
-    else:
-        values, inverse, counts = np.unique(
+    img = _image(vectors, m, q)
+    if q**cols > _EXACT:
+        values, labels, counts = np.unique(
             img, axis=0, return_inverse=True, return_counts=True
         )
-    return inverse.reshape(n), counts, values
+        return labels.reshape(n), counts, values.astype(np.int64)
+    packed = img @ _powers(q, cols)
+    order = packed.argsort()
+    ordered = packed[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = first.cumsum() - 1
+    values = img[order[first]]
+    return labels, np.bincount(labels), values.astype(np.int64)
 
 
-def _distinct_rows(img: np.ndarray, q: int) -> int:
-    """Number of distinct rows of an array of base-q digits, packed into
-    base-q integers as in _image_labels (row-wise uniqueness when wider)."""
-    cols = img.shape[1]
-    if cols == 0:
-        return 1
-    if q**cols <= 2**62:
-        packed = img @ q ** np.arange(cols, dtype=np.int64)
-        # return_counts keeps np.unique on its sorting path; numpy 2's plain
-        # np.unique hashes instead, over ten times slower on these sizes
-        return len(np.unique(packed, return_counts=True)[1])
-    return len(np.unique(img, axis=0))
+@functools.lru_cache(maxsize=64)
+def _slice_powers(
+    q: int, cols: int, slices: tuple[tuple[int, int], ...]
+) -> np.ndarray:
+    """(len(slices), cols) read-only matrix whose row t packs columns
+    lo..hi-1 of slice t into one base-q number; every slice must fit 2**53."""
+    out = np.zeros((len(slices), cols))
+    for t, (lo, hi) in enumerate(slices):
+        out[t, lo:hi] = _powers(q, hi - lo)
+    out.setflags(write=False)
+    return out
+
+
+def _distinct_counts(
+    img: np.ndarray, q: int, slices: tuple[tuple[int, int], ...]
+) -> list[int]:
+    """Number of distinct rows of each column slice img[:, lo:hi] of an
+    array of base-q digits.  Slices that fit 2**53 are packed by one
+    product and counted with one sort; wider ones fall back to row-wise
+    uniqueness."""
+    packable = tuple(s for s in slices if q ** (s[1] - s[0]) <= _EXACT)
+    counts = {}
+    if packable:
+        packed = _slice_powers(q, img.shape[1], packable) @ img.T
+        packed.sort(axis=1)
+        changes = np.count_nonzero(packed[:, 1:] != packed[:, :-1], axis=1)
+        counts = dict(zip(packable, (changes + 1).tolist()))
+    return [
+        counts[s] if s in counts else len(np.unique(img[:, s[0]:s[1]], axis=0))
+        for s in slices
+    ]
 
 
 def _entropy_from_counts(counts: np.ndarray, total: int) -> float:
@@ -137,6 +213,7 @@ def entropy_exhaustive(m: FMatrix, q: int, budget: int = ENTROPY_BUDGET) -> floa
         raise BudgetError(
             f"entropy enumeration needs {total} vectors, budget is {budget}"
         )
+    _check_exact(q, m.rows)
     vectors = _all_vectors(q, m.rows)
     _, counts, _ = _image_labels(vectors, _base_code_matrix(m), q)
     return _entropy_from_counts(counts, total)
@@ -169,44 +246,32 @@ def mcf_exhaustive(
         raise BudgetError(
             f"mcf enumeration needs {total} vectors, budget is {budget}"
         )
+    _check_exact(q, m1.rows)
     vectors = _all_vectors(q, m1.rows)
     left, _, left_values = _image_labels(vectors, _base_code_matrix(m1), q)
     right, _, right_values = _image_labels(vectors, _base_code_matrix(m2), q)
 
-    # union-find over the two (disjoint) value alphabets
-    n_left = left_values.shape[0]
-    parent = list(range(n_left + right_values.shape[0]))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for lv, rv in zip(left.tolist(), right.tolist()):
-        ra, rb = find(lv), find(n_left + rv)
-        if ra != rb:
-            parent[ra] = rb
-
-    roots: dict[int, int] = {}
-    comp_counts: dict[int, int] = {}
-    for lv in left.tolist():
-        label = roots.setdefault(find(lv), len(roots))
-        comp_counts[label] = comp_counts.get(label, 0) + 1
-    labels_left = {
-        tuple(left_values[v].tolist()): roots[find(v)] for v in range(n_left)
-    }
-    labels_right = {
-        tuple(right_values[v].tolist()): roots[find(n_left + v)]
-        for v in range(right_values.shape[0])
-    }
-
-    counts = np.array(sorted(comp_counts.values()), dtype=np.int64)
+    # components of the bipartite graph with one edge (left[i], right[i])
+    # per base vector: every left value falls to the least left value of
+    # its component, each right value taking the least over its edges
+    n_left = len(left_values)
+    comp = np.arange(n_left)
+    while True:
+        via_right = np.full(len(right_values), n_left)
+        np.minimum.at(via_right, right, comp[left])
+        step = np.full(n_left, n_left)
+        np.minimum.at(step, left, via_right[right])
+        if (step == comp).all():
+            break
+        comp = step
+    ids = (comp == np.arange(n_left)).cumsum() - 1
+    left_ids, right_ids = ids[comp], ids[via_right]
+    counts = np.sort(np.bincount(left_ids[left]))
     return McfExhaustive(
         bits=_entropy_from_counts(counts, total),
-        n_components=len(roots),
-        labels_left=labels_left,
-        labels_right=labels_right,
+        n_components=len(counts),
+        labels_left=dict(zip(map(tuple, left_values.tolist()), left_ids.tolist())),
+        labels_right=dict(zip(map(tuple, right_values.tolist()), right_ids.tolist())),
     )
 
 
@@ -234,22 +299,19 @@ def cond_mutual_info_exhaustive(
         raise BudgetError(
             f"enumeration needs {total} vectors, budget is {budget}"
         )
+    _check_exact(q, ma.rows)
     # in [ma | mc | mb] every joint map is a contiguous run of columns
     a, c = ma.cols, mc.cols
-    stacked = ma.hstack(mc).hstack(mb)
-    img = (_all_vectors(q, ma.rows) @ _base_code_matrix(stacked)) % q
-
-    def image_exponent(lo: int, hi: int) -> int:
-        n_values = _distinct_rows(img[:, lo:hi], q)
+    stacked = ma.hstack(mc, mb)
+    img = _image(_all_vectors(q, ma.rows), _base_code_matrix(stacked), q)
+    slices = ((0, a + c), (a, stacked.cols), (0, stacked.cols), (a, a + c))
+    exponents = []
+    for n_values in _distinct_counts(img, q, slices):
         e = round(math.log(n_values, q))
         if q**e != n_values:
             raise AssertionError(
                 "image of a linear map must have q-power size"
             )
-        return e
-
-    ea = image_exponent(0, a + c)
-    eb = image_exponent(a, stacked.cols)
-    eab = image_exponent(0, stacked.cols)
-    ec = image_exponent(a, a + c)
+        exponents.append(e)
+    ea, eb, eab, ec = exponents
     return (ea + eb - eab - ec) * math.log2(q)

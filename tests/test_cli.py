@@ -184,6 +184,19 @@ def test_exit_3_on_budget(capsys, parity_file, tmp_path):
     assert "oracle budget exceeded" in err
 
 
+def test_exit_3_past_exact_float_range(capsys, tmp_path):
+    """(p-1)**2 >= 2**53: a one-row image over GF(p) leaves the exact
+    float64 range, so oracle-check refuses it within a budget above p."""
+    p = 94906297
+    inst = tmp_path / "wide-field.txt"
+    inst.write_text(f"treepin q={p}\nvertices 2\nedge 0 0 1 1\nwiretap cols=1\n1\n")
+    code, out, err = run(capsys, "oracle-check", "--in", str(inst),
+                         "--budget", str(2**27))
+    assert code == 3 and out == ""
+    assert err.startswith("oracle budget exceeded: ")
+    assert "2**53" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

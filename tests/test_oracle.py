@@ -8,13 +8,14 @@ import random
 import numpy as np
 import pytest
 
-from treepin import FMatrix, make_ext_field
+from treepin import FMatrix, make_ext_field, oracle
 from treepin.falinalg import rank
 from treepin.oracle import (
     MCF_BUDGET,
     BudgetError,
     _all_vectors,
     _base_code_matrix,
+    _distinct_counts,
     _image_labels,
     cond_mutual_info_exhaustive,
     entropy_exhaustive,
@@ -33,6 +34,42 @@ def random_matrix(ctx, rows, cols, rng):
         [[rng.randrange(ctx.order) for _ in range(cols)] for _ in range(rows)],
         cols=cols,
     )
+
+
+# ---------------------------------------------------------------------------
+# Independent referee: the integer route.  The oracles enumerate and map in
+# float64; this enumerates with int64 // and %, maps with (vectors @ m) % q
+# and packs rows into int64 base-q integers (row-wise np.unique past 2**62),
+# so it shares none of the package's arithmetic.
+
+
+def _ref_vectors(q: int, dim: int) -> np.ndarray:
+    """(q**dim, dim) int64 array of all base vectors, coordinate j = digit j."""
+    idx = np.arange(q**dim, dtype=np.int64)
+    powers = q ** np.arange(dim, dtype=np.int64)
+    return (idx[:, None] // powers[None, :]) % q
+
+
+def _ref_code_matrix(m: FMatrix) -> np.ndarray:
+    return np.array(m.to_code_rows(), dtype=np.int64).reshape(m.rows, m.cols)
+
+
+def _ref_image_labels(vectors, m, q):
+    """(labels, counts, values) of the image rows of vectors @ m, as the
+    package's _image_labels returns them."""
+    n, cols = vectors.shape[0], m.shape[1]
+    img = (vectors @ m) % q
+    if q**cols <= 2**62:
+        powers = q ** np.arange(cols, dtype=np.int64)
+        uniq, inverse, counts = np.unique(
+            img @ powers, return_inverse=True, return_counts=True
+        )
+        values = (uniq[:, None] // powers[None, :]) % q
+    else:
+        values, inverse, counts = np.unique(
+            img, axis=0, return_inverse=True, return_counts=True
+        )
+    return inverse.reshape(n), counts, values.reshape(len(counts), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +98,7 @@ def detform_property_check(
             f"budget is {_DETFORM_BUDGET}"
         )
     rng = random.Random(seed)
-    grid = _all_vectors(q, s * m).reshape(points, s, m)
+    grid = _ref_vectors(q, s * m).reshape(points, s, m)
     for _ in range(trials):
         a = [[rng.randrange(q) for _ in range(s)] for _ in range(m)]
         an = np.array(a, dtype=np.int64)
@@ -99,7 +136,7 @@ def split_source_property_check(
         )
     ctx = make_ext_field(q, 1)
     rng = random.Random(seed)
-    vectors = _all_vectors(q, d)
+    vectors = _ref_vectors(q, d)
 
     def random_block(row_lo: int, row_hi: int, cols: int) -> FMatrix:
         grid = [
@@ -119,7 +156,7 @@ def split_source_property_check(
         base = mcf_exhaustive(mx, my, q)
         with_z_right = mcf_exhaustive(mx, my.hstack(mz), q)
         with_z_both = mcf_exhaustive(mx.hstack(mz), my.hstack(mz), q)
-        _, z_counts, _ = _image_labels(vectors, _base_code_matrix(mz), q)
+        _, z_counts, _ = _ref_image_labels(vectors, _ref_code_matrix(mz), q)
         z_image = len(z_counts)
 
         if with_z_right.n_components != base.n_components:
@@ -131,12 +168,109 @@ def split_source_property_check(
 
 def test_all_vectors_is_shared_and_read_only():
     vectors = _all_vectors(3, 2)
+    assert vectors.dtype == np.float64
     assert vectors.tolist() == [[a % 3, a // 3] for a in range(9)]
-    assert _all_vectors(3, 2) is vectors
     assert not vectors.flags.writeable
     with pytest.raises(ValueError):
         vectors[0, 0] = 1
-    assert _all_vectors(2, 3).shape == (8, 3)
+    # one check alternates between two spaces; both stay cached
+    other = _all_vectors(2, 3)
+    assert other.shape == (8, 3)
+    assert _all_vectors(3, 2) is vectors
+    assert _all_vectors(2, 3) is other
+    for q, dim in ((2, 0), (2, 5), (3, 4), (5, 3), (7, 2)):
+        assert np.array_equal(_all_vectors(q, dim), _ref_vectors(q, dim))
+
+
+def _assert_same_labels(got, want, packed_in_both):
+    """Same image for every vector, same fiber per value; when both routes
+    packed (ascending base-q order) the arrays must be identical."""
+    (labels, counts, values), (ref_labels, ref_counts, ref_values) = got, want
+    assert labels.dtype == counts.dtype == values.dtype == np.int64
+    assert np.array_equal(values[labels], ref_values[ref_labels])
+    assert sorted(zip(map(tuple, values.tolist()), counts.tolist())) == sorted(
+        zip(map(tuple, ref_values.tolist()), ref_counts.tolist())
+    )
+    if packed_in_both:
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(values, ref_values)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_image_labels_matches_referee(q):
+    ctx = make_ext_field(q, 1)
+    rng = random.Random(200 + q)
+    max_rows = {2: 8, 3: 5, 5: 4, 7: 3}[q]
+    shapes = [(0, 0), (0, 3), (max_rows, 0), (2, 1)]
+    shapes += [(rng.randint(0, max_rows), rng.randint(0, 5)) for _ in range(40)]
+    for d, cols in shapes:
+        m = random_matrix(ctx, d, cols, rng)
+        got = _image_labels(_all_vectors(q, d), _base_code_matrix(m), q)
+        want = _ref_image_labels(_ref_vectors(q, d), _ref_code_matrix(m), q)
+        _assert_same_labels(got, want, packed_in_both=True)
+
+
+@pytest.mark.parametrize("q, cols", [(2, 53), (2, 54), (3, 33), (3, 34)])
+def test_image_labels_at_the_packing_limit(q, cols):
+    """Rows pack into float64 while q**cols <= 2**53 and fall back to
+    row-wise uniqueness beyond; both sides of the limit match the referee.
+    The first map has image rows that differ only in digit 0 and are near
+    q**cols, which float64 packing past the limit would merge."""
+    assert (q**cols <= 2**53) == (cols in (53, 33))
+    ctx = make_ext_field(q, 1)
+    rng = random.Random(cols)
+    d = {2: 6, 3: 4}[q]
+    near_top = [[1] + [0] * (cols - 1), [0, 0] + [q - 1] * (cols - 2)]
+    maps = [FMatrix.from_rows(ctx, near_top + [[0] * cols] * (d - 2), cols=cols)]
+    maps += [random_matrix(ctx, d, cols, rng) for _ in range(2)]
+    for m in maps:
+        got = _image_labels(_all_vectors(q, d), _base_code_matrix(m), q)
+        want = _ref_image_labels(_ref_vectors(q, d), _ref_code_matrix(m), q)
+        _assert_same_labels(got, want, packed_in_both=q**cols <= 2**53)
+
+
+def test_image_reduction_is_exact():
+    """x - q*floor(x/q) gives the residue of every integer below 2**53.
+    Multiplying by a rounded 1/q would not: 103 * (1/103) < 1."""
+    q = 103
+    m = np.array([[q - 1, 1, 0], [q - 1, 52, q - 2]])
+    got = oracle._image(_all_vectors(q, 2), m.astype(np.float64), q)
+    assert np.array_equal(got, (_ref_vectors(q, 2) @ m) % q)
+    # the largest prime whose one-row images stay within the guard
+    q = 94906249
+    assert (q - 1) ** 2 < 2**53 <= (q + 17) ** 2
+    rng = random.Random(5)
+    xs = [q - 1 - k for k in range(50)] + [rng.randrange(q) for _ in range(200)]
+    m = [q - 1, q - 2, (q + 1) // 2, 1]
+    got = oracle._image(np.array(xs, dtype=np.float64)[:, None], np.array([m], dtype=np.float64), q)
+    assert got.tolist() == [[x * c % q for c in m] for x in xs]
+
+
+def test_exactness_guard_refuses_before_enumerating(monkeypatch):
+    """A prime p with (p-1)**2 >= 2**53: one row already passes the exact
+    float64 range, so every oracle refuses it even within its budget, and
+    before it builds the enumeration."""
+    p = 94906297
+    assert (p - 1) ** 2 >= 2**53
+    ctx = make_ext_field(p, 1)
+    one = FMatrix.from_rows(ctx, [[p - 1]], cols=1)
+
+    def no_enumeration(q, dim):
+        raise AssertionError("enumeration built past the exactness guard")
+
+    monkeypatch.setattr(oracle, "_all_vectors", no_enumeration)
+    for call in (
+        lambda: entropy_exhaustive(one, p, budget=2**27),
+        lambda: mcf_exhaustive(one, one, p, budget=2**27),
+        lambda: cond_mutual_info_exhaustive(one, one, one, p, budget=2**27),
+    ):
+        with pytest.raises(BudgetError, match="2\\*\\*53"):
+            call()
+    # the bound itself: (q-1)**2 * rows = 2**53 is refused, 2**52 is not
+    oracle._check_exact(2**26 + 1, 1)
+    with pytest.raises(BudgetError):
+        oracle._check_exact(2**26 + 1, 2)
 
 
 def test_entropy_examples():
@@ -271,21 +405,20 @@ def test_entropy_rejects_extension_fields():
 
 # ---------------------------------------------------------------------------
 # Referee: cond_mutual_info_exhaustive takes the four joint images as column
-# slices of one enumeration image.  The route below maps every base vector
-# through each of the four stacked maps separately, as the function did
-# before, and must give the same float bit for bit.
+# slices of one float64 enumeration image, counted with one sort.  The route
+# below maps every base vector through each of the four stacked maps
+# separately, on the integer referee, and must give the same float bit for
+# bit.
 
 
 def _cmi_four_maps(ma, mb, mc, q):
-    from treepin.oracle import _all_vectors, _base_code_matrix, _image_labels
-
-    vectors = _all_vectors(q, ma.rows)
+    vectors = _ref_vectors(q, ma.rows)
 
     def image_exponent(*mats):
         stacked = mats[0]
         for m in mats[1:]:
             stacked = stacked.hstack(m)
-        _, counts, _ = _image_labels(vectors, _base_code_matrix(stacked), q)
+        _, counts, _ = _ref_image_labels(vectors, _ref_code_matrix(stacked), q)
         n_values = len(counts)
         e = round(math.log(n_values, q))
         assert q**e == n_values
@@ -298,11 +431,11 @@ def _cmi_four_maps(ma, mb, mc, q):
     return (ea + eb - eab - ec) * math.log2(q)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_cmi_equals_four_map_route(q):
     ctx = make_ext_field(q, 1)
     rng = random.Random(100 + q)
-    max_rows = {2: 7, 3: 5, 5: 4}[q]
+    max_rows = {2: 7, 3: 5, 5: 4, 7: 3}[q]
     for trial in range(60):
         d = rng.randint(0, max_rows)
         # every third trial empties one of the three maps
@@ -313,27 +446,40 @@ def test_cmi_equals_four_map_route(q):
         got = cond_mutual_info_exhaustive(ma, mb, mc, q)
         want = _cmi_four_maps(ma, mb, mc, q)
         assert got.hex() == want.hex(), (q, d, widths)
-    # all three empty
+    # all three empty, and maps of a 0-dimensional base vector
     empty = FMatrix.zeros(ctx, 3, 0)
     got = cond_mutual_info_exhaustive(empty, empty, empty, q)
     assert got.hex() == _cmi_four_maps(empty, empty, empty, q).hex()
+    flat = [FMatrix.zeros(ctx, 0, w) for w in (2, 0, 1)]
+    assert cond_mutual_info_exhaustive(*flat, q).hex() == _cmi_four_maps(*flat, q).hex()
 
 
-@pytest.mark.parametrize("q, widths", [(2, (30, 31, 4)), (3, (20, 0, 21)), (5, (0, 14, 14))])
+@pytest.mark.parametrize(
+    "q, widths",
+    [
+        (2, (30, 31, 4)),
+        (3, (20, 0, 21)),
+        (5, (0, 14, 14)),
+        (2, (26, 27, 1)),
+        (3, (16, 17, 1)),
+    ],
+)
 def test_cmi_equals_four_map_route_past_packing_limit(q, widths):
-    """Joint images with q**cols > 2**62 cannot be packed into int64 and
-    take the row-wise np.unique fallback in both routes."""
-    from treepin.oracle import _distinct_rows
-
+    """Joint images with q**cols > 2**53 cannot be packed into float64 and
+    take the row-wise np.unique fallback; the last two cases put [ma|mc]
+    just below the limit and the whole stack just above it."""
     ctx = make_ext_field(q, 1)
-    rng = random.Random(7 * q)
+    rng = random.Random(7 * q + sum(widths))
     d = {2: 8, 3: 5, 5: 4}[q]
-    assert q ** sum(widths) > 2**62
+    assert q ** sum(widths) > 2**53
     for _ in range(5):
         ma, mb, mc = (random_matrix(ctx, d, w, rng) for w in widths)
         got = cond_mutual_info_exhaustive(ma, mb, mc, q)
         assert got.hex() == _cmi_four_maps(ma, mb, mc, q).hex()
-    # the row-wise fallback counts distinct rows
-    digits = np.array([[rng.randrange(q) for _ in range(sum(widths))] for _ in range(20)])
+    # both counting routes count distinct rows of each slice
+    cols = sum(widths)
+    digits = np.array([[rng.randrange(q) for _ in range(cols)] for _ in range(20)])
     img = digits[[rng.randrange(20) for _ in range(60)]]
-    assert _distinct_rows(img, q) == len(set(map(tuple, img.tolist())))
+    slices = ((0, cols), (0, widths[0] + widths[1]), (widths[0], cols), (1, 1))
+    want = [len(set(map(tuple, img[:, lo:hi].tolist()))) for lo, hi in slices]
+    assert _distinct_counts(img.astype(np.float64), q, slices) == want
