@@ -11,7 +11,7 @@ on the codes with the context's bound code operations.
 nonzero entry scanning top to bottom), so repeated runs produce identical
 results.  One kernel over integer codes, with the field arithmetic supplied
 by the context, follows the design of the galois package
-(https://github.com/mhostetter/galois).  No floats anywhere.  The kernel
+(https://github.com/mhostetter/galois).  The kernel uses no floats, and
 touches only the pivot row's nonzero entries: it scales them, and updates
 each row it clears at those columns alone.  Most matrices eliminated here
 are sparse (an identity half, or a communication matrix whose columns use
@@ -531,6 +531,48 @@ def expand_to_base(m: FMatrix) -> FMatrix:
 # batch of vectors can be pushed through it as one integer matrix product
 # reduced mod q, the way the galois package
 # (https://github.com/mhostetter/galois) runs extension-field linear algebra.
+#
+# Such a product is exact in float64, where numpy multiplies through BLAS,
+# while every sum stays below 2**53: float64 holds every integer up to
+# there.  A sum of `inner` products of digits below q is at most
+# (q-1)**2 * inner (_exact_f64).  The product is then reduced mod q as
+# x - q*floor(x/q) (_floor_mod): for an integer x below 2**53 in magnitude
+# the rounded quotient x/q never crosses an integer, so the floor is exact.
+# (Multiplying by a rounded 1/q instead is not: 103 * (1/103) < 1.)  For a
+# negative x, q*floor(x/q) reaches down to x - q + 1, so x must stay q
+# above -2**53 for that product to be exact as well.  This is how
+# word-size finite-field BLAS computes (Dumas, Giorgi, Pernet, "Dense
+# linear algebra over word-size prime fields: the FFLAS and FFPACK
+# packages", ACM TOMS 35(3), 2008).  Past the bound, int64 and then
+# Python-int object arrays take over (_int_dtype).
+
+_EXACT = 2**53     # float64 holds every integer up to here
+_MOD_BLOCK = 8192  # entries per pass of _floor_mod
+
+
+def _exact_f64(q: int, inner: int) -> bool:
+    """Whether every sum of `inner` products of two digits below q stays
+    below 2**53, so that float64 products and _floor_mod are exact."""
+    return (q - 1) ** 2 * inner < _EXACT
+
+
+def _floor_mod(a: np.ndarray, q: int) -> np.ndarray:
+    """Reduce a C-contiguous float64 array of integers x with
+    -(2**53 - q) <= x < 2**53 mod q, in place, as x - q*floor(x/q);
+    returns a.
+
+    The quotient is taken _MOD_BLOCK entries at a time: a temporary the
+    size of a would cost more in fresh pages than the arithmetic."""
+    if not a.flags.c_contiguous:
+        raise ValueError("_floor_mod reduces in place: a must be C-contiguous")
+    flat = a.reshape(-1)
+    for lo in range(0, flat.size, _MOD_BLOCK):
+        part = flat[lo : lo + _MOD_BLOCK]
+        t = part / q
+        np.floor(t, out=t)
+        t *= q
+        part -= t
+    return a
 
 
 def _int_dtype(ctx: ExtFieldCtx, inner: int):
@@ -559,35 +601,35 @@ def _from_digits(digits: np.ndarray, ctx: ExtFieldCtx) -> np.ndarray:
 
 def _expand(mats: Sequence[FMatrix], dtype) -> list[np.ndarray]:
     """The arrays behind expand_to_base, one per matrix of `mats` (all over
-    one context, at least one matrix).
+    one context, at least one matrix), as dtype arrays: an integer dtype
+    from _int_dtype, or float64 for a context whose codes fit 2**53.
 
     Entry a = sum_k a_k x^k gives the block R[r][c] = sum_k a_k *
     coeff_c(x^(r+k) mod modulus), so one product of the digit array of
     every entry of every matrix with the table of the powers x^0 ..
-    x^(2n-2) builds every block; each result is a slice of that product.
+    x^(2n-2) builds every block; each result is a slice of that product,
+    copied into its final layout and dtype in one step.  The blocks are
+    computed in int64 for float64 output (their inner dimension is n).
     """
     ctx = mats[0].ctx
     q, n = ctx.q, ctx.n
+    work = np.int64 if dtype is np.float64 else dtype
     # x has code q; n = 1 needs only x^0
     powers = [1]
     for _ in range(2 * n - 2):
         powers.append(ctx.mul_code(powers[-1], q))
-    table = _to_digits(np.array(powers, dtype=dtype)[:, None], ctx)
+    table = _to_digits(np.array(powers, dtype=work)[:, None], ctx)
     k = np.arange(n)
     # hankel[k, r*n + c] = coeff_c(x^(k+r))
     hankel = table[k[:, None] + k[None, :]].reshape(n, n * n)
     total = sum(m.rows * m.cols for m in mats)
-    codes = np.fromiter(chain.from_iterable(chain.from_iterable(m._codes for m in mats)), dtype, total)
+    codes = np.fromiter(chain.from_iterable(chain.from_iterable(m._codes for m in mats)), work, total)
     blocks = _to_digits(codes.reshape(total, 1), ctx) @ hankel % q
     out = []
     start = 0
     for m in mats:
         stop = start + m.rows * m.cols
-        out.append(
-            blocks[start:stop]
-            .reshape(m.rows, m.cols, n, n)
-            .transpose(0, 2, 1, 3)
-            .reshape(m.rows * n, m.cols * n)
-        )
+        block = blocks[start:stop].reshape(m.rows, m.cols, n, n).transpose(0, 2, 1, 3)
+        out.append(np.asarray(block, dtype=dtype, order="C").reshape(m.rows * n, m.cols * n))
         start = stop
     return out

@@ -78,6 +78,7 @@ class TreePinSource:
         "base_ctx",
         "_ranges",
         "_incident",
+        "_views",
     )
 
     def __init__(self, q: int, vertex_count: int, edges: Sequence[EdgeSpec]):
@@ -137,6 +138,7 @@ class TreePinSource:
         self.base_ctx = base_ctx
         self._ranges = ranges
         self._incident = {v: tuple(es) for v, es in incident.items()}
+        self._views: tuple[NodeView, ...] | None = None  # built by node_view
 
     # -- structure ---------------------------------------------------------
 
@@ -170,6 +172,15 @@ class TreePinSource:
         return tuple(v for v in range(self.vertex_count) if self.degree(v) == 1)
 
     def node_view(self, v: int) -> NodeView:
+        """Node v's view.  The first call builds every node's view, which
+        later calls share (the source is immutable)."""
+        if self._views is None:
+            self._views = tuple(map(self._build_view, range(self.vertex_count)))
+        if not 0 <= v < self.vertex_count:
+            raise KeyError(v)
+        return self._views[v]
+
+    def _build_view(self, v: int) -> NodeView:
         coords: list[int] = []
         for e in self._incident[v]:
             coords.extend(self._ranges[e.edge_id])

@@ -14,17 +14,16 @@ arbitrary pairs) fall back to the exact rational formula
 ``log2(total) - sum(c*log2 c)/total``.
 
 The arithmetic runs in float64, where numpy multiplies through BLAS, and it
-is exact: float64 holds every integer below 2**53.  Every base vector is
-mapped, as one product ``vectors @ M`` whose entries are sums of ``rows``
-products below q**2, so none reaches 2**53 while (q-1)**2 * rows < 2**53.
-Past that bound the oracles raise BudgetError before they enumerate
-anything (such an enumeration would need at least 2**26 vectors).  The
-product is reduced mod q as ``x - q*floor(x/q)``: for an integer x below
-2**53 the rounded quotient never crosses an integer, so the floor is exact.
-(Multiplying by a rounded 1/q instead is not: 103 * (1/103) < 1.)  Image
-rows are then packed into single base-q numbers by one more product with
-q-powers, exact while q**cols <= 2**53; wider images fall back to
-row-wise uniqueness.
+is exact.  Every base vector is mapped, as one product ``vectors @ M``
+whose entries are sums of ``rows`` products of digits, reduced mod q by
+floor; `falinalg._exact_f64` states the bound, (q-1)**2 * rows < 2**53,
+and `falinalg._floor_mod` is the reduction, the same kernel that runs
+`simulate`'s trial batches (the falinalg notes on digit arrays give the
+argument).  Past that bound the oracles raise BudgetError before they
+enumerate anything (such an enumeration would need at least 2**26
+vectors).  Image rows are then packed into single base-q numbers by one
+more product with q-powers, exact while q**cols <= 2**53; wider images
+fall back to row-wise uniqueness.
 
 The conditional mutual information needs the image sizes of four joint
 maps, [ma|mc], [mb|mc], [ma|mb|mc] and [mc].  The image of a stacked map is
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .falinalg import FMatrix
+from .falinalg import _EXACT, FMatrix, _exact_f64, _floor_mod
 
 __all__ = [
     "BudgetError",
@@ -64,10 +63,6 @@ ENTROPY_BUDGET = 2**18
 MCF_BUDGET = 2**14
 
 
-_EXACT = 2**53     # float64 holds every integer up to here
-_MOD_BLOCK = 8192  # entries per floor-mod pass in _image
-
-
 def _base_code_matrix(m: FMatrix) -> np.ndarray:
     if m.ctx.n != 1:
         raise ValueError(
@@ -80,7 +75,7 @@ def _base_code_matrix(m: FMatrix) -> np.ndarray:
 def _check_exact(q: int, rows: int) -> None:
     """Refuse an image whose float64 entries could reach 2**53 (module
     docstring)."""
-    if (q - 1) ** 2 * rows >= _EXACT:
+    if not _exact_f64(q, rows):
         raise BudgetError(
             f"a {rows}-row image over GF({q}) has entries up to "
             f"{(q - 1) ** 2 * rows}, past the exact float64 range 2**53"
@@ -115,21 +110,8 @@ def _powers(q: int, cols: int) -> np.ndarray:
 
 
 def _image(vectors: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
-    """vectors @ m reduced mod q, exact under _check_exact (module docstring).
-
-    The quotient is taken _MOD_BLOCK entries at a time: a temporary the
-    size of the image would cost more in fresh pages than the arithmetic."""
-    img = vectors @ m
-    flat = img.reshape(-1)
-    quot = np.empty(min(flat.size, _MOD_BLOCK))
-    for lo in range(0, flat.size, _MOD_BLOCK):
-        part = flat[lo : lo + _MOD_BLOCK]
-        t = quot[: part.size]
-        np.divide(part, q, out=t)
-        np.floor(t, out=t)
-        t *= q
-        part -= t
-    return img
+    """vectors @ m reduced mod q, exact under _check_exact (module docstring)."""
+    return _floor_mod(vectors @ m, q)
 
 
 def _image_labels(

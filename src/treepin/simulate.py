@@ -25,16 +25,29 @@ N and L serve the eavesdropper's replay: the tap W is predictable from the
 communication iff N @ W = 0, L @ W then reconstructs it, and
 d - rank([F | W]) = k - rank(N @ W) dimensions stay unknown to it.
 
-Trials run in batches of up to _CHUNK rows, and each batch is a fixed
-number of array operations, whatever the vertex count.  Every linear map
-is applied to the whole batch as its F_q realisation
-(`falinalg.expand_to_base`): one integer matrix product reduced mod q.
-Running GF(q**n) maps as F_q-linear maps on digit arrays is how the galois
-package (https://github.com/mhostetter/galois) vectorises extension-field
-arithmetic.  Arrays are int64 while every inner product fits (small q),
-Python-int object arrays above that.  Every map a run uses ([F | key | W],
-L, N and the stacked R_v) comes out of one expansion: one digit product
-over the entries of all four (`falinalg._expand`).  A batch runs:
+Trials run in batches of up to _CHUNK, and each batch is a fixed number
+of array operations, whatever the vertex count.  A batch holds its trials
+as columns: the maps act from the left as transposed views, which BLAS
+takes as they are, and every gather below takes whole rows.  Every linear
+map is applied to the whole batch as its F_q realisation
+(`falinalg.expand_to_base`): one matrix product of digit arrays reduced
+mod q.  Running GF(q**n) maps as F_q-linear maps on digit arrays is how
+the galois package (https://github.com/mhostetter/galois) vectorises
+extension-field arithmetic.  Every map a run uses ([F | key | W], L, N
+and the stacked R_v) comes out of one expansion: one digit product over
+the entries of all four (`falinalg._expand`).
+
+The arrays are float64, where numpy multiplies through BLAS, whenever
+that is exact: every code fits 2**53 (order <= 2**53), and every sum a
+batch forms stays below 2**53.  No product has an inner dimension above
+(d + c)*n, and the one negative array, x - comm @ L, goes down to
+-(q-1)**2 * c*n, whose reduction needs q-1 more (`falinalg._floor_mod`);
+the bound checked, (q-1)**2 * ((d + c)*n + 1) < 2**53
+(`falinalg._exact_f64`), covers both.  Each product
+is then reduced in place as x - q*floor(x/q) by `falinalg._floor_mod`, the
+kernel the exhaustive oracles share.  Past the bound the arrays are int64
+while every sum fits 2**63 (`falinalg._int_dtype`), and Python-int object
+arrays above that, each reduced by `%`.  A batch runs:
 
 - Draws.  They are the values `randrange(order)` returns, in order, so the
   tallies and the order of `key_counts` do not depend on the batching.  For
@@ -43,18 +56,24 @@ over the entries of all four (`falinalg._expand`).  A batch runs:
   getrandbits(32 * m) returns m such words, lowest first, so one call, one
   shift and one filter give a batch of draws; accepted values past the
   batch wait in a buffer for the next one.  Wider orders (only a prime
-  field above 2**32 has one) call randrange once per value.
+  field above 2**32 has one) call randrange once per value.  On the
+  float64 route with an order of at most _DIGIT_TABLE, the draws index a
+  float64 (order, n) table of every code's digits (`_digit_table`, shared
+  by every run over the field), so one lookup gives the batch's digit
+  array; otherwise `falinalg._to_digits` splits the codes.
 - One product of the digits x with [F | key | W] (W only when the tap is
-  replayed) gives comm, the key and the tap.  Keys are tallied with a
-  Counter, which keeps first-seen order.
+  replayed) gives comm, the key and the tap.  Keys are tallied as tuples
+  of Python ints with a Counter, which keeps first-seen order.
 - Decoders, stacked.  e = x - x0 = (x - comm @ L) mod q.  Node v's digit
-  columns are padded to the widest view into one (V, w*n) index array, and
-  its R_v, padded with zero rows, into one (V, w*n, k*n) array, so
-  y = e[:, cols] @ R, one batched product, is every node's y_v at once.
+  rows are padded to the widest view into one (V, w*n) index array, and
+  its R_v, padded with zero rows and transposed, into one (V, k*n, w*n)
+  array, so one batched product of R with the gathered digits of e is
+  every node's y_v at once.
 - Decode check.  N is the identity at the free coordinates of the
   elimination; let a be the digits of e there.  x0 + y_v @ N = x means
   y_v @ N = e, and at the free coordinates y_v @ N is y_v itself, so node v
-  decodes iff y_v = a and a @ N = e: one rows x (d*n) check for all nodes.
+  decodes iff y_v = a and a @ N = e (mod q): one (d*n) x trials check for
+  all nodes.
 - Key mismatches.  A node that decodes holds x itself, and its key x @ K
   is the true key, so `key_mismatches` is 0 by construction; the field
   stays in SimReport because the CLI prints it.  The per-trial referee in
@@ -65,6 +84,7 @@ over the entries of all four (`falinalg._expand`).  A batch runs:
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -72,7 +92,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .falinalg import (
+    _EXACT,
+    _exact_f64,
     _expand,
+    _floor_mod,
     _from_digits,
     _int_dtype,
     _left_null_and_ginverse,
@@ -82,6 +105,7 @@ from .falinalg import (
     lift,
     rank,
 )
+from .gfield import ExtFieldCtx
 from .model import TreePinSource, Wiretapper
 from .scheme import CommScheme
 
@@ -115,6 +139,19 @@ class SimReport:
 # Trials per batch: bounds every digit array at _CHUNK x (base_dim + cols) * n
 # entries, and the stacked decoder gather at _CHUNK x vertex_count x w * n.
 _CHUNK = 1024
+
+# Largest order whose draws take their digits from a table: beyond it a
+# batch draws fewer codes than the table would hold
+_DIGIT_TABLE = 2**16
+
+
+@functools.lru_cache(maxsize=8)
+def _digit_table(ctx: ExtFieldCtx) -> np.ndarray:
+    """(order, n) float64 array whose row c holds the digits of code c; runs
+    over one field share it, so it is read-only."""
+    table = _to_digits(np.arange(ctx.order).reshape(-1, 1), ctx).astype(np.float64)
+    table.setflags(write=False)
+    return table
 
 
 def _code_draws(rng: random.Random, order: int, dtype):
@@ -175,7 +212,14 @@ def run_protocol(
     null, ginv, free = _left_null_and_ginverse(f)
     null_t = null.transpose()
     k = null.rows
-    dtype = _int_dtype(ext, (d + f.cols) * n)
+    inner = (d + f.cols) * n
+    # float64 while exact, else int64 or object (module docstring); codes
+    # (the keys, and draws that no digit table serves) stay integers
+    if ext.order <= _EXACT and _exact_f64(q, inner + 1):
+        dtype, code_dtype, mod = np.float64, np.int64, _floor_mod
+    else:
+        dtype = code_dtype = _int_dtype(ext, inner)
+        mod = np.remainder
     views = [source.node_view(v).coords for v in range(source.vertex_count)]
     width = max(map(len, views), default=0)
     # R_v stacked, each padded with zero rows to `width` rows; the padded
@@ -206,33 +250,55 @@ def run_protocol(
     maps, ginv_map, null_map, right_invs = _expand(
         [f.hstack(scheme.key.matrix, wl), ginv, null, _mat(ext, stacked, k)], dtype
     )
-    comm_key_map = maps[:, : comm_cols + key_cols]
-    wiretap_map = maps[:, comm_cols + key_cols :]
-    right_invs = right_invs.reshape(len(views), width * n, k * n)
+    # a batch holds its trials as columns (module docstring): each map acts
+    # from the left as its transpose, a view BLAS takes as it is, and the
+    # R_v are transposed once, into one (V, k*n, w*n) array
+    comm_key_t = maps[:, : comm_cols + key_cols].T
+    wiretap_t = maps[:, comm_cols + key_cols :].T
+    ginv_t, null_map_t = ginv_map.T, null_map.T
+    right_invs = np.ascontiguousarray(
+        right_invs.reshape(len(views), width * n, k * n).transpose(0, 2, 1)
+    )
 
-    draw = _code_draws(random.Random(seed), ext.order, dtype)
+    rng = random.Random(seed)
+    if dtype is np.float64 and ext.order <= _DIGIT_TABLE:
+        table = _digit_table(ext)
+        draw = _code_draws(rng, ext.order, np.uint32)
+
+        def digits(rows: int) -> np.ndarray:
+            return np.take(table, draw(rows * d), axis=0).reshape(rows, d * n)
+    else:
+        draw = _code_draws(rng, ext.order, code_dtype)
+
+        def digits(rows: int) -> np.ndarray:
+            codes = draw(rows * d).reshape(rows, d)
+            return _to_digits(codes, ext).astype(dtype, copy=False)
+
     decode_failures = 0
     mispredictions = 0
     key_counts: Counter[tuple[int, ...]] = Counter()
 
     for start in range(0, trials, _CHUNK):
         rows = min(_CHUNK, trials - start)
-        x = _to_digits(draw(rows * d).reshape(rows, d), ext)
-        out = x @ comm_key_map % q
-        key_counts.update(map(tuple, _from_digits(out[:, comm_cols:], ext).tolist()))
+        x = digits(rows).T
+        out = mod(comm_key_t @ x, q)
+        keys = _from_digits(out[comm_cols:].T, ext).astype(code_dtype, copy=False)
+        key_counts.update(map(tuple, keys.tolist()))
 
         # node v decodes iff y_v @ N = e, and N is the identity at the free
         # coordinates (see the module docstring)
-        e = (x - out[:, :comm_cols] @ ginv_map) % q
-        y = e[:, digit_cols].transpose(1, 0, 2) @ right_invs % q
-        a = e[:, free_cols]
-        consistent = ((a @ null_map - e) % q == 0).all(axis=1)
-        decoded = (y == a).all(axis=2) & consistent
+        e = ginv_t @ out[:comm_cols]   # x0 = comm @ L, then x - x0 in place
+        np.subtract(x, e, out=e)
+        e = mod(e, q)
+        y = mod(right_invs @ np.take(e, digit_cols, axis=0), q)
+        a = e[free_cols]
+        consistent = (mod(null_map_t @ a, q) == e).all(axis=0)
+        decoded = (y == a).all(axis=1) & consistent
         decode_failures += decoded.size - int(np.count_nonzero(decoded))
 
         if replay:
             # the prediction comm @ (L @ W) is x0 @ W, so it misses iff e @ W != 0
-            mispredictions += int(np.count_nonzero((e @ wiretap_map % q).any(axis=1)))
+            mispredictions += int(np.count_nonzero(mod(wiretap_t @ e, q).any(axis=0)))
 
     return SimReport(
         trials=trials,

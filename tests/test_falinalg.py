@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from treepin import ExtFieldCtx, FMatrix, make_ext_field
 from treepin.falinalg import (
     _eliminate,
+    _MOD_BLOCK,
     _expand,
+    _floor_mod,
     _int_dtype,
     _left_null_and_ginverse,
     col_space_intersect,
@@ -581,3 +584,20 @@ def test_expansion_of_several_matrices_matches_each_alone(q, n):
     maps = [f.hstack(FMatrix.identity(ctx, 1)), ginv, null]
     for m, part in zip(maps, _expand(maps, dtype)):
         assert part.tolist() == reference_expand(m)
+
+
+def test_floor_mod_is_exact_on_both_signs_and_across_blocks():
+    """x - q*floor(x/q) in place against Python's %, on every integer x with
+    -(2**53 - q) <= x < 2**53 (simulate reduces x - comm @ L, which is
+    negative), over more than one _MOD_BLOCK; a layout the kernel cannot
+    reduce in place is refused."""
+    rng = random.Random(21)
+    for q in (2, 3, 103, 94906249):
+        low = -(2**53 - q)
+        xs = [rng.randrange(low, 2**53) for _ in range(7 * (_MOD_BLOCK // 7 + 9))]
+        xs[:7] = [low, low + 1, 2**53 - 1, -q, -1, 0, q - 1]
+        a = np.array(xs, dtype=np.float64).reshape(-1, 7)
+        assert _floor_mod(a, q) is a
+        assert a.reshape(-1).tolist() == [x % q for x in xs]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _floor_mod(np.zeros((4, 6)).T, 5)

@@ -64,6 +64,21 @@ def test_node_view():
     assert rank(blk) == 2
 
 
+def test_node_views_are_built_once_on_first_use():
+    """The first node_view call builds every view, later calls hand out the
+    same objects; a loaded instance builds none until asked."""
+    src, wt = parity_path()
+    loaded, _ = load_instance(save_instance(src, wt))
+    assert loaded._views is None
+    first = loaded.node_view(1)
+    assert loaded.node_view(1) is first
+    assert list(loaded._views) == [loaded.node_view(v) for v in range(4)]
+    assert [v.coords for v in loaded._views] == [(0,), (0, 1), (1, 2), (2,)]
+    for bad in (-1, 4):
+        with pytest.raises(KeyError):
+            loaded.node_view(bad)
+
+
 def test_with_multiplicity():
     src, _ = parity_path()
     wider = src.with_multiplicity(1, 4)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from treepin import (
     TreePinSource,
     Wiretapper,
     make_ext_field,
+    random_instance,
     run_protocol,
     synth_explicit_unit,
     synth_random,
@@ -26,7 +29,7 @@ from treepin import (
 from treepin import simulate
 from treepin.falinalg import (
     _expand,
-    _int_dtype,
+    _from_digits,
     _to_digits,
     left_inverse,
     lift,
@@ -148,6 +151,23 @@ def test_negative_trials_is_an_error():
     scheme = synth_explicit_unit(src, wt)
     with pytest.raises(SimulationError):
         run_protocol(scheme, src, wt, seed=1, trials=-5)
+
+
+def test_node_views_are_built_once_per_source(monkeypatch):
+    """check_owners and the decoder set-up share one set of views, and a
+    second run on the same source builds none."""
+    built = []
+    real = TreePinSource._build_view
+
+    def build_view(self, v):
+        built.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(TreePinSource, "_build_view", build_view)
+    src, wt, scheme = published_scheme()
+    run_protocol(scheme, src, wt, seed=1, trials=10)
+    run_protocol(scheme, src, wt, seed=2, trials=10)
+    assert built == list(range(src.vertex_count))
 
 
 def test_column_on_an_unseen_coordinate_is_refused():
@@ -282,7 +302,12 @@ def _row_dot(row, vec, add, mul):
     return acc
 
 
-@pytest.mark.parametrize("q, n", REFEREE_FIELDS)
+# The referee fields, and a prime field of the int64-only band: the largest
+# prime below 2**28, whose squared digits pass 2**53 but not 2**63
+SIM_FIELDS = REFEREE_FIELDS + [(268435399, 1)]
+
+
+@pytest.mark.parametrize("q, n", SIM_FIELDS)
 def test_batched_run_matches_per_trial_referee(q, n):
     src, wt, scheme = _scheme_over(q, n, seed=q * 10 + n)
     for trials in (0, 1, _CHUNK + 1):
@@ -292,6 +317,42 @@ def test_batched_run_matches_per_trial_referee(q, n):
         assert got == want
         assert list(got.key_counts.items()) == list(want.key_counts.items())
     assert got.perfect
+
+
+@pytest.mark.parametrize(
+    "q, n, dtype, table",
+    [
+        (3, 2, np.float64, True),          # digits by table lookup
+        (65537, 1, np.float64, False),     # the prime above 2**16: no table
+        (94906249, 1, np.int64, False),    # (q-1)**2 < 2**53, not times inner
+        (268435399, 1, np.int64, False),   # (q-1)**2 past 2**53
+        (4294967311, 1, object, False),    # the prime above 2**32
+    ],
+)
+def test_each_dtype_route_matches_referee(monkeypatch, q, n, dtype, table):
+    """Each field takes its route: the dtype of the maps, and whether the
+    draws index a digit table (they then stay uint32)."""
+    routes = []
+    real_expand, real_draws = simulate._expand, simulate._code_draws
+
+    def expand(mats, dtype):
+        routes.append(dtype)
+        return real_expand(mats, dtype)
+
+    def code_draws(rng, order, dtype):
+        routes.append(dtype is np.uint32)
+        return real_draws(rng, order, dtype)
+
+    monkeypatch.setattr(simulate, "_expand", expand)
+    monkeypatch.setattr(simulate, "_code_draws", code_draws)
+    src, wt, scheme = _scheme_over(q, n, seed=q * 10 + n)
+    for trials in (1, 64):
+        got = run_protocol(scheme, src, wt, seed=trials, trials=trials)
+        want = _reference_run_protocol(scheme, src, wt, trials, trials)
+        assert got == want
+        assert list(got.key_counts.items()) == list(want.key_counts.items())
+        assert all(type(c) is int for key in got.key_counts for c in key)
+    assert routes == [dtype, table] * 2
 
 
 def _owner_of(src, coord):
@@ -308,7 +369,7 @@ def _widened(scheme, extra, owners):
     )
 
 
-@pytest.mark.parametrize("q, n", REFEREE_FIELDS)
+@pytest.mark.parametrize("q, n", SIM_FIELDS)
 def test_dependent_columns_and_full_row_rank_match_referee(q, n):
     """F with a repeated (scaled) column, so rank F < cols, and F widened
     by the key columns, so rank F = base_dim and the left nullspace of F
@@ -356,7 +417,7 @@ def test_first_node_that_cannot_decode_is_named(n):
         run_protocol(scheme, src, wt, seed=1, trials=10)
 
 
-@pytest.mark.parametrize("q, n", REFEREE_FIELDS)
+@pytest.mark.parametrize("q, n", SIM_FIELDS)
 def test_tap_outside_col_f_matches_referee(q, n):
     """A tap widened by a key coordinate, which lies outside col F: every
     node still decodes, the tap is no longer predictable, and the
@@ -449,29 +510,72 @@ def test_orders_above_32_bits_call_randrange(order, dtype, calls):
 # The stacked decode check against the per-node check it replaced: node v
 # decodes a trial iff (x0 + y_v @ N) % q == x.  The per-trial referee above
 # builds its own decoders, so it cannot see a fault in run_protocol's L or
-# R_v; this one reads them through the functions run_protocol calls.
+# R_v; this one reads them through the functions run_protocol calls.  It
+# runs on int64 digits and takes every product but y_v @ N over the nonzero
+# entries of its map, column block by column block, so it stays cheap
+# without floats at the scale below as well.
 
 
-def _per_node_decode_failures(scheme, source, seed, trials):
+def _sparse_product(x, m, q):
+    """x @ expand_to_base(m) mod q in int64: the n digit columns of column j
+    of m come from x's digit columns at that column's nonzero rows."""
+    n = m.ctx.n
+    full = _expand([m], np.int64)[0]
+    out = np.zeros((x.shape[0], m.cols * n), dtype=np.int64)
+    for j, col in enumerate(zip(*m.to_code_rows())):
+        rows = [i * n + t for i, c in enumerate(col) if c for t in range(n)]
+        out[:, j * n : (j + 1) * n] = x[:, rows] @ full[rows, j * n : (j + 1) * n]
+    return out % q
+
+
+def _per_node_report(scheme, source, wiretapper, seed, trials):
+    """The whole SimReport in int64: x0 = comm @ L, and node v recovers
+    x0 + ((x_v - x0_v) @ R_v) @ N, checked against x and keyed again."""
     ext = scheme.ext_ctx
     q, n, d = ext.q, ext.n, source.base_dim
-    f = scheme.comm_matrix
+    f, key = scheme.comm_matrix, scheme.key.matrix
     null, ginv, _ = simulate._left_null_and_ginverse(f)
-    dtype = _int_dtype(ext, (d + f.cols) * n)
+    wl = lift(wiretapper.matrix, ext)
+    recon = solve_right(f, wl)
     rng = random.Random(seed)
-    codes = np.array([rng.randrange(ext.order) for _ in range(trials * d)], dtype=dtype)
+    codes = np.array([rng.randrange(ext.order) for _ in range(trials * d)], dtype=np.int64)
     x = _to_digits(codes.reshape(trials, d), ext)
-    f_map, ginv_map, null_map = _expand([f, ginv, null], dtype)
-    x0 = (x @ f_map % q) @ ginv_map % q
-    failures = 0
+    comm = _sparse_product(x, f, q)
+    x0 = _sparse_product(comm, ginv, q)
+    key_digits = _sparse_product(x, key, q)
+    null_map = _expand([null], np.int64)[0]
+    failures = mismatches = 0
     for v in range(source.vertex_count):
         coords = source.node_view(v).coords
         right_inv = simulate.left_inverse(null.take_cols(coords).transpose()).transpose()
         cols = [c * n + i for c in coords for i in range(n)]
-        y = (x[:, cols] - x0[:, cols]) @ _expand([right_inv], dtype)[0] % q
-        recovered = (x0 + y @ null_map) % q
-        failures += trials - int(np.count_nonzero((recovered == x).all(axis=1)))
-    return failures
+        y = _sparse_product((x[:, cols] - x0[:, cols]) % q, right_inv, q)
+        # y @ N, as an einsum: numpy's int64 matmul is slower at inner k*n
+        recovered = (x0 + np.einsum("tk,kj->tj", y, null_map)) % q
+        decoded = (recovered == x).all(axis=1)
+        failures += trials - int(np.count_nonzero(decoded))
+        wrong_key = (_sparse_product(recovered, key, q) != key_digits).any(axis=1)
+        mismatches += int(np.count_nonzero(decoded & wrong_key))
+    mispredictions = 0
+    if recon is not None and wl.cols:
+        missed = (_sparse_product(comm, recon, q) != _sparse_product(x, wl, q)).any(axis=1)
+        mispredictions = int(np.count_nonzero(missed))
+    key_counts = Counter(map(tuple, _from_digits(key_digits, ext).tolist()))
+    return SimReport(
+        trials=trials,
+        block_len=n,
+        decode_failures=failures,
+        key_mismatches=mismatches,
+        wiretap_predictable=recon is not None,
+        wiretap_mispredictions=mispredictions,
+        eavesdropper_unknown_dims=d - rank(f.hstack(wl)),
+        key_counts=dict(key_counts),
+    )
+
+
+def _per_node_decode_failures(scheme, source, seed, trials):
+    empty = Wiretapper(FMatrix.zeros(source.base_ctx, source.base_dim, 0))
+    return _per_node_report(scheme, source, empty, seed, trials).decode_failures
 
 
 def _bumped(m, i, j):
@@ -528,3 +632,25 @@ def test_decode_check_sees_a_wrong_right_inverse(monkeypatch, q, n):
     assert rep.decode_failures > 0
     assert rep.decode_failures == _per_node_decode_failures(scheme, src, 12, 200)
     assert rep.decode_failures <= 200   # the other nodes still decode
+
+
+# ---------------------------------------------------------------------------
+# Scale: 60 vertices over GF(2^6), in two batches, against the int64
+# per-node referee above.
+
+
+def test_scale_run_matches_int64_per_node_referee():
+    """The float64 route at V = 60, one full batch and one of 300 trials,
+    reports exactly what the int64 referee does, well within 2 s."""
+    src, wt = random_instance(3, vertex_count=60, max_multiplicity=2, q=2, n_w_target=15)
+    scheme = synth_random(src, wt, seed=1)
+    trials = _CHUNK + 300
+    assert scheme.ext_ctx.n == 6
+    start = time.perf_counter()
+    got = run_protocol(scheme, src, wt, seed=9, trials=trials)
+    elapsed = time.perf_counter() - start
+    want = _per_node_report(scheme, src, wt, 9, trials)
+    assert got == want
+    assert list(got.key_counts.items()) == list(want.key_counts.items())
+    assert got.perfect and len(got.key_counts) == 64
+    assert elapsed < 2.0
