@@ -31,7 +31,6 @@ from .scheme import (
     KeyExtractor,
     SchemeError,
     choose_extension_degree,
-    extract_key,
     load_scheme,
     sample_alignment_certificate,
     save_scheme,
@@ -78,7 +77,6 @@ __all__ = [
     "KeyExtractor",
     "SchemeError",
     "choose_extension_degree",
-    "extract_key",
     "load_scheme",
     "sample_alignment_certificate",
     "save_scheme",

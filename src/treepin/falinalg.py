@@ -188,25 +188,6 @@ class FMatrix:
             out.append(acc)
         return _mat(self.ctx, out, width)
 
-    def __add__(self, other: "FMatrix") -> "FMatrix":
-        if not isinstance(other, FMatrix):
-            return NotImplemented
-        if self.shape != other.shape or self.ctx.key != other.ctx.key:
-            raise ValueError("shape or field mismatch in add")
-        add = self.ctx.add_code
-        return _mat(
-            self.ctx,
-            [map(add, r1, r2) for r1, r2 in zip(self._codes, other._codes)],
-            self.cols,
-        )
-
-    def __neg__(self) -> "FMatrix":
-        neg = self.ctx.neg_code
-        return _mat(self.ctx, [map(neg, r) for r in self._codes], self.cols)
-
-    def __sub__(self, other: "FMatrix") -> "FMatrix":
-        return self.__add__(-other)
-
     # -- misc ----------------------------------------------------------------
 
     @property

@@ -288,8 +288,6 @@ class ExtFieldCtx:
         "neg_code",
         "mul_code",
         "inv_code",
-        "_exp",
-        "_log",
     )
 
     def __init__(self, q: int, n: int, modulus: Sequence[int]):
@@ -356,8 +354,6 @@ class ExtFieldCtx:
 
     def _build_ops(self) -> None:
         q, n, order = self.q, self.n, self.order
-        self._exp = self._log = None
-
         if order <= _TABLE_LIMIT:
             g = self._find_generator()
             span = order - 1
@@ -371,7 +367,6 @@ class ExtFieldCtx:
                 e = self._mul_generic(e, g)
             if e != 1:
                 raise AssertionError("generator order mismatch")
-            self._exp, self._log = exp, log
 
             def mul_code(a: int, b: int, _exp=exp, _log=log) -> int:
                 if a == 0 or b == 0:

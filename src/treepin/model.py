@@ -231,8 +231,8 @@ class Wiretapper:
     N_W @ W = 0), in the size of W: `pivot_coords` are the pivot columns of
     that elimination, ascending, and only N_W^T's rows at those coordinates
     are kept.  Its rows at every other coordinate are distinct unit
-    vectors.  `null_rows` and `null_t` read rows of N_W^T back, and
-    `null_rank` ranks a range of them."""
+    vectors.  `null_rows` reads rows of N_W^T back, and `null_rank` ranks a
+    range of them."""
 
     __slots__ = ("matrix", "pivot_coords", "_pivot_rows")
 
@@ -261,11 +261,6 @@ class Wiretapper:
         if k == len(pivots) or pivots[k] >= coords.stop:
             return len(coords)
         return rank(self.null_rows(coords))
-
-    @property
-    def null_t(self) -> FMatrix:
-        """N_W^T whole, built anew on every read."""
-        return self.null_rows(range(self.rows))
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,8 @@ records each node's parent edge and child edges, and node v's relay block
 for child edge e is -S_e^-1 S_up (S_up the block of v's parent edge), edge
 e's surplus block -S_e^-1 T_e (T_e the rest of S on e).  Their columns are
 written straight into F as integer codes; an FMatrix is built only for
-each stored block, F, the key map and the certificate itself.
+each stored block, F and the key map.  C itself is a synthesis
+intermediate: the scheme does not keep it and its file does not carry it.
 
 The key coordinates are the greedy completion of col F by standard basis
 vectors.  For N the left-null basis of F, rank([F | X]) = rank F +
@@ -63,9 +64,7 @@ from .falinalg import (
     _mat,
     _with_identity,
     left_nullspace_basis,
-    lift,
     rank,
-    rref,
 )
 from .gfield import _TABLE_LIMIT, ExtFieldCtx, make_ext_field
 from .model import TreePinSource, Wiretapper
@@ -79,7 +78,6 @@ __all__ = [
     "sample_alignment_certificate",
     "synth_random",
     "synth_explicit_unit",
-    "extract_key",
     "save_scheme",
     "load_scheme",
 ]
@@ -112,7 +110,7 @@ class CommScheme:
 
     comm_matrix columns are the transmitted linear combinations; owners[j]
     is the node that can compute column j from its own observation.  The
-    synthesis fields (certificate, child_mix, surplus_mix) are optional so
+    synthesis fields (root, child_mix, surplus_mix) are optional so
     hand-written schemes can be represented; verification never needs them.
     """
 
@@ -123,7 +121,6 @@ class CommScheme:
     root: int | None = None
     child_mix: dict[tuple[int, int], FMatrix] = field(default_factory=dict)
     surplus_mix: dict[int, FMatrix] = field(default_factory=dict)
-    certificate: FMatrix | None = None
     key: KeyExtractor | None = None
     # (F, left_nullspace_basis(F)) for the comm_matrix object last read
     _null_of: tuple[FMatrix, FMatrix] | None = field(default=None, init=False, repr=False, compare=False)
@@ -172,12 +169,17 @@ class CommScheme:
                     f"cannot observe"
                 )
 
-    def validate(self, source: TreePinSource, wiretapper: Wiretapper | None = None) -> None:
+    def validate(self, source: TreePinSource) -> None:
         """Check structural invariants; raises SchemeError on violation."""
         self.check_owners(source)  # the row count, before N (up to R x R for R rows)
         if self.ext_ctx.q != source.q:
             raise SchemeError("field characteristic mismatch")
-        f = self.comm_matrix
+        # rank(N @ K) = s below does not bound K's width, and a wider key
+        # that completes F is not secret
+        if self.key is not None and self.key.matrix.cols != self.s:
+            raise SchemeError(
+                f"key map has {self.key.matrix.cols} columns, must have s = {self.s}"
+            )
         # rank F = base_dim - (rows of N) and rank([F | K]) = rank F +
         # rank(N @ K)
         null = self.null
@@ -190,18 +192,6 @@ class CommScheme:
                 raise SchemeError(f"mix block for node {node}, edge {edge_id} has wrong shape")
             if rank(a) < self.s:
                 raise SchemeError(f"mix block for node {node}, edge {edge_id} is singular")
-        if self.certificate is not None:
-            cert = self.certificate
-            if cert.rows != self.s or cert.cols != source.base_dim:
-                raise SchemeError("certificate has the wrong shape")
-            if rank(cert) != self.s:
-                raise SchemeError("certificate rows are dependent")
-            if not (cert @ f).is_zero():
-                raise SchemeError("certificate does not annihilate the communication")
-            if wiretapper is not None and wiretapper.dim:
-                wl = lift(wiretapper.matrix, self.ext_ctx)
-                if not (cert @ wl).is_zero():
-                    raise SchemeError("certificate does not annihilate the wiretap matrix")
         if self.key is not None:
             if rank(null @ self.key.matrix) != null.rows:
                 raise SchemeError("key columns do not complete the communication")
@@ -403,7 +393,6 @@ def _synth_from_certificate(
         root=root,
         child_mix=child_mix,
         surplus_mix={eid: _mat(ext, b, len(b[0])) for eid, b in surplus.items()},
-        certificate=_mat(ext, cert, d),
         key=_key_at(ext, d, tuple(pivots)),
     )
 
@@ -477,20 +466,6 @@ def synth_explicit_unit(
             "zero certificate entry; instance was not irreducible"
         )
     return _synth_from_certificate(source, ext, *draw, _default_root(source))
-
-
-def extract_key(scheme: CommScheme) -> KeyExtractor:
-    """Greedy key columns: the first standard basis vectors (ascending
-    coordinate) that extend the communication's column space to full rank.
-
-    With N the left-null basis of F, rank([F | X]) = rank F + rank(N X), so
-    e_i extends col F and the earlier picks exactly when column i of N is
-    independent of the columns before it: the picks are N's pivot columns.
-    """
-    null = scheme.null
-    if null.rows != scheme.s:
-        raise SchemeError("communication matrix does not leave an s-dim key space")
-    return _key_at(scheme.ext_ctx, null.cols, rref(null).pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +698,5 @@ def load_scheme(text: str) -> CommScheme:
         root=root,
         child_mix=child_mix,
         surplus_mix=surplus_mix,
-        certificate=None,
         key=key,
     )

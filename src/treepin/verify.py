@@ -1,11 +1,10 @@
 """Independent checks of a communication scheme against a source model.
 
 Everything here works from the communication matrix and the key columns
-alone; synthesis byproducts such as the certificate are never consulted,
-so these checks are meaningful for hand-written schemes too.  The owner
-list is not read: that each column is computable by its owner is checked
-by `CommScheme.check_owners`, which `CommScheme.validate` (and so every
-CLI command) runs first.
+alone, what a scheme file carries, so these checks are meaningful for
+hand-written schemes too.  The owner list is not read: that each column is
+computable by its owner is checked by `CommScheme.check_owners`, which
+`CommScheme.validate` (and so every CLI command) runs first.
 
 All quantities are ranks over the extension field GF(q**n), i.e. symbol
 counts per block of n base realisations.  One symbol dimension corresponds

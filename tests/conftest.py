@@ -14,6 +14,7 @@ from treepin import (
     KeyExtractor,
     TreePinSource,
     Wiretapper,
+    choose_extension_degree,
     is_irreducible,
     make_ext_field,
     random_instance,
@@ -25,7 +26,9 @@ from treepin.falinalg import inverse, rank, right_nullspace_basis, rref
 from treepin.reduce import ReductionError, _common_on_block, _reduce_step
 import treepin.scheme as scheme_module
 from treepin.scheme import (
+    _MAX_ATTEMPTS,
     SchemeError,
+    _certificate,
     _default_root,
     _synth_from_certificate,
     sample_alignment_certificate,
@@ -179,9 +182,16 @@ def published_scheme():
 
 
 def scheme_over(q, n, seed):
-    """A synthesized scheme over GF(q**n) on a small seeded instance: the
-    first instance with a tap (or, every other draw, without one) whose
-    certificate draw has nonsingular per-edge blocks."""
+    """A synthesized scheme over GF(q**n) on a small seeded instance:
+    (source, wt, scheme), as certified_scheme_over gives them."""
+    return certified_scheme_over(q, n, seed)[:3]
+
+
+def certified_scheme_over(q, n, seed):
+    """(source, wt, scheme, C): the first small seeded instance with a tap
+    (or, every other draw, without one) whose certificate draw C has
+    nonsingular per-edge blocks, and the scheme C unfolds into over
+    GF(q**n)."""
     ext = make_ext_field(q, n)
     rng = random.Random(seed)
     for attempt in range(400):
@@ -200,8 +210,31 @@ def scheme_over(q, n, seed):
         draw = sample_alignment_certificate(src, wt, ext, src.min_mult, rng)
         if draw is None:
             continue
-        return src, wt, _synth_from_certificate(src, ext, *draw, _default_root(src))
+        scheme = _synth_from_certificate(src, ext, *draw, _default_root(src))
+        return src, wt, scheme, FMatrix.from_rows(ext, draw[0], cols=src.base_dim)
     raise AssertionError(f"no scheme found over GF({q}^{n})")
+
+
+def replayed_certificate(source, wt, seed):
+    """The certificate C that synth_random(source, wt, seed) unfolds: the
+    draws of sample_alignment_certificate on random.Random(seed), replayed
+    until one is accepted.  Synthesis keeps no C, so the tests rebuild it."""
+    ext = make_ext_field(source.q, choose_extension_degree(source))
+    rng = random.Random(seed)
+    for _ in range(_MAX_ATTEMPTS):
+        draw = sample_alignment_certificate(source, wt, ext, source.min_mult, rng)
+        if draw is not None:
+            return FMatrix.from_rows(ext, draw[0], cols=source.base_dim)
+    raise AssertionError("no certificate draw accepted")
+
+
+def explicit_certificate(source, wt):
+    """The certificate C that synth_explicit_unit(source, wt) unfolds:
+    (1, x, ..., x^(k-1)) N_W over GF(q**k), k = rows - dim of the tap."""
+    k = wt.rows - wt.dim
+    ext = make_ext_field(source.q, k)
+    cert, _ = _certificate(source, wt, ext, [[source.q**j for j in range(k)]])
+    return FMatrix.from_rows(ext, cert, cols=source.base_dim)
 
 
 def sample_certificate_referee(source, null_basis, s, rng):
@@ -328,7 +361,7 @@ def count_null_builds(monkeypatch):
 
 def count_null_reads(monkeypatch):
     """The reads of N_W^T any Wiretapper makes from now on: (rows, coords)
-    for each null_rows call, and "null_t" for each read of the whole."""
+    for each null_rows call."""
     reads = []
     real = Wiretapper.null_rows
 
@@ -337,12 +370,7 @@ def count_null_reads(monkeypatch):
         reads.append((self.rows, coords))
         return real(self, coords)
 
-    def null_t(self):
-        reads.append("null_t")
-        return real(self, range(self.rows))
-
     monkeypatch.setattr(Wiretapper, "null_rows", null_rows)
-    monkeypatch.setattr(Wiretapper, "null_t", property(null_t))
     return reads
 
 
@@ -411,11 +439,15 @@ def irreducible_suite():
     return build_irreducible_suite(500)
 
 
+# synthesized_suite's scheme i is synth_random's at seed _SYNTH_SEED + i
+_SYNTH_SEED = 31000
+
+
 @pytest.fixture(scope="session")
 def synthesized_suite(irreducible_suite):
     out = []
     for i, (source, wt) in enumerate(irreducible_suite):
-        out.append((source, wt, synth_random(source, wt, seed=31000 + i)))
+        out.append((source, wt, synth_random(source, wt, seed=_SYNTH_SEED + i)))
     return out
 
 
@@ -431,6 +463,21 @@ def explicit_unit_suite(irreducible_suite):
             except SchemeError:
                 continue
     assert out
+    return out
+
+
+@pytest.fixture(scope="session")
+def certified_suite(synthesized_suite, explicit_unit_suite):
+    """(source, wt, scheme, C) for every scheme of synthesized_suite and
+    explicit_unit_suite, C the certificate the scheme was unfolded from."""
+    out = [
+        (source, wt, scheme, replayed_certificate(source, wt, _SYNTH_SEED + i))
+        for i, (source, wt, scheme) in enumerate(synthesized_suite)
+    ]
+    out += [
+        (source, wt, scheme, explicit_certificate(source, wt))
+        for source, wt, scheme in explicit_unit_suite
+    ]
     return out
 
 

@@ -36,7 +36,7 @@ from treepin.oracle import (
 from treepin.scheme import sample_alignment_certificate
 from treepin.verify import leakage_symbol_dims
 
-from conftest import parity_path, published_scheme, wide_path_reducible
+from conftest import explicit_certificate, parity_path, published_scheme, wide_path_reducible
 
 
 def test_path3_reference_values_and_handwritten_scheme(tmp_path, capsys):
@@ -218,8 +218,9 @@ def test_explicit_synthesis_is_deterministic_and_optimal(irreducible_suite):
         second = synth_explicit_unit(source, wt)
         assert save_scheme(first) == save_scheme(second)
         assert first.ext_ctx.n == source.edge_count - wt.dim
-        cert = first.certificate
-        assert cert is not None
+        # synthesis keeps no certificate: rebuild the one it unfolded
+        cert = explicit_certificate(source, wt)
+        assert (cert @ first.comm_matrix).is_zero()
         assert all(
             cert[i, j].code
             for i in range(cert.rows)

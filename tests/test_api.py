@@ -1,6 +1,6 @@
 """The public surface: what `__all__`, the CLI, perfbench/ and the README
 promise exists, no module or test file carries an import it never uses,
-and no private name is left that nothing reads."""
+and no private name or slot is left that nothing reads."""
 
 from __future__ import annotations
 
@@ -151,6 +151,40 @@ def test_every_private_name_is_read():
     modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     readers = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert _unread_private_names(modules, readers) == []
+
+
+def _unread_slots(modules: list[str], readers: list[str]) -> list[str]:
+    """`Class.slot` for every `__slots__` entry of a class in `modules` that
+    no source in `modules` or `readers` loads as an attribute: a slot that
+    is only ever written is dead state."""
+    trees = [ast.parse(text) for text in modules + readers]
+    loaded = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for tree in trees[: len(modules)]:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    slots = [e.value for e in stmt.value.elts]
+                    unread += [f"{cls.name}.{name}" for name in slots if name not in loaded]
+    return unread
+
+
+def test_every_slot_is_read():
+    toy = "class A:\n    __slots__ = ('x', 'y')\n    def f(self):\n        self.x = self.y = 1\n"
+    assert _unread_slots([toy], []) == ["A.x", "A.y"]
+    assert _unread_slots([toy], ["def g(a):\n    return a.x\n"]) == ["A.y"]
+    modules = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    readers = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _unread_slots(modules, readers) == []
 
 
 def test_readme_library_block_runs():

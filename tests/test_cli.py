@@ -437,6 +437,26 @@ def test_bad_mix_block_exits_1_with_verify_message(
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_key_wider_than_s_exits_1(capsys, tmp_path):
+    """The README chain's scheme with a second key coordinate: its key
+    still completes F, but it is not secret (the tap learns 3 bits of it).
+    verify, simulate and oracle-check --scheme accept the scheme as written
+    and refuse the widened one with one message, before any report."""
+    inst, red, sch = (str(tmp_path / name) for name in ("inst.txt", "red.txt", "scheme.txt"))
+    assert run(capsys, "gen", "--seed", "2", "--vertices", "5", "--max-mult", "2",
+               "--q", "2", "--nw", "2", "--out", inst)[0] == 0
+    assert run(capsys, "reduce", "--in", inst, "--out", red)[0] == 0
+    assert run(capsys, "synth", "--in", red, "--out", sch)[0] == 0
+    text = (tmp_path / "scheme.txt").read_text()
+    assert text.endswith("\nkeycols 0\n")
+    wide = tmp_path / "wide.txt"
+    wide.write_text(text.replace("\nkeycols 0\n", "\nkeycols 0 1\n"))
+    for argv in (["verify"], ["simulate", "--trials", "50"], ["oracle-check", "--budget", "16777216"]):
+        assert run(capsys, *argv, "--in", red, "--scheme", sch)[0] == 0
+        got = run(capsys, *argv, "--in", red, "--scheme", str(wide))
+        assert got == (1, "", "error: key map has 2 columns, must have s = 1\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "simulate", "oracle-check"])
 def test_verify_refuses_oversized_scheme_before_eliminating(capsys, tmp_path, wide_files, command):
     """A 3000-row scheme with no columns is refused by its row count before

@@ -254,21 +254,6 @@ def test_empty_shapes():
     assert stacked.shape == (3, 3)
 
 
-@given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
-@settings(max_examples=60)
-def test_hypothesis_addition_group(a_bits, b_bits):
-    def unpack(bits):
-        return FMatrix.from_rows(
-            F2, [[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(4)],
-            cols=3,
-        )
-
-    a, b = unpack(a_bits), unpack(b_bits)
-    assert a + b == b + a
-    assert (a + b) - b == a
-    assert a - a == FMatrix.zeros(F2, 4, 3)
-
-
 @given(st.lists(st.integers(0, 8), min_size=9, max_size=9))
 @settings(max_examples=60)
 def test_hypothesis_rank_transpose_f9(codes):

@@ -224,18 +224,19 @@ def assert_holds_its_basis(wt):
     coordinate are distinct unit vectors, in ascending order, and every
     slice of rows it builds or ranks is that slice of N_W^T."""
     w_t = wt.matrix.transpose()
-    assert wt.null_t == right_nullspace_basis(w_t)
+    null_t = wt.null_rows(range(wt.rows))
+    assert null_t == right_nullspace_basis(w_t)
     assert wt.pivot_coords == rref(w_t).pivots
-    assert wt.null_t.shape == (wt.rows, wt.rows - wt.dim)
+    assert null_t.shape == (wt.rows, wt.rows - wt.dim)
     free = [c for c in range(wt.rows) if c not in wt.pivot_coords]
-    rows = wt.null_t.to_code_rows()
+    rows = null_t.to_code_rows()
     for i, c in enumerate(free):
         assert rows[c] == [1 if j == i else 0 for j in range(len(free))]
     # only the rows at the pivots are stored: n_w rows of D - n_w
     assert [len(r) for r in wt._pivot_rows] == [wt.rows - wt.dim] * wt.dim
     for a in range(wt.rows + 1):
         for b in range(a, wt.rows + 1):
-            block = wt.null_t.take_rows(range(a, b))
+            block = null_t.take_rows(range(a, b))
             assert wt.null_rows(range(a, b)) == block
             assert wt.null_rank(range(a, b)) == rank(block)
 

@@ -15,7 +15,6 @@ from treepin import (
     TreePinSource,
     Wiretapper,
     choose_extension_degree,
-    extract_key,
     load_scheme,
     make_ext_field,
     random_instance,
@@ -43,16 +42,54 @@ from treepin.scheme import (
 
 from conftest import (
     build_irreducible_suite,
+    certified_scheme_over,
     count_null_builds,
     count_null_reads,
+    explicit_certificate,
     parity_path,
     published_scheme,
+    replayed_certificate,
     sample_certificate_referee,
     scheme_over,
     star3_no_wiretap,
     wide_path_irreducible,
     wide_path_reducible,
 )
+
+
+# ---------------------------------------------------------------------------
+# Referees for what a scheme does not carry: the key as the greedy
+# completion of col F, and the checks a certificate C = R N_W meets.  C is
+# a synthesis intermediate, so the tests rebuild it (conftest's
+# replayed_certificate and explicit_certificate).
+
+
+def extract_key(scheme):
+    """Greedy key columns: the first standard basis vectors (ascending
+    coordinate) that extend the communication's column space to full rank.
+
+    With N the left-null basis of F, rank([F | X]) = rank F + rank(N X), so
+    e_i extends col F and the earlier picks exactly when column i of N is
+    independent of the columns before it: the picks are N's pivot columns.
+    """
+    null = scheme.null
+    if null.rows != scheme.s:
+        raise SchemeError("communication matrix does not leave an s-dim key space")
+    coords = rref(null).pivots
+    return KeyExtractor(FMatrix.basis_columns(scheme.ext_ctx, null.cols, coords), coords)
+
+
+def check_certificate(cert, scheme, source, wiretapper):
+    """Raise SchemeError unless C is s x base_dim of rank s, C F = 0 and
+    C annihilates the tap's lifted matrix."""
+    if cert.rows != scheme.s or cert.cols != source.base_dim:
+        raise SchemeError("certificate has the wrong shape")
+    if rank(cert) != scheme.s:
+        raise SchemeError("certificate rows are dependent")
+    if not (cert @ scheme.comm_matrix).is_zero():
+        raise SchemeError("certificate does not annihilate the communication")
+    if not (cert @ lift(wiretapper.matrix, scheme.ext_ctx)).is_zero():
+        raise SchemeError("certificate does not annihilate the wiretap matrix")
 
 
 def test_choose_extension_degree():
@@ -70,8 +107,8 @@ def test_explicit_unit_on_parity_path():
     assert scheme.ext_ctx.q == 2 and scheme.ext_ctx.n == 2
     assert scheme.s == 1
     assert scheme.root == 0
-    cert = scheme.certificate
-    assert cert is not None
+    cert = explicit_certificate(src, wt)
+    check_certificate(cert, scheme, src, wt)
     assert [cert[0, j].code for j in range(3)] == [3, 1, 2]
     assert all(cert[0, j].code for j in range(3))
     assert scheme.comm_matrix.shape == (3, 2)
@@ -82,7 +119,7 @@ def test_explicit_unit_on_parity_path():
         assert a.shape == (1, 1) and a[0, 0].code == 3
     assert scheme.key is not None
     assert scheme.key.coords == (0,)
-    scheme.validate(src, wt)
+    scheme.validate(src)
 
 
 def test_explicit_unit_is_deterministic():
@@ -134,7 +171,8 @@ def test_synth_random_no_wiretap():
     assert scheme.s == 1
     assert scheme.comm_matrix.shape == (3, 2)
     assert set(scheme.owners) == {0}  # only the hub relays on a star
-    scheme.validate(src, wt)
+    scheme.validate(src)
+    check_certificate(replayed_certificate(src, wt, 3), scheme, src, wt)
 
 
 def test_certificate_sampler_rejects_bad_draws():
@@ -192,10 +230,9 @@ def test_certificate_draw_matches_product_referee(irreducible_suite):
 
 def test_synthesis_reads_no_full_tap_null(monkeypatch, irreducible_suite, explicit_unit_suite):
     """synth_random and synth_explicit_unit read N_W^T only at the tap's
-    pivot coordinates: no null_t read and no null_rows call that spans
-    every coordinate.  Instances with one edge are left out, because there
-    the irreducibility check ranks the one edge's block, which is every
-    coordinate."""
+    pivot coordinates: no null_rows call that spans every coordinate.
+    Instances with one edge are left out, because there the irreducibility
+    check ranks the one edge's block, which is every coordinate."""
     reads = count_null_reads(monkeypatch)
     synthesized = 0
     for i, (src, wt) in enumerate(irreducible_suite):
@@ -211,7 +248,7 @@ def test_synthesis_reads_no_full_tap_null(monkeypatch, irreducible_suite, explic
             synth_explicit_unit(src, wt)
             synthesized += 1
     assert synthesized >= 20
-    assert reads and "null_t" not in reads
+    assert reads
     assert all(len(coords) < wt_rows for wt_rows, coords in reads)
 
 
@@ -253,7 +290,7 @@ def test_owner_error_names_the_lowest_unseen_coordinate():
         bad.check_owners(src)
     assert str(err.value) == message
     with pytest.raises(SchemeError, match=message):
-        bad.validate(src, wt)
+        bad.validate(src)
 
 
 def test_validate_rejects_broken_schemes():
@@ -290,15 +327,9 @@ def test_validate_rejects_broken_schemes():
     with pytest.raises(SchemeError):
         singular_mix.validate(src)
 
-    stale_cert = CommScheme(
-        ext_ctx=good.ext_ctx,
-        s=1,
-        comm_matrix=good.comm_matrix,
-        owners=good.owners,
-        certificate=FMatrix.from_rows(good.ext_ctx, [[1, 0, 0]], cols=3),
-    )
+    stale_cert = FMatrix.from_rows(good.ext_ctx, [[1, 0, 0]], cols=3)
     with pytest.raises(SchemeError):
-        stale_cert.validate(src)
+        check_certificate(stale_cert, good, src, wt)
 
     bad_key = CommScheme(
         ext_ctx=good.ext_ctx,
@@ -321,12 +352,38 @@ def test_validate_rejects_broken_schemes():
 def test_validate_checks_wiretap_annihilation():
     src, wt = parity_path()
     scheme = synth_explicit_unit(src, wt)
-    scheme.validate(src, wt)
+    cert = explicit_certificate(src, wt)
+    check_certificate(cert, scheme, src, wt)
     hostile = Wiretapper(
         FMatrix.from_cols(src.base_ctx, [[1, 0, 0]], rows=3)
     )
-    with pytest.raises(SchemeError):
-        scheme.validate(src, hostile)
+    with pytest.raises(SchemeError, match="^certificate does not annihilate the wiretap matrix$"):
+        check_certificate(cert, scheme, src, hostile)
+
+
+def test_validate_refuses_a_key_not_s_wide():
+    """rank(N K) = s also holds for a key with more than s columns that
+    contains a completing one, and such a key is not secret: the key map
+    must have exactly s columns.  One coordinate too many or too few is
+    refused with one message."""
+    src, wt = wide_path_irreducible()
+    scheme = synth_random(src, wt, seed=0)
+    scheme.validate(src)
+    (coord,) = scheme.key.coords
+    for extra in range(src.base_dim):
+        if extra == coord:
+            continue
+        coords = tuple(sorted((coord, extra)))
+        text = save_scheme(scheme).replace(f"keycols {coord}\n", "keycols %d %d\n" % coords)
+        wide = load_scheme(text)
+        assert wide.key.coords == coords
+        with pytest.raises(SchemeError) as err:
+            wide.validate(src)
+        assert str(err.value) == "key map has 2 columns, must have s = 1"
+    scheme.key = KeyExtractor(FMatrix.basis_columns(scheme.ext_ctx, src.base_dim, ()), ())
+    with pytest.raises(SchemeError) as err:
+        scheme.validate(src)
+    assert str(err.value) == "key map has 0 columns, must have s = 1"
 
 
 def test_null_is_built_once_per_scheme(monkeypatch):
@@ -342,7 +399,7 @@ def test_null_is_built_once_per_scheme(monkeypatch):
         text = save_scheme(scheme)
         loaded = load_scheme(text)
         before = len(built)
-        loaded.validate(src, wt)
+        loaded.validate(src)
         assert verify_scheme(loaded, src, wt).all_pass
         assert built[before:] == [loaded.comm_matrix]
         assert loaded.null is loaded.null
@@ -356,13 +413,13 @@ def test_null_follows_a_reassigned_comm_matrix():
     for the new F (one row more) instead of reusing the old one."""
     src, wt = wide_path_irreducible()
     scheme = synth_random(src, wt, seed=5)
-    scheme.validate(src, wt)
+    scheme.validate(src)
     assert scheme.null.rows == scheme.s
     keep = list(range(1, scheme.comm_matrix.cols))
     scheme.comm_matrix = scheme.comm_matrix.take_cols(keep)
     scheme.owners = tuple(scheme.owners[j] for j in keep)
     with pytest.raises(SchemeError, match="communication matrix rank must be base_dim - s"):
-        scheme.validate(src, wt)
+        scheme.validate(src)
     assert scheme.null.rows == scheme.s + 1
     assert scheme.null == left_nullspace_basis(scheme.comm_matrix)
 
@@ -383,7 +440,6 @@ def test_serialization_round_trip():
         assert back.comm_matrix == scheme.comm_matrix
         assert back.child_mix == scheme.child_mix
         assert {k: v for k, v in scheme.surplus_mix.items() if v.cols} == back.surplus_mix
-        assert back.certificate is None  # certificates are never written out
         assert back.key is not None and back.key.coords == scheme.key.coords
         assert save_scheme(back) == text
 
@@ -515,6 +571,11 @@ def _certificate_blocks(source, cert, s):
     return out
 
 
+def _neg(m):
+    neg = m.ctx.neg_code
+    return FMatrix.from_rows(m.ctx, [list(map(neg, r)) for r in m.to_code_rows()], cols=m.cols)
+
+
 def _coeffs_from_certificate(source, rooted, cert, s):
     blocks = _certificate_blocks(source, cert, s)
     child_mix, surplus_mix = {}, {}
@@ -523,11 +584,11 @@ def _coeffs_from_certificate(source, rooted, cert, s):
             if node != rooted.root:
                 lead_e, _ = blocks[eid]
                 lead_up, _ = blocks[rooted.parent_edge[node]]
-                child_mix[(node, eid)] = -(inverse(lead_e) @ lead_up)
+                child_mix[(node, eid)] = _neg(inverse(lead_e) @ lead_up)
     for e in source.edges:
         lead, tail = blocks[e.edge_id]
         if tail.cols:
-            surplus_mix[e.edge_id] = -(inverse(lead) @ tail)
+            surplus_mix[e.edge_id] = _neg(inverse(lead) @ tail)
     return child_mix, surplus_mix
 
 
@@ -565,11 +626,9 @@ def _assemble(source, rooted, ext, s, child_mix, surplus_mix):
     return FMatrix.from_cols(ext, cols, rows=d), tuple(owners)
 
 
-def assert_matches_unfolding_referee(src, scheme):
+def assert_matches_unfolding_referee(src, scheme, cert):
     rooted = _Rooted(src, scheme.root)
-    child_mix, surplus_mix = _coeffs_from_certificate(
-        src, rooted, scheme.certificate, scheme.s
-    )
+    child_mix, surplus_mix = _coeffs_from_certificate(src, rooted, cert, scheme.s)
     comm, owners = _assemble(
         src, rooted, scheme.ext_ctx, scheme.s, child_mix, surplus_mix
     )
@@ -580,27 +639,29 @@ def assert_matches_unfolding_referee(src, scheme):
     assert scheme.key.coords == completion_indices(comm)
 
 
-def test_unfolding_matches_referee_on_suite(synthesized_suite, explicit_unit_suite):
-    for src, _, scheme in synthesized_suite + explicit_unit_suite:
-        assert_matches_unfolding_referee(src, scheme)
+def test_unfolding_matches_referee_on_suite(certified_suite):
+    for src, _, scheme, cert in certified_suite:
+        assert_matches_unfolding_referee(src, scheme, cert)
 
 
-def test_synthesized_schemes_pass_validate(synthesized_suite, explicit_unit_suite):
+def test_synthesized_schemes_pass_validate(certified_suite):
     """Synthesis does not validate what it builds; every scheme it gives
-    still passes the full validate, certificate and tap checks included,
-    and its key coordinates are the pivots of N = left_nullspace_basis(F)."""
-    for src, wt, scheme in synthesized_suite + explicit_unit_suite:
-        scheme.validate(src, wt)
-        want = rref(left_nullspace_basis(scheme.comm_matrix)).pivots
-        assert scheme.key.coords == want
+    still passes the full validate, its certificate meets the certificate
+    and tap checks, and its key is the greedy completion: the pivots of
+    N = left_nullspace_basis(F)."""
+    for src, wt, scheme, cert in certified_suite:
+        scheme.validate(src)
+        check_certificate(cert, scheme, src, wt)
+        assert scheme.key == extract_key(scheme)
+        assert scheme.key.coords == rref(left_nullspace_basis(scheme.comm_matrix)).pivots
 
 
-def test_certificate_is_a_basis_of_the_left_nullspace_of_f(synthesized_suite):
+def test_certificate_is_a_basis_of_the_left_nullspace_of_f(certified_suite):
     """C F = 0 and rank C = s = D - rank F, so the certificate's rows span
     F's left nullspace: C and N = left_nullspace_basis(F) share one reduced
     echelon form, and its pivots (the N referee) are the key coordinates."""
-    for _, _, scheme in synthesized_suite:
-        got = rref(scheme.certificate)
+    for _, _, scheme, cert in certified_suite:
+        got = rref(cert)
         want = rref(left_nullspace_basis(scheme.comm_matrix))
         assert got.matrix == want.matrix
         assert scheme.key.coords == want.pivots
@@ -620,7 +681,8 @@ def test_unfolding_matches_referee_with_edges_out_of_id_order():
     ]
     for wt in taps:
         for seed in range(3):
-            assert_matches_unfolding_referee(src, synth_random(src, wt, seed=seed))
+            scheme = synth_random(src, wt, seed=seed)
+            assert_matches_unfolding_referee(src, scheme, replayed_certificate(src, wt, seed))
 
 
 # test_verify's fields: GF(2, 3, 5, 7), their extensions of degree 2..6,
@@ -631,8 +693,8 @@ REFEREE_FIELDS = [(q, n) for q in (2, 3, 5, 7) for n in range(1, 7)] + [(2, 13)]
 @pytest.mark.parametrize("q, n", REFEREE_FIELDS)
 def test_unfolding_matches_referee_over_fields(q, n):
     for inst in range(2):
-        src, _, scheme = scheme_over(q, n, seed=100 * q + 10 * n + inst)
-        assert_matches_unfolding_referee(src, scheme)
+        src, _, scheme, cert = certified_scheme_over(q, n, seed=100 * q + 10 * n + inst)
+        assert_matches_unfolding_referee(src, scheme, cert)
 
 
 def _comm_variants(scheme):
@@ -641,11 +703,14 @@ def _comm_variants(scheme):
     ext = scheme.ext_ctx
     f = scheme.comm_matrix
     d, c = f.rows, f.cols
+    rows = f.to_code_rows()
     out = []
     for j in range(c):
         out.append(f.take_cols([i for i in range(c) if i != j]))
-        coef = FMatrix.from_rows(ext, [[1 + j % (ext.order - 1)]], cols=1)
-        out.append(f.hstack(f.take_cols([j]) @ coef + f.take_cols([(j + 1) % c])))
+        # column j times a nonzero coefficient plus column j + 1
+        coef = 1 + j % (ext.order - 1)
+        col = [ext.add_code(ext.mul_code(r[j], coef), r[(j + 1) % c]) for r in rows]
+        out.append(f.hstack(FMatrix.from_cols(ext, [col], rows=d)))
     out.append(f.hstack(scheme.key.matrix))
     out.append(FMatrix.zeros(ext, d, 0))
     return out
@@ -703,21 +768,25 @@ def test_explicit_unit_certificate_matches_echelon_referee():
             scheme = synth_explicit_unit(src, wt)
         except (InstanceError, SchemeError):
             continue
-        assert scheme.certificate == explicit_unit_certificate_referee(src, wt)
+        cert = explicit_certificate(src, wt)
+        assert cert == explicit_unit_certificate_referee(src, wt)
+        assert (cert @ scheme.comm_matrix).is_zero()
         built[q] = built.get(q, 0) + 1
     assert sorted(built) == [2, 3, 5, 7] and min(built.values()) >= 10
 
 
 def synth_random_referee(src, wt, seed):
     """Referee: synth_random with its certificates drawn in product form
-    from an elimination of the lifted tap over GF(q**n)."""
+    from an elimination of the lifted tap over GF(q**n); the scheme and the
+    certificate it was unfolded from."""
     ext = make_ext_field(src.q, choose_extension_degree(src))
     null_basis = left_nullspace_basis(lift(wt.matrix, ext))
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
         draw = sample_certificate_referee(src, null_basis, src.min_mult, rng)
         if draw is not None:
-            return _synth_from_certificate(src, ext, *draw, _default_root(src))
+            scheme = _synth_from_certificate(src, ext, *draw, _default_root(src))
+            return scheme, FMatrix.from_rows(ext, draw[0], cols=src.base_dim)
     raise AssertionError("referee found no certificate")
 
 
@@ -729,8 +798,8 @@ def test_synth_random_matches_lifted_tap_referee(irreducible_suite):
             got = synth_random(src, wt, seed=i)
         except SchemeError:
             continue
-        want = synth_random_referee(src, wt, i)
-        assert got.certificate == want.certificate
+        want, want_cert = synth_random_referee(src, wt, i)
+        assert replayed_certificate(src, wt, i) == want_cert
         assert save_scheme(got) == save_scheme(want)
 
 

@@ -264,9 +264,12 @@ def _variant(kind, src, wt, scheme, data):
         keep = [i for i in range(c) if i != j]
         return _with(scheme, f.take_cols(keep), tuple(scheme.owners[i] for i in keep)), wt
     if kind == "dependent columns":
-        extra = f.take_cols([j]) @ FMatrix.from_rows(ext, [[coef]], cols=1)
+        # column j times coef, plus column j + 1 when there is one
+        rows = f.to_code_rows()
+        col = [ext.mul_code(r[j], coef) for r in rows]
         if c > 1:
-            extra = extra + f.take_cols([(j + 1) % c])
+            col = [ext.add_code(x, r[(j + 1) % c]) for x, r in zip(col, rows)]
+        extra = FMatrix.from_cols(ext, [col], rows=d)
         return _with(scheme, f.hstack(extra), scheme.owners + (scheme.owners[j],)), wt
     if kind == "full row rank":
         full = f.hstack(scheme.key.matrix)
