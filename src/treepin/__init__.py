@@ -28,7 +28,6 @@ from .reduce import (
 )
 from .scheme import (
     CommScheme,
-    KeyExtractor,
     SchemeError,
     choose_extension_degree,
     load_scheme,
@@ -74,7 +73,6 @@ __all__ = [
     "is_irreducible",
     "reduce_full",
     "CommScheme",
-    "KeyExtractor",
     "SchemeError",
     "choose_extension_degree",
     "load_scheme",

@@ -239,7 +239,11 @@ def _cmd_oracle_check(args) -> int:
         _emit("scheme_leakage_ok", leak_ok)
         ok = ok and leak_ok
         if scheme.key is not None:
-            kb = expand_to_base(scheme.key.matrix)
+            # the key's unit columns over GF(q**n) expand to n unit
+            # columns over GF(q) each
+            kb = FMatrix.basis_columns(
+                source.base_ctx, fb.rows, [c * n + i for c in scheme.key for i in range(n)]
+            )
             empty = FMatrix.zeros(source.base_ctx, fb.rows, 0)
             key_mi = cond_mutual_info_exhaustive(
                 kb, fb.hstack(wb), empty, q, budget=budget

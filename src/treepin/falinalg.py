@@ -573,13 +573,6 @@ def _to_digits(codes: np.ndarray, ctx: ExtFieldCtx) -> np.ndarray:
     return digits.reshape(*codes.shape[:-1], codes.shape[-1] * ctx.n)
 
 
-def _from_digits(digits: np.ndarray, ctx: ExtFieldCtx) -> np.ndarray:
-    """Inverse of _to_digits."""
-    n = ctx.n
-    powers = np.array([ctx.q**k for k in range(n)], dtype=digits.dtype)
-    return digits.reshape(*digits.shape[:-1], digits.shape[-1] // n, n) @ powers
-
-
 def _expand(mats: Sequence[FMatrix], dtype) -> list[np.ndarray]:
     """The arrays behind expand_to_base, one per matrix of `mats` (all over
     one context, at least one matrix), as dtype arrays: an integer dtype

@@ -8,9 +8,10 @@ same key capacity and the same leakage rate:
 
  * find the common part G of edge e and the eavesdropper (dimension l >= 1),
    presented by the block column basis Me;
- * complete Me to an invertible change of basis [Me | Ne] on the edge block,
-   so the block splits into G (known to the eavesdropper) and a residual
-   block of mult - l fresh symbols;
+ * complete Me to an invertible change of basis [Me | E_J] on the edge
+   block, E_J the unit vectors at the greedy completion J of Me (the block
+   coordinates the step records), so the block splits into G (known to the
+   eavesdropper) and a residual block of mult - l fresh symbols;
  * keep the columns of W at the greedy completion of X, the unique
    solution of W X = S_e Me (X says which tap columns carry G), and rewrite
    only the edge's rows of those columns in the residual coordinates.
@@ -58,7 +59,7 @@ class ReductionStep:
     edge_id: int
     dim: int                 # dimension l of the removed common part
     edge_map: FMatrix        # mult x l basis of the common part on the block
-    completion: FMatrix      # mult x (mult - l) basis completion
+    completion: tuple[int, ...]  # block coordinates whose unit vectors complete edge_map
     new_mult: int
     new_wiretapper: Wiretapper
 
@@ -81,12 +82,6 @@ def _common_on_block(wiretapper: Wiretapper, block: range) -> FMatrix:
     return rref(left_nullspace_basis(wiretapper.null_rows(block))).matrix.transpose()
 
 
-def _greedy_basis_completion(m: FMatrix) -> FMatrix:
-    """Standard basis columns (ascending index) completing m's columns to a
-    basis of the ambient space."""
-    return FMatrix.basis_columns(m.ctx, m.rows, completion_indices(m))
-
-
 def _reduce_step(
     source: TreePinSource, wiretapper: Wiretapper, edge_id: int, edge_map: FMatrix
 ) -> tuple[TreePinSource, Wiretapper, ReductionStep]:
@@ -106,10 +101,11 @@ def _reduce_step(
     block = source.edge_range(edge_id)
     w = wiretapper.matrix
 
-    completion = _greedy_basis_completion(edge_map)
-    # rows l.. of the inverse change of basis [Me | Ne] map the block to its
-    # residual coordinates
-    residual = inverse(edge_map.hstack(completion)).take_rows(range(l, edge.mult))
+    completion = completion_indices(edge_map)
+    # rows l.. of the inverse change of basis [Me | E_J], J the completion,
+    # map the block to its residual coordinates
+    change = edge_map.hstack(FMatrix.basis_columns(edge_map.ctx, edge.mult, completion))
+    residual = inverse(change).take_rows(range(l, edge.mult))
 
     # The common part is a function of the eavesdropper's view: X with
     # W X = S_e Me exists and is unique, since W has full column rank, so it

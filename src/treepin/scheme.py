@@ -24,16 +24,19 @@ records each node's parent edge and child edges, and node v's relay block
 for child edge e is -S_e^-1 S_up (S_up the block of v's parent edge), edge
 e's surplus block -S_e^-1 T_e (T_e the rest of S on e).  Their columns are
 written straight into F as integer codes; an FMatrix is built only for
-each stored block, F and the key map.  C itself is a synthesis
-intermediate: the scheme does not keep it and its file does not carry it.
+each stored block and F.  C itself is a synthesis intermediate: the scheme
+does not keep it and its file does not carry it.
 
-The key coordinates are the greedy completion of col F by standard basis
-vectors.  For N the left-null basis of F, rank([F | X]) = rank F +
-rank(N X), so they are the pivot columns of the reduced echelon form of N.
-The certificate C spans the same row space as N (C F = 0 and rank C = s =
-base_dim - rank F), so synthesis reads them off the pivots of C, which
-equal those of N.  The scheme is valid by construction and is not
-validated again; a loaded scheme is.
+The key is the block vector at s coordinates, and the scheme holds just
+those coordinates, as its file does (`keycols`).  They are the greedy
+completion of col F by standard basis vectors.  For N the left-null basis
+of F, rank([F | X]) = rank F + rank(N X), and N X for the unit vectors X at
+some coordinates is N's columns there, so the key coordinates are the
+pivot columns of the reduced echelon form of N.  The certificate C spans
+the same row space as N (C F = 0 and rank C = s = base_dim - rank F), so
+synthesis reads them off the pivots of C, which equal those of N.  The
+scheme is valid by construction and is not validated again; a loaded
+scheme is.
 
 Synthesis strategies, both on the path above:
 
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, filterfalse
 
 from .falinalg import (
@@ -72,7 +75,6 @@ from .reduce import is_irreducible
 
 __all__ = [
     "SchemeError",
-    "KeyExtractor",
     "CommScheme",
     "choose_extension_degree",
     "sample_alignment_certificate",
@@ -90,28 +92,26 @@ class SchemeError(ValueError):
     """Synthesis precondition violation or invalid scheme data."""
 
 
+def _check_key(key: tuple[int, ...], s: int, base_dim: int) -> None:
+    """Raise SchemeError unless the key is s distinct coordinates in
+    [0, base_dim)."""
+    if len(set(key)) != len(key) or not all(0 <= c < base_dim for c in key):
+        raise SchemeError(f"keycols must be distinct coordinates in [0, {base_dim})")
+    if len(key) != s:
+        raise SchemeError(f"key map has {len(key)} columns, must have s = {s}")
+
+
 @dataclass(frozen=True)
-class KeyExtractor:
-    """Key map: block vector times `matrix` (base_dim x s, standard basis
-    columns at `coords`) is the secret key."""
-
-    matrix: FMatrix
-    coords: tuple[int, ...]
-
-
-def _key_at(ext: ExtFieldCtx, base_dim: int, coords: tuple[int, ...]) -> KeyExtractor:
-    """The key map that reads the block vector at `coords`."""
-    return KeyExtractor(matrix=FMatrix.basis_columns(ext, base_dim, coords), coords=coords)
-
-
-@dataclass
 class CommScheme:
     """A communication design over one extension context.
 
     comm_matrix columns are the transmitted linear combinations; owners[j]
-    is the node that can compute column j from its own observation.  The
-    synthesis fields (root, child_mix, surplus_mix) are optional so
+    is the node that can compute column j from its own observation; key
+    holds the s coordinates of the block vector that form the secret key.
+    The synthesis fields (root, child_mix, surplus_mix) are optional so
     hand-written schemes can be represented; verification never needs them.
+    The scheme is frozen, so N, derived from comm_matrix, never goes stale:
+    `dataclasses.replace` gives a scheme with another field and its own N.
     """
 
     ext_ctx: ExtFieldCtx
@@ -121,19 +121,13 @@ class CommScheme:
     root: int | None = None
     child_mix: dict[tuple[int, int], FMatrix] = field(default_factory=dict)
     surplus_mix: dict[int, FMatrix] = field(default_factory=dict)
-    key: KeyExtractor | None = None
-    # (F, left_nullspace_basis(F)) for the comm_matrix object last read
-    _null_of: tuple[FMatrix, FMatrix] | None = field(default=None, init=False, repr=False, compare=False)
+    key: tuple[int, ...] | None = None
 
-    @property
+    @cached_property
     def null(self) -> FMatrix:
         """N = left_nullspace_basis(comm_matrix): k x base_dim, N @ F = 0,
-        k = base_dim - rank F.  Built on first read and kept with the F it
-        came from; reassigning comm_matrix makes the next read rebuild it."""
-        f = self.comm_matrix
-        if self._null_of is None or self._null_of[0] is not f:
-            self._null_of = (f, left_nullspace_basis(f))
-        return self._null_of[1]
+        k = base_dim - rank F.  Built on first read and kept."""
+        return left_nullspace_basis(self.comm_matrix)
 
     @property
     def base_dim(self) -> int:
@@ -174,14 +168,13 @@ class CommScheme:
         self.check_owners(source)  # the row count, before N (up to R x R for R rows)
         if self.ext_ctx.q != source.q:
             raise SchemeError("field characteristic mismatch")
-        # rank(N @ K) = s below does not bound K's width, and a wider key
+        # N.take_cols(key) below would read coordinate -1 as the last one,
+        # and rank(N @ K) = s does not bound K's width, while a wider key
         # that completes F is not secret
-        if self.key is not None and self.key.matrix.cols != self.s:
-            raise SchemeError(
-                f"key map has {self.key.matrix.cols} columns, must have s = {self.s}"
-            )
+        if self.key is not None:
+            _check_key(self.key, self.s, self.base_dim)
         # rank F = base_dim - (rows of N) and rank([F | K]) = rank F +
-        # rank(N @ K)
+        # rank(N @ K), where N @ K is N's columns at the key coordinates
         null = self.null
         if null.rows != self.s:
             raise SchemeError(
@@ -193,7 +186,7 @@ class CommScheme:
             if rank(a) < self.s:
                 raise SchemeError(f"mix block for node {node}, edge {edge_id} is singular")
         if self.key is not None:
-            if rank(null @ self.key.matrix) != null.rows:
+            if rank(null.take_cols(self.key)) != null.rows:
                 raise SchemeError("key columns do not complete the communication")
 
 
@@ -393,7 +386,7 @@ def _synth_from_certificate(
         root=root,
         child_mix=child_mix,
         surplus_mix={eid: _mat(ext, b, len(b[0])) for eid, b in surplus.items()},
-        key=_key_at(ext, d, tuple(pivots)),
+        key=tuple(pivots),
     )
 
 
@@ -531,9 +524,7 @@ def save_scheme(scheme: CommScheme) -> str:
         lines.append(f"bmat edge={eid} rows={b.rows} cols={b.cols}")
         lines.extend(_fmt_matrix_lines(b, tokens))
     if scheme.key is not None:
-        lines.append(
-            "keycols" + ("" if not scheme.key.coords else " " + " ".join(str(c) for c in scheme.key.coords))
-        )
+        lines.append("keycols" + "".join(f" {c}" for c in scheme.key))
     return "\n".join(lines) + "\n"
 
 
@@ -680,14 +671,8 @@ def load_scheme(text: str) -> CommScheme:
             (eid,) = _tag_ints("bmat", fields, ("edge",))
             surplus_mix[eid] = read_matrix("bmat", fields, s_rows=True)
         elif parts[0] == "keycols":
-            coords = tuple(_ints(parts[1:], "keycols line"))
-            if len(set(coords)) != len(coords) or not all(
-                0 <= c < comm.rows for c in coords
-            ):
-                raise SchemeError(
-                    f"keycols must be distinct coordinates in [0, {comm.rows})"
-                )
-            key = _key_at(ext, comm.rows, coords)
+            key = tuple(_ints(parts[1:], "keycols line"))
+            _check_key(key, s, comm.rows)
         else:
             raise SchemeError(f"unknown scheme block {parts[0]!r}")
     return CommScheme(

@@ -33,9 +33,9 @@ map is applied to the whole batch as its F_q realisation
 (`falinalg.expand_to_base`): one matrix product of digit arrays reduced
 mod q.  Running GF(q**n) maps as F_q-linear maps on digit arrays is how
 the galois package (https://github.com/mhostetter/galois) vectorises
-extension-field arithmetic.  Every map a run uses ([F | key | W], L, N
-and the stacked R_v) comes out of one expansion: one digit product over
-the entries of all four (`falinalg._expand`).
+extension-field arithmetic.  Every map a run uses ([F | W], L, N and the
+stacked R_v) comes out of one expansion: one digit product over the
+entries of all four (`falinalg._expand`).
 
 The arrays are float64, where numpy multiplies through BLAS, whenever
 that is exact: every code fits 2**53 (order <= 2**53), and every sum a
@@ -61,9 +61,10 @@ arrays above that, each reduced by `%`.  A batch runs:
   float64 (order, n) table of every code's digits (`_digit_table`, shared
   by every run over the field), so one lookup gives the batch's digit
   array; otherwise `falinalg._to_digits` splits the codes.
-- One product of the digits x with [F | key | W] (W only when the tap is
-  replayed) gives comm, the key and the tap.  Keys are tallied as tuples
-  of Python ints with a Counter, which keeps first-seen order.
+- Keys.  The key is x at the key coordinates, so it is read off the
+  batch's codes, before they become digits, and tallied as tuples of
+  Python ints with a Counter, which keeps first-seen order.
+- One product of the digits x with F gives comm.
 - Decoders, stacked.  e = x - x0 = (x - comm @ L) mod q.  Node v's digit
   rows are padded to the widest view into one (V, w*n) index array, and
   its R_v, padded with zero rows and transposed, into one (V, k*n, w*n)
@@ -74,8 +75,8 @@ arrays above that, each reduced by `%`.  A batch runs:
   y_v @ N = e, and at the free coordinates y_v @ N is y_v itself, so node v
   decodes iff y_v = a and a @ N = e (mod q): one (d*n) x trials check for
   all nodes.
-- Key mismatches.  A node that decodes holds x itself, and its key x @ K
-  is the true key, so `key_mismatches` is 0 by construction; the field
+- Key mismatches.  A node that decodes holds x itself, and so the key at
+  its coordinates, so `key_mismatches` is 0 by construction; the field
   stays in SimReport because the CLI prints it.  The per-trial referee in
   tests/test_simulate.py still computes it from each decoded vector.
 - Tap replay.  The prediction comm @ (L @ W) equals x0 @ W, so it misses
@@ -96,7 +97,6 @@ from .falinalg import (
     _exact_f64,
     _expand,
     _floor_mod,
-    _from_digits,
     _int_dtype,
     _left_null_and_ginverse,
     _mat,
@@ -107,7 +107,7 @@ from .falinalg import (
 )
 from .gfield import ExtFieldCtx
 from .model import TreePinSource, Wiretapper
-from .scheme import CommScheme
+from .scheme import CommScheme, _check_key
 
 __all__ = ["SimulationError", "SimReport", "run_protocol"]
 
@@ -196,7 +196,7 @@ def run_protocol(
     if trials < 0:
         raise SimulationError(f"trials must be non-negative, got {trials}")
     if scheme.key is None:
-        raise SimulationError("scheme has no key extractor")
+        raise SimulationError("scheme has no key")
     ext = scheme.ext_ctx
     q, n = ext.q, ext.n
     d = source.base_dim
@@ -204,6 +204,9 @@ def run_protocol(
     if f.rows != d:
         raise SimulationError("scheme does not match the source")
     scheme.check_owners(source)
+    # the keys are read off the draws at these coordinates, where -1 would
+    # silently be the last one
+    _check_key(scheme.key, scheme.s, d)
 
     # One elimination of F serves every node (see the module docstring):
     # node v recovers x = x0 + ((x_v - x0_v) @ R_v) @ N, with x0 = comm @ L
@@ -213,8 +216,8 @@ def run_protocol(
     null_t = null.transpose()
     k = null.rows
     inner = (d + f.cols) * n
-    # float64 while exact, else int64 or object (module docstring); codes
-    # (the keys, and draws that no digit table serves) stay integers
+    # float64 while exact, else int64 or object (module docstring); the
+    # draws that no digit table serves stay integer codes
     if ext.order <= _EXACT and _exact_f64(q, inner + 1):
         dtype, code_dtype, mod = np.float64, np.int64, _floor_mod
     else:
@@ -244,17 +247,17 @@ def run_protocol(
     unknown_dims = k - rank(tap)
     # the tap is replayed only for an aligned scheme with a nonempty tap
     replay = predictable and wl.cols > 0
-    # every map in one expansion; F, the key and the tap share their d
-    # rows, and so one block of it
-    comm_cols, key_cols = f.cols * n, scheme.key.matrix.cols * n
+    # every map in one expansion; F and the tap share their d rows, and so
+    # one block of it
+    comm_cols = f.cols * n
     maps, ginv_map, null_map, right_invs = _expand(
-        [f.hstack(scheme.key.matrix, wl), ginv, null, _mat(ext, stacked, k)], dtype
+        [f.hstack(wl), ginv, null, _mat(ext, stacked, k)], dtype
     )
     # a batch holds its trials as columns (module docstring): each map acts
     # from the left as its transpose, a view BLAS takes as it is, and the
     # R_v are transposed once, into one (V, k*n, w*n) array
-    comm_key_t = maps[:, : comm_cols + key_cols].T
-    wiretap_t = maps[:, comm_cols + key_cols :].T
+    comm_t = maps[:, :comm_cols].T
+    wiretap_t = maps[:, comm_cols:].T
     ginv_t, null_map_t = ginv_map.T, null_map.T
     right_invs = np.ascontiguousarray(
         right_invs.reshape(len(views), width * n, k * n).transpose(0, 2, 1)
@@ -265,13 +268,12 @@ def run_protocol(
         table = _digit_table(ext)
         draw = _code_draws(rng, ext.order, np.uint32)
 
-        def digits(rows: int) -> np.ndarray:
-            return np.take(table, draw(rows * d), axis=0).reshape(rows, d * n)
+        def digits(codes: np.ndarray) -> np.ndarray:
+            return np.take(table, codes, axis=0).reshape(len(codes), d * n)
     else:
         draw = _code_draws(rng, ext.order, code_dtype)
 
-        def digits(rows: int) -> np.ndarray:
-            codes = draw(rows * d).reshape(rows, d)
+        def digits(codes: np.ndarray) -> np.ndarray:
             return _to_digits(codes, ext).astype(dtype, copy=False)
 
     decode_failures = 0
@@ -280,14 +282,14 @@ def run_protocol(
 
     for start in range(0, trials, _CHUNK):
         rows = min(_CHUNK, trials - start)
-        x = digits(rows).T
-        out = mod(comm_key_t @ x, q)
-        keys = _from_digits(out[comm_cols:].T, ext).astype(code_dtype, copy=False)
-        key_counts.update(map(tuple, keys.tolist()))
+        codes = draw(rows * d).reshape(rows, d)
+        key_counts.update(map(tuple, codes[:, scheme.key].tolist()))
+        x = digits(codes).T
+        comm = mod(comm_t @ x, q)
 
         # node v decodes iff y_v @ N = e, and N is the identity at the free
         # coordinates (see the module docstring)
-        e = ginv_t @ out[:comm_cols]   # x0 = comm @ L, then x - x0 in place
+        e = ginv_t @ comm   # x0 = comm @ L, then x - x0 in place
         np.subtract(x, e, out=e)
         e = mod(e, q)
         y = mod(right_invs @ np.take(e, digit_cols, axis=0), q)
@@ -304,7 +306,7 @@ def run_protocol(
         trials=trials,
         block_len=n,
         decode_failures=decode_failures,
-        # a node that decodes holds x itself, so its key x @ K is the true key
+        # a node that decodes holds x itself, and so the true key
         key_mismatches=0,
         wiretap_predictable=predictable,
         wiretap_mispredictions=mispredictions,

@@ -1,8 +1,8 @@
 """Independent checks of a communication scheme against a source model.
 
-Everything here works from the communication matrix and the key columns
-alone, what a scheme file carries, so these checks are meaningful for
-hand-written schemes too.  The owner list is not read: that each column is
+Everything here works from the communication matrix and the key
+coordinates alone, what a scheme file carries, so these checks are
+meaningful for hand-written schemes too.  The owner list is not read: that each column is
 computable by its owner is checked by `CommScheme.check_owners`, which
 `CommScheme.validate` (and so every CLI command) runs first.
 
@@ -16,7 +16,8 @@ X with d rows,
 
     rank([F | X]) = rank F + rank(N @ X),
 
-so with W the lifted tap and K the key columns:
+so with W the lifted tap and K the unit vectors at the key coordinates
+(N @ K is N's columns there):
 
  * node v is omniscient  iff  N restricted to v's coordinates has rank k;
  * the scheme is aligned  iff  N @ W = 0;
@@ -70,7 +71,7 @@ def _leakage_dims(null: FMatrix, tap: FMatrix) -> int:
 def _key_secret(scheme: CommScheme, null: FMatrix, tap: FMatrix) -> bool:
     if scheme.key is None:
         return False
-    return rank(tap.hstack(null @ scheme.key.matrix)) == rank(tap) + scheme.s
+    return rank(tap.hstack(null.take_cols(scheme.key))) == rank(tap) + scheme.s
 
 
 def leakage_symbol_dims(scheme: CommScheme, wiretapper: Wiretapper) -> int:

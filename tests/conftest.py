@@ -11,7 +11,6 @@ from treepin import (
     CommScheme,
     FMatrix,
     InstanceError,
-    KeyExtractor,
     TreePinSource,
     Wiretapper,
     choose_extension_degree,
@@ -172,11 +171,8 @@ def published_scheme():
     source, wt = parity_path()
     ext = make_ext_field(2, 2)
     f = FMatrix.from_cols(ext, [[1, 3, 0], [0, 2, 1]], rows=3)
-    key = KeyExtractor(
-        matrix=FMatrix.basis_columns(ext, 3, (0,)), coords=(0,)
-    )
     scheme = CommScheme(
-        ext_ctx=ext, s=1, comm_matrix=f, owners=(1, 2), key=key
+        ext_ctx=ext, s=1, comm_matrix=f, owners=(1, 2), key=(0,)
     )
     return source, wt, scheme
 

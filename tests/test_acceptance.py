@@ -163,7 +163,7 @@ def test_linear_algebra_matches_exhaustive_oracles(synthesized_suite):
         leak = cond_mutual_info_exhaustive(ib, fb, wb, q)
         assert leak == leakage_symbol_dims(scheme, wt) * n * lg
 
-        kb = expand_to_base(scheme.key.matrix)
+        kb = expand_to_base(FMatrix.basis_columns(scheme.ext_ctx, source.base_dim, scheme.key))
         empty = FMatrix.zeros(source.base_ctx, fb.rows, 0)
         key_mi = cond_mutual_info_exhaustive(kb, fb.hstack(wb), empty, q)
         assert key_mi == 0.0

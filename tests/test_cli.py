@@ -457,6 +457,33 @@ def test_key_wider_than_s_exits_1(capsys, tmp_path):
         assert got == (1, "", "error: key map has 2 columns, must have s = 1\n")
 
 
+def test_keyless_scheme(capsys, tmp_path):
+    """The README chain's scheme without its keycols line: it carries no
+    key, which is no structural fault.  verify reports the key as not
+    secret and exits 2, simulate has no key to tally and exits 1, and
+    oracle-check --scheme checks the leakage alone and exits 0."""
+    inst, red, sch = (str(tmp_path / name) for name in ("inst.txt", "red.txt", "scheme.txt"))
+    assert run(capsys, "gen", "--seed", "2", "--vertices", "5", "--max-mult", "2",
+               "--q", "2", "--nw", "2", "--out", inst)[0] == 0
+    assert run(capsys, "reduce", "--in", inst, "--out", red)[0] == 0
+    assert run(capsys, "synth", "--in", red, "--out", sch)[0] == 0
+    text = (tmp_path / "scheme.txt").read_text()
+    assert text.endswith("\nkeycols 0\n")
+    keyless = tmp_path / "keyless.txt"
+    keyless.write_text(text.replace("\nkeycols 0\n", "\n"))
+    code, out, err = run(capsys, "verify", "--in", red, "--scheme", str(keyless))
+    assert (code, err) == (2, "")
+    report = lines_of(out)
+    assert (report["key_secret"], report["key_dims"], report["all_pass"]) == ("false", "0", "false")
+    got = run(capsys, "simulate", "--trials", "50", "--in", red, "--scheme", str(keyless))
+    assert got == (1, "", "error: scheme has no key\n")
+    code, out, err = run(capsys, "oracle-check", "--in", red, "--scheme", str(keyless))
+    assert (code, err) == (0, "")
+    report = lines_of(out)
+    assert report["scheme_leakage_ok"] == report["oracle_ok"] == "true"
+    assert "key_secrecy_ok" not in report
+
+
 @pytest.mark.parametrize("command", ["verify", "simulate", "oracle-check"])
 def test_verify_refuses_oversized_scheme_before_eliminating(capsys, tmp_path, wide_files, command):
     """A 3000-row scheme with no columns is refused by its row count before

@@ -59,8 +59,9 @@ def test_reduce_step_on_wide_path():
     assert step.dim == 1
     assert step.new_mult == 1
     assert step.edge_map.shape == (2, 1)
-    assert step.completion.shape == (2, 1)
-    assert rank(step.edge_map.hstack(step.completion)) == 2
+    assert step.completion == (0,)
+    unit = FMatrix.basis_columns(step.edge_map.ctx, 2, step.completion)
+    assert rank(step.edge_map.hstack(unit)) == 2
     assert src2.base_dim == 3
     assert src2.edge(0).mult == 1
     assert wt2.dim == 1
@@ -188,7 +189,7 @@ def referee_reduce_step(src, wt, edge_id):
         cols=n_w - l,
     )
     new_wt = Wiretapper(reduced)
-    step = (edge_id, l, edge_map, completion, edge.mult - l, new_wt)
+    step = (edge_id, l, edge_map, completion_indices(edge_map), edge.mult - l, new_wt)
     return src.with_multiplicity(edge_id, edge.mult - l), new_wt, step
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -34,7 +35,6 @@ from treepin.falinalg import (
 from treepin.gfield import ExtFieldCtx
 from treepin.scheme import (
     _MAX_ATTEMPTS,
-    KeyExtractor,
     _default_root,
     _synth_from_certificate,
     sample_alignment_certificate,
@@ -65,8 +65,9 @@ from conftest import (
 
 
 def extract_key(scheme):
-    """Greedy key columns: the first standard basis vectors (ascending
-    coordinate) that extend the communication's column space to full rank.
+    """Greedy key coordinates: those of the first standard basis vectors
+    (ascending coordinate) that extend the communication's column space to
+    full rank.
 
     With N the left-null basis of F, rank([F | X]) = rank F + rank(N X), so
     e_i extends col F and the earlier picks exactly when column i of N is
@@ -75,8 +76,7 @@ def extract_key(scheme):
     null = scheme.null
     if null.rows != scheme.s:
         raise SchemeError("communication matrix does not leave an s-dim key space")
-    coords = rref(null).pivots
-    return KeyExtractor(FMatrix.basis_columns(scheme.ext_ctx, null.cols, coords), coords)
+    return rref(null).pivots
 
 
 def check_certificate(cert, scheme, source, wiretapper):
@@ -117,8 +117,7 @@ def test_explicit_unit_on_parity_path():
     assert sorted(scheme.child_mix) == [(1, 1), (2, 2)]
     for a in scheme.child_mix.values():
         assert a.shape == (1, 1) and a[0, 0].code == 3
-    assert scheme.key is not None
-    assert scheme.key.coords == (0,)
+    assert scheme.key == (0,)
     scheme.validate(src)
 
 
@@ -257,11 +256,11 @@ def test_extract_key_properties():
     scheme = synth_random(src, wt, seed=11)
     key = scheme.key
     assert key is not None
-    assert list(key.coords) == sorted(key.coords)
-    assert len(key.coords) == scheme.s
-    assert rank(scheme.comm_matrix.hstack(key.matrix)) == src.base_dim
-    fresh = extract_key(scheme)
-    assert fresh.coords == key.coords
+    assert list(key) == sorted(key)
+    assert len(key) == scheme.s
+    unit = FMatrix.basis_columns(scheme.ext_ctx, src.base_dim, key)
+    assert rank(scheme.comm_matrix.hstack(unit)) == src.base_dim
+    assert extract_key(scheme) == key
 
 
 def test_columns_of_partitions_ownership():
@@ -331,18 +330,25 @@ def test_validate_rejects_broken_schemes():
     with pytest.raises(SchemeError):
         check_certificate(stale_cert, good, src, wt)
 
+    # F = [e_1 | e_2] leaves N = e_0, whose column 1 is zero: coordinate 1
+    # does not complete F, coordinate 0 does
     bad_key = CommScheme(
         ext_ctx=good.ext_ctx,
         s=1,
-        comm_matrix=good.comm_matrix,
-        owners=good.owners,
-        key=extract_key(good),
+        comm_matrix=FMatrix.basis_columns(good.ext_ctx, 3, (1, 2)),
+        owners=(1, 2),
+        key=(1,),
     )
-    bad_key.key = type(good.key)(
-        matrix=good.comm_matrix.take_cols([0]), coords=(0,)
-    )
-    with pytest.raises(SchemeError):
+    message = "^key columns do not complete the communication$"
+    with pytest.raises(SchemeError, match=message):
         bad_key.validate(src)
+    replace(bad_key, key=(0,)).validate(src)
+    # the scheme holds its key as the coordinates its file carries, so the
+    # loaded copy is the same scheme and is refused the same way
+    back = load_scheme(save_scheme(bad_key))
+    assert back == bad_key
+    with pytest.raises(SchemeError, match=message):
+        back.validate(src)
 
     other_src = TreePinSource(3, 4, [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 3, 1)])
     with pytest.raises(SchemeError):
@@ -369,21 +375,42 @@ def test_validate_refuses_a_key_not_s_wide():
     src, wt = wide_path_irreducible()
     scheme = synth_random(src, wt, seed=0)
     scheme.validate(src)
-    (coord,) = scheme.key.coords
+    (coord,) = scheme.key
     for extra in range(src.base_dim):
         if extra == coord:
             continue
         coords = tuple(sorted((coord, extra)))
-        text = save_scheme(scheme).replace(f"keycols {coord}\n", "keycols %d %d\n" % coords)
-        wide = load_scheme(text)
-        assert wide.key.coords == coords
         with pytest.raises(SchemeError) as err:
-            wide.validate(src)
+            replace(scheme, key=coords).validate(src)
         assert str(err.value) == "key map has 2 columns, must have s = 1"
-    scheme.key = KeyExtractor(FMatrix.basis_columns(scheme.ext_ctx, src.base_dim, ()), ())
+        # load_scheme runs the same check on the keycols line
+        text = save_scheme(scheme).replace(f"keycols {coord}\n", "keycols %d %d\n" % coords)
+        with pytest.raises(SchemeError) as err:
+            load_scheme(text)
+        assert str(err.value) == "key map has 2 columns, must have s = 1"
     with pytest.raises(SchemeError) as err:
-        scheme.validate(src)
+        replace(scheme, key=()).validate(src)
     assert str(err.value) == "key map has 0 columns, must have s = 1"
+
+
+def test_validate_refuses_keycols_out_of_range_or_repeated():
+    """N.take_cols would read coordinate -1 as the last one, so validate
+    checks the key's range before it reads N, and refuses a repeated
+    coordinate too, with the message load_scheme gives for the same
+    keycols line."""
+    src, wt = wide_path_irreducible()
+    scheme = synth_random(src, wt, seed=5)
+    (coord,) = scheme.key
+    d = src.base_dim
+    message = f"keycols must be distinct coordinates in [0, {d})"
+    for key in ((-1,), (d,), (0, 0)):
+        with pytest.raises(SchemeError) as err:
+            replace(scheme, key=key).validate(src)
+        assert str(err.value) == message
+        line = " ".join(["keycols", *map(str, key)])
+        with pytest.raises(SchemeError) as err:
+            load_scheme(save_scheme(scheme).replace(f"keycols {coord}\n", line + "\n"))
+        assert str(err.value) == message
 
 
 def test_null_is_built_once_per_scheme(monkeypatch):
@@ -409,19 +436,27 @@ def test_null_is_built_once_per_scheme(monkeypatch):
 
 
 def test_null_follows_a_reassigned_comm_matrix():
-    """After N is read, a dropped column in F is caught: validate builds N
-    for the new F (one row more) instead of reusing the old one."""
+    """A scheme is frozen, so its N cannot go stale: a field cannot be
+    assigned, and after N is read, a scheme with a dropped column in F
+    (made by dataclasses.replace) is caught: validate builds N for the new
+    F (one row more) instead of reusing the old one."""
     src, wt = wide_path_irreducible()
     scheme = synth_random(src, wt, seed=5)
     scheme.validate(src)
     assert scheme.null.rows == scheme.s
     keep = list(range(1, scheme.comm_matrix.cols))
-    scheme.comm_matrix = scheme.comm_matrix.take_cols(keep)
-    scheme.owners = tuple(scheme.owners[j] for j in keep)
+    with pytest.raises(FrozenInstanceError):
+        scheme.comm_matrix = scheme.comm_matrix.take_cols(keep)
+    dropped = replace(
+        scheme,
+        comm_matrix=scheme.comm_matrix.take_cols(keep),
+        owners=tuple(scheme.owners[j] for j in keep),
+    )
     with pytest.raises(SchemeError, match="communication matrix rank must be base_dim - s"):
-        scheme.validate(src)
-    assert scheme.null.rows == scheme.s + 1
-    assert scheme.null == left_nullspace_basis(scheme.comm_matrix)
+        dropped.validate(src)
+    assert dropped.null.rows == scheme.s + 1
+    assert dropped.null == left_nullspace_basis(dropped.comm_matrix)
+    assert scheme.null.rows == scheme.s
 
 
 def test_serialization_round_trip():
@@ -440,7 +475,7 @@ def test_serialization_round_trip():
         assert back.comm_matrix == scheme.comm_matrix
         assert back.child_mix == scheme.child_mix
         assert {k: v for k, v in scheme.surplus_mix.items() if v.cols} == back.surplus_mix
-        assert back.key is not None and back.key.coords == scheme.key.coords
+        assert back.key is not None and back.key == scheme.key
         assert save_scheme(back) == text
 
 
@@ -636,7 +671,7 @@ def assert_matches_unfolding_referee(src, scheme, cert):
     assert scheme.owners == owners
     assert scheme.child_mix == child_mix
     assert scheme.surplus_mix == surplus_mix
-    assert scheme.key.coords == completion_indices(comm)
+    assert scheme.key == completion_indices(comm)
 
 
 def test_unfolding_matches_referee_on_suite(certified_suite):
@@ -653,7 +688,7 @@ def test_synthesized_schemes_pass_validate(certified_suite):
         scheme.validate(src)
         check_certificate(cert, scheme, src, wt)
         assert scheme.key == extract_key(scheme)
-        assert scheme.key.coords == rref(left_nullspace_basis(scheme.comm_matrix)).pivots
+        assert scheme.key == rref(left_nullspace_basis(scheme.comm_matrix)).pivots
 
 
 def test_certificate_is_a_basis_of_the_left_nullspace_of_f(certified_suite):
@@ -664,7 +699,7 @@ def test_certificate_is_a_basis_of_the_left_nullspace_of_f(certified_suite):
         got = rref(cert)
         want = rref(left_nullspace_basis(scheme.comm_matrix))
         assert got.matrix == want.matrix
-        assert scheme.key.coords == want.pivots
+        assert scheme.key == want.pivots
 
 
 def test_unfolding_matches_referee_with_edges_out_of_id_order():
@@ -711,7 +746,7 @@ def _comm_variants(scheme):
         coef = 1 + j % (ext.order - 1)
         col = [ext.add_code(ext.mul_code(r[j], coef), r[(j + 1) % c]) for r in rows]
         out.append(f.hstack(FMatrix.from_cols(ext, [col], rows=d)))
-    out.append(f.hstack(scheme.key.matrix))
+    out.append(f.hstack(FMatrix.basis_columns(ext, d, scheme.key)))
     out.append(FMatrix.zeros(ext, d, 0))
     return out
 
@@ -725,12 +760,12 @@ def test_extract_key_matches_completion_on_variants(q, n):
             ext_ctx=scheme.ext_ctx, s=k, comm_matrix=f, owners=(0,) * f.cols
         )
         key = extract_key(variant)
-        assert key.coords == completion_indices(f)
-        assert key.matrix == FMatrix.basis_columns(f.ctx, f.rows, key.coords)
+        assert key == completion_indices(f)
+        unit = FMatrix.basis_columns(f.ctx, f.rows, key)
+        assert rank(f.hstack(unit)) == f.rows
         for wrong in (k - 1, k + 1):
-            variant.s = wrong
             with pytest.raises(SchemeError, match="does not leave an s-dim key space"):
-                extract_key(variant)
+                extract_key(replace(variant, s=wrong))
 
 
 def explicit_unit_certificate_referee(src, wt):
@@ -835,7 +870,7 @@ def save_scheme_referee(scheme):
             lines.append(f"bmat edge={eid} rows={b.rows} cols={b.cols}")
             lines += _fmt_lines_referee(b)
     if scheme.key is not None:
-        lines.append(" ".join(["keycols", *map(str, scheme.key.coords)]))
+        lines.append(" ".join(["keycols", *map(str, scheme.key)]))
     return "\n".join(lines) + "\n"
 
 
@@ -893,9 +928,10 @@ def assert_entry_io_matches_referee(scheme):
 
 
 def _all_codes_scheme(ext, seed):
-    """A scheme (not a valid design) whose fmat row holds every code of a
-    field of order at most 4096, or both ends and 500 sampled codes of a
-    larger one, with amat and bmat blocks of sampled codes."""
+    """A scheme (not a valid design) whose first fmat row holds every code
+    of a field of order at most 4096, or both ends and 500 sampled codes of
+    a larger one, with amat and bmat blocks of sampled codes and one key
+    coordinate per row (s = 2)."""
     rng = random.Random(seed)
     if ext.order <= 4096:
         codes = list(range(ext.order))
@@ -907,12 +943,12 @@ def _all_codes_scheme(ext, seed):
     return CommScheme(
         ext_ctx=ext,
         s=2,
-        comm_matrix=FMatrix.from_rows(ext, [codes], cols=len(codes)),
+        comm_matrix=FMatrix.from_rows(ext, [codes, [0] * len(codes)], cols=len(codes)),
         owners=(0,) * len(codes),
         root=0,
         child_mix={(1, 0): draw(2, 2), (1, 2): draw(2, 2)},
         surplus_mix={0: draw(2, 3), 2: draw(2, 0)},
-        key=KeyExtractor(matrix=FMatrix.basis_columns(ext, 1, (0,)), coords=(0,)),
+        key=(0, 1),
     )
 
 

@@ -6,6 +6,7 @@ import math
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from hypothesis import given, seed, settings, strategies as st
 from treepin import (
     CommScheme,
     FMatrix,
-    KeyExtractor,
     SchemeError,
     SimReport,
     SimulationError,
@@ -29,7 +29,6 @@ from treepin import (
 from treepin import simulate
 from treepin.falinalg import (
     _expand,
-    _from_digits,
     _to_digits,
     left_inverse,
     lift,
@@ -116,7 +115,7 @@ def test_misaligned_scheme_has_unpredictable_wiretap():
         s=1,
         comm_matrix=FMatrix.basis_columns(ext, 3, [1, 2]),
         owners=(1, 2),
-        key=KeyExtractor(FMatrix.basis_columns(ext, 3, (0,)), (0,)),
+        key=(0,),
     )
     with pytest.raises(SimulationError):
         # nodes 2 and 3 decode, nodes 0 and 1 cannot: refuse to run
@@ -124,6 +123,8 @@ def test_misaligned_scheme_has_unpredictable_wiretap():
 
 
 def test_missing_key_is_an_error():
+    """A scheme with no key, or with a key that is not s distinct
+    coordinates of the source, is refused."""
     src, wt = parity_path()
     scheme = synth_explicit_unit(src, wt)
     keyless = CommScheme(
@@ -132,8 +133,13 @@ def test_missing_key_is_an_error():
         comm_matrix=scheme.comm_matrix,
         owners=scheme.owners,
     )
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="^scheme has no key$"):
         run_protocol(keyless, src, wt, seed=1, trials=10)
+    # keys are read off the draws at the key coordinates, so a coordinate
+    # out of range is refused, not read as the last one (-1) or an error
+    for key in ((-1,), (src.base_dim,), (0, 0)):
+        with pytest.raises(SchemeError, match=r"^keycols must be distinct coordinates in \[0, 3\)$"):
+            run_protocol(replace(scheme, key=key), src, wt, seed=1, trials=10)
 
 
 def test_source_mismatch_is_an_error():
@@ -211,8 +217,8 @@ def _reference_run_protocol(scheme, source, wiretapper, seed, trials):
         dec = left_inverse(m.transpose())
         decoders.append((coords, dec.to_code_rows()))
 
-    key_rows = scheme.key.matrix.to_code_rows()
-    key_cols = range(scheme.key.matrix.cols)
+    key_rows = FMatrix.basis_columns(ext, d, scheme.key).to_code_rows()
+    key_cols = range(len(scheme.key))
 
     wl = lift(wiretapper.matrix, ext)
     wiretap_cols = _sparse_cols(wl)
@@ -384,8 +390,8 @@ def test_dependent_columns_and_full_row_rank_match_referee(q, n):
     )
     full = _widened(
         scheme,
-        scheme.key.matrix,
-        tuple(_owner_of(src, c) for c in scheme.key.coords),
+        FMatrix.basis_columns(ext, src.base_dim, scheme.key),
+        tuple(_owner_of(src, c) for c in scheme.key),
     )
     for variant in (dependent, full):
         for trials in (1, 64):
@@ -408,7 +414,7 @@ def test_first_node_that_cannot_decode_is_named(n):
         s=1,
         comm_matrix=FMatrix.from_cols(ext, [[1, 1, 0], [0, 0, 1]], rows=3),
         owners=(1, 2),
-        key=KeyExtractor(FMatrix.basis_columns(ext, 3, (0,)), (0,)),
+        key=(0,),
     )
     message = "node 3 cannot reach omniscience with this scheme"
     with pytest.raises(SimulationError, match=message):
@@ -423,7 +429,7 @@ def test_tap_outside_col_f_matches_referee(q, n):
     node still decodes, the tap is no longer predictable, and the
     eavesdropper misses one dimension fewer."""
     src, wt, scheme = _scheme_over(q, n, seed=q * 10 + n)
-    unit = FMatrix.basis_columns(src.base_ctx, src.base_dim, scheme.key.coords[:1])
+    unit = FMatrix.basis_columns(src.base_ctx, src.base_dim, scheme.key[:1])
     tap = Wiretapper(wt.matrix.hstack(unit))
     got = run_protocol(scheme, src, tap, seed=7, trials=64)
     want = _reference_run_protocol(scheme, src, tap, 7, 64)
@@ -528,12 +534,21 @@ def _sparse_product(x, m, q):
     return out % q
 
 
+def _from_digits(digits, ctx):
+    """Inverse of falinalg._to_digits: the codes of an array of base-q
+    digits, lowest first, n digits per code."""
+    n = ctx.n
+    powers = np.array([ctx.q**k for k in range(n)], dtype=digits.dtype)
+    return digits.reshape(*digits.shape[:-1], digits.shape[-1] // n, n) @ powers
+
+
 def _per_node_report(scheme, source, wiretapper, seed, trials):
     """The whole SimReport in int64: x0 = comm @ L, and node v recovers
     x0 + ((x_v - x0_v) @ R_v) @ N, checked against x and keyed again."""
     ext = scheme.ext_ctx
     q, n, d = ext.q, ext.n, source.base_dim
-    f, key = scheme.comm_matrix, scheme.key.matrix
+    f = scheme.comm_matrix
+    key = FMatrix.basis_columns(ext, d, scheme.key)
     null, ginv, _ = simulate._left_null_and_ginverse(f)
     wl = lift(wiretapper.matrix, ext)
     recon = solve_right(f, wl)

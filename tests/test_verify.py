@@ -10,7 +10,6 @@ from hypothesis import given, seed, settings, strategies as st
 from treepin import (
     CommScheme,
     FMatrix,
-    KeyExtractor,
     Wiretapper,
     capacity_report,
     make_ext_field,
@@ -79,7 +78,7 @@ def test_alignment_detects_exposed_communication():
         s=1,
         comm_matrix=FMatrix.basis_columns(ext, 3, [0, 1]),
         owners=(0, 1),
-        key=KeyExtractor(FMatrix.basis_columns(ext, 3, (2,)), (2,)),
+        key=(2,),
     )
     raw.validate(src)
     rep = verify_scheme(raw, src, wt)
@@ -103,18 +102,9 @@ def test_key_inside_wiretap_span_is_not_secret():
     src, wt = parity_path()
     scheme = synth_explicit_unit(src, wt)
     assert verify_scheme(scheme, src, wt).key_secret
-    # replace the key with the parity itself, which the tap observes
-    leaky = CommScheme(
-        ext_ctx=scheme.ext_ctx,
-        s=1,
-        comm_matrix=scheme.comm_matrix,
-        owners=scheme.owners,
-        key=KeyExtractor(
-            matrix=FMatrix.from_cols(scheme.ext_ctx, [[1, 1, 1]], rows=3),
-            coords=(0,),
-        ),
-    )
-    assert not verify_scheme(leaky, src, wt).key_secret
+    # a tap that observes the key coordinate as well as the parity
+    unit = FMatrix.basis_columns(src.base_ctx, src.base_dim, scheme.key)
+    assert not verify_scheme(scheme, src, Wiretapper(wt.matrix.hstack(unit))).key_secret
     assert verify_scheme(CommScheme(
         ext_ctx=scheme.ext_ctx,
         s=1,
@@ -211,7 +201,8 @@ def referee_key_secrecy(scheme, wiretapper):
         if wiretapper.dim == 0
         else f.hstack(lift(wiretapper.matrix, scheme.ext_ctx))
     )
-    return rank(joint.hstack(scheme.key.matrix)) == rank(joint) + scheme.s
+    key = FMatrix.basis_columns(scheme.ext_ctx, f.rows, scheme.key)
+    return rank(joint.hstack(key)) == rank(joint) + scheme.s
 
 
 def assert_matches_referee(scheme, source, wiretapper):
@@ -272,18 +263,21 @@ def _variant(kind, src, wt, scheme, data):
         extra = FMatrix.from_cols(ext, [col], rows=d)
         return _with(scheme, f.hstack(extra), scheme.owners + (scheme.owners[j],)), wt
     if kind == "full row rank":
-        full = f.hstack(scheme.key.matrix)
+        full = f.hstack(FMatrix.basis_columns(ext, d, scheme.key))
         return _with(scheme, full, scheme.owners + (0,) * scheme.s), wt
     if kind == "no columns":
         return _with(scheme, FMatrix.zeros(ext, d, 0), ()), wt
     if kind == "tap outside col F":
         # a key coordinate completes col F, so it lies outside it
-        unit = FMatrix.basis_columns(src.base_ctx, d, scheme.key.coords[:1])
+        unit = FMatrix.basis_columns(src.base_ctx, d, scheme.key[:1])
         return scheme, Wiretapper(wt.matrix.hstack(unit))
     if kind == "key inside col F":
-        col = f.take_cols([j]) @ FMatrix.from_rows(ext, [[coef]], cols=1)
-        key = KeyExtractor(col.hstack(*[col] * (scheme.s - 1)), scheme.key.coords)
-        return _with(scheme, key=key), wt
+        # F widened by the unit vector at the first key coordinate, owned
+        # by a node that observes it
+        c0 = scheme.key[0]
+        owner = next(v for v in range(src.vertex_count) if c0 in src.node_view(v).coords)
+        unit = FMatrix.basis_columns(ext, d, (c0,))
+        return _with(scheme, f.hstack(unit), scheme.owners + (owner,)), wt
     raise AssertionError(kind)
 
 
