@@ -2,9 +2,10 @@
 
 Matrices are immutable row-major grids over one context.  They store each
 row as a tuple of integer element codes (see `gfield`); `FieldElem` objects
-appear only at the API edge: the public constructors take and validate
-them, and `m[i, j]`, `row` and `col` hand them out.  Everything inside works
-on the codes with the context's bound code operations.
+appear only at the API edge: the constructor takes them (next to codes and
+coefficient lists) and turns each entry into a code through `ctx(...)`, and
+`m[i, j]`, `row` and `col` hand them out.  Everything inside works on the
+codes with the context's bound code operations.
 
 `rref`, `rank` and `left_inverse` share one elimination kernel,
 `_eliminate`: plain Gaussian elimination with deterministic pivoting (first
@@ -82,25 +83,22 @@ class FMatrix:
 
     __slots__ = ("ctx", "rows", "cols", "_codes")
 
-    def __init__(self, ctx: ExtFieldCtx, data: Iterable[Iterable[FieldElem]], cols: int | None = None):
-        grid = tuple(tuple(row) for row in data)
-        cols = _width(grid, cols)
-        for row in grid:
-            for e in row:
-                if not isinstance(e, FieldElem) or e.ctx.key != ctx.key:
-                    raise ValueError("entry does not belong to the matrix field")
+    def __init__(self, ctx: ExtFieldCtx, data: Iterable[Iterable], cols: int | None = None):
+        """Rows of integer codes, coefficient sequences or elements of ctx,
+        each coerced through ctx(...), which refuses another field's
+        element or a code out of range; ragged rows are refused too."""
+        grid = tuple(map(tuple, [[_code(ctx, v) for v in row] for row in data]))
+        self.cols = _width(grid, cols)
         self.ctx = ctx
         self.rows = len(grid)
-        self.cols = cols
-        self._codes = tuple(tuple(e.code for e in row) for row in grid)
+        self._codes = grid
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_rows(cls, ctx: ExtFieldCtx, rows: Sequence[Sequence], cols: int | None = None) -> "FMatrix":
-        """Build from rows whose entries are coerced through ctx(...)."""
-        grid = [[_code(ctx, v) for v in row] for row in rows]
-        return _mat(ctx, grid, _width(grid, cols))
+        """The constructor, by name."""
+        return cls(ctx, rows, cols)
 
     @classmethod
     def from_cols(cls, ctx: ExtFieldCtx, cols: Sequence[Sequence], rows: int | None = None) -> "FMatrix":

@@ -7,12 +7,13 @@ code in [0, q**n): the base-q digits of the code are the polynomial
 coefficients, lowest degree first, so base-field values embed as the codes
 below q.
 
-Small contexts precompute discrete log/exp tables once (and, in odd
-characteristic, a full addition table), which turns the arithmetic inside
-the matrix kernels into table lookups.  Larger contexts fall back to direct
-polynomial arithmetic.  Which path is active never changes the semantics.
-
-Contexts and elements are immutable and hashable.
+All arithmetic is the context's code operations (`ctx.add_code`,
+`mul_code`, ...) on codes; `FieldElem`, a code tagged with its context, is
+a plain value for the API edge.  Small contexts precompute discrete log/exp
+tables once (and, in odd characteristic, a full addition table), which
+turns the code operations into table lookups.  Larger contexts fall back to
+direct polynomial arithmetic.  Which path is active never changes the
+semantics.  Contexts and elements are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -185,7 +186,8 @@ def _poly_is_irreducible(f: Sequence[int], q: int) -> bool:
 
 
 class FieldElem:
-    """One element of an ExtFieldCtx, stored as its integer code."""
+    """One element of an ExtFieldCtx, stored as its integer code; no
+    arithmetic (run ctx.*_code on codes).  Equal to its code as an int."""
 
     __slots__ = ("ctx", "code")
 
@@ -197,60 +199,6 @@ class FieldElem:
     def coeffs(self) -> tuple[int, ...]:
         """Polynomial coefficients, lowest degree first (length n)."""
         return self.ctx.decode(self.code)
-
-    def _check(self, other: "FieldElem") -> None:
-        if other.ctx is not self.ctx and other.ctx.key != self.ctx.key:
-            raise ValueError(
-                f"field mismatch: {self.ctx!r} vs {other.ctx!r}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.add_code(self.code, other.code))
-
-    def __sub__(self, other):
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.sub_code(self.code, other.code))
-
-    def __mul__(self, other):
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.mul_code(self.code, other.code))
-
-    def __truediv__(self, other):
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        self._check(other)
-        return FieldElem(
-            self.ctx, self.ctx.mul_code(self.code, self.ctx.inv_code(other.code))
-        )
-
-    def __neg__(self):
-        return FieldElem(self.ctx, self.ctx.neg_code(self.code))
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        ctx = self.ctx
-        base = self.code
-        if e < 0:
-            base = ctx.inv_code(base)
-            e = -e
-        result = 1
-        while e:
-            if e & 1:
-                result = ctx.mul_code(result, base)
-            base = ctx.mul_code(base, base)
-            e >>= 1
-        return FieldElem(ctx, result)
-
-    def inv(self) -> "FieldElem":
-        return FieldElem(self.ctx, self.ctx.inv_code(self.code))
 
     def __bool__(self) -> bool:
         return self.code != 0
@@ -264,7 +212,7 @@ class FieldElem:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.code, self.ctx.key))
+        return hash(self.code)  # as the int it equals; __eq__ splits fields
 
     def __repr__(self):
         if self.ctx.n == 1:
@@ -282,7 +230,6 @@ class ExtFieldCtx:
         "order",
         "key",
         "zero",
-        "one",
         "add_code",
         "sub_code",
         "neg_code",
@@ -307,7 +254,6 @@ class ExtFieldCtx:
         self.key = (q, n, modulus)
         self._build_ops()
         self.zero = FieldElem(self, 0)
-        self.one = FieldElem(self, 1)
 
     # -- codes <-> coefficient tuples ------------------------------------
 

@@ -48,7 +48,7 @@ def random_matrix(ctx, rows, cols, rng):
 def test_constructors_and_access():
     m = FMatrix.from_rows(F2, [[1, 0], [0, 1], [1, 1]], cols=2)
     assert m.shape == (3, 2)
-    assert m[2, 0] == F2.one
+    assert m[2, 0] == F2(1)
     assert m.col(1) == (F2(0), F2(1), F2(1))
     assert FMatrix.identity(F2, 3) == FMatrix.basis_columns(F2, 3, [0, 1, 2])
     assert FMatrix.zeros(F2, 2, 2).is_zero()
@@ -60,6 +60,22 @@ def test_constructors_and_access():
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         FMatrix.from_rows(F2, [[1, 0], [1]], cols=2)
+
+
+def test_one_constructor_path():
+    """The constructor and from_rows take the same entries (codes,
+    coefficient lists, elements of the field) and refuse the same ones."""
+    grid = [[3, [1, 1], F4(2)], [F4(0), 1, [0, 1]]]
+    m = FMatrix(F4, grid)
+    assert m == FMatrix.from_rows(F4, grid)
+    assert m.to_code_rows() == [[3, 3, 2], [0, 1, 2]]
+    for build in (FMatrix, FMatrix.from_rows):
+        with pytest.raises(ValueError, match="different field"):
+            build(F4, [[F16(1)]])
+        with pytest.raises(ValueError, match="out of range"):
+            build(F4, [[4]])
+        with pytest.raises(ValueError, match="ragged rows"):
+            build(F4, [[1, 0], [1]])
 
 
 def test_matmul_shapes():
@@ -284,10 +300,12 @@ def matrices(draw, fields, max_dim=6):
 
 
 def reference_rref(m, pivot_cols=None):
-    """Gauss-Jordan on FieldElem entries: first nonzero pivot scanning
-    down, pivot row scaled to 1, pivot column cleared in every other row."""
+    """Gauss-Jordan on dense code rows: first nonzero pivot scanning down,
+    pivot row scaled to 1, pivot column cleared in every other row."""
+    ctx = m.ctx
+    sub, mul = ctx.sub_code, ctx.mul_code
     limit = m.cols if pivot_cols is None else pivot_cols
-    data = [list(m.row(i)) for i in range(m.rows)]
+    data = m.to_code_rows()
     pivots = []
     prow = 0
     for c in range(limit):
@@ -297,15 +315,15 @@ def reference_rref(m, pivot_cols=None):
         if pr is None:
             continue
         data[prow], data[pr] = data[pr], data[prow]
-        pinv = data[prow][c].inv()
-        data[prow] = [pinv * v for v in data[prow]]
+        pinv = ctx.inv_code(data[prow][c])
+        data[prow] = [mul(pinv, v) for v in data[prow]]
         for i in range(m.rows):
             if i != prow and data[i][c]:
                 f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[prow])]
+                data[i] = [sub(a, mul(f, b)) for a, b in zip(data[i], data[prow])]
         pivots.append(c)
         prow += 1
-    return FMatrix(m.ctx, data, cols=m.cols), tuple(pivots)
+    return FMatrix(ctx, data, cols=m.cols), tuple(pivots)
 
 
 def reference_completion(m):
@@ -364,14 +382,15 @@ def reference_nullspace_rows(m):
     """Basis of {x : m @ x = 0} read off the reference reduced row echelon
     form: per free column f, 1 at f and -red[k, f] at the k-th pivot."""
     red, pivots = reference_rref(m, m.cols)
+    red = red.to_code_rows()
     out = []
     for f in range(m.cols):
         if f in pivots:
             continue
-        v = [m.ctx.zero] * m.cols
-        v[f] = m.ctx.one
+        v = [0] * m.cols
+        v[f] = 1
         for k, pc in enumerate(pivots):
-            v[pc] = -red[k, f]
+            v[pc] = m.ctx.neg_code(red[k][f])
         out.append(v)
     return FMatrix(m.ctx, out, cols=m.cols)
 

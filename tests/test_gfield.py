@@ -1,4 +1,4 @@
-"""Field arithmetic: modulus selection, axioms, tables vs fallback."""
+"""Field arithmetic on codes: modulus selection, axioms, tables vs fallback."""
 
 from __future__ import annotations
 
@@ -7,7 +7,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treepin import ExtFieldCtx, FieldElem, make_ext_field
+from treepin import ExtFieldCtx, FieldElem, FMatrix, make_ext_field
+from treepin import gfield
+
+
+def pow_code(ctx, a, e):
+    """a**e on codes by square-and-multiply with ctx.mul_code."""
+    result = 1
+    while e:
+        if e & 1:
+            result = ctx.mul_code(result, a)
+        a = ctx.mul_code(a, a)
+        e >>= 1
+    return result
 
 
 def test_modulus_examples():
@@ -25,22 +37,20 @@ def test_modulus_deterministic():
 
 def test_f4_square_of_generator():
     f4 = make_ext_field(2, 2)
-    x = f4(2)
-    assert x * x == f4(3)  # x^2 = x + 1
+    assert f4.mul_code(2, 2) == 3  # x^2 = x + 1
 
 
 def test_f8_inverse_of_x():
     f8 = make_ext_field(2, 3)
-    x = f8(2)
-    assert x.inv() == f8(5)  # x^2 + 1
-    assert x * x.inv() == f8.one
+    assert f8.inv_code(2) == 5  # x^2 + 1
+    assert f8.mul_code(2, f8.inv_code(2)) == 1
 
 
 def test_additive_inverse_everywhere():
     for q, n in [(2, 3), (3, 2), (5, 1)]:
         ctx = make_ext_field(q, n)
-        for a in map(ctx, range(ctx.order)):
-            assert a + (-a) == ctx.zero
+        for a in range(ctx.order):
+            assert ctx.add_code(a, ctx.neg_code(a)) == 0
 
 
 def test_non_prime_q_rejected():
@@ -57,14 +67,21 @@ def test_bad_degree_rejected():
 def test_inv_of_zero_rejected():
     ctx = make_ext_field(3, 2)
     with pytest.raises(ZeroDivisionError):
-        ctx.zero.inv()
+        ctx.inv_code(0)
 
 
 def test_cross_context_operations_rejected():
+    """Elements and matrices of two fields never meet: a matrix refuses
+    another field's entry, and hstack and @ refuse another field's matrix."""
     f4 = make_ext_field(2, 2)
     f8 = make_ext_field(2, 3)
-    with pytest.raises(ValueError):
-        f4(1) + f8(1)
+    with pytest.raises(ValueError, match="different field"):
+        FMatrix(f4, [[f4(1), f8(1)]])
+    a, b = FMatrix.identity(f4, 2), FMatrix.identity(f8, 2)
+    with pytest.raises(ValueError, match="field mismatch"):
+        a.hstack(b)
+    with pytest.raises(ValueError, match="field mismatch"):
+        a @ b
 
 
 def test_code_out_of_range_rejected():
@@ -79,12 +96,12 @@ def test_embed_base():
     """Base-field values are the codes below q (what lift relies on): they
     are the constant polynomials and multiply as in F_q."""
     ctx = make_ext_field(3, 2)
-    assert ctx(1) == ctx.one
+    assert ctx(1).code == 1
     assert ctx(0) == ctx.zero
     for a in range(3):
         assert ctx(a).coeffs == (a, 0)
         for b in range(3):
-            assert ctx(a) * ctx(b) == ctx((a * b) % 3)
+            assert ctx.mul_code(a, b) == (a * b) % 3
     assert ctx(3).coeffs == (0, 1)
 
 
@@ -98,7 +115,7 @@ def test_multiplicative_group_order(q, n):
     ctx = make_ext_field(q, n)
     span = ctx.order - 1
     for code in range(1, ctx.order):
-        assert ctx(code) ** span == ctx.one
+        assert pow_code(ctx, code, span) == 1
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 4), (3, 2), (5, 1), (7, 1)])
@@ -107,72 +124,93 @@ def test_field_axioms_randomized(q, n):
     ctx = make_ext_field(q, n)
     rng = random.Random(1234 + q * 100 + n)
     order = ctx.order
+    add, mul = ctx.add_code, ctx.mul_code
     for _ in range(10_000):
-        a = ctx(rng.randrange(order))
-        b = ctx(rng.randrange(order))
-        c = ctx(rng.randrange(order))
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
+        a = rng.randrange(order)
+        b = rng.randrange(order)
+        c = rng.randrange(order)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 def test_pow_and_division():
     ctx = make_ext_field(3, 3)
     rng = random.Random(9)
     for _ in range(200):
-        a = ctx(rng.randrange(1, ctx.order))
-        assert a**0 == ctx.one
-        assert a ** (ctx.order - 1) == ctx.one
-        assert a ** (-1) == a.inv()
-        b = ctx(rng.randrange(1, ctx.order))
-        assert (a / b) * b == a
+        a = rng.randrange(1, ctx.order)
+        assert pow_code(ctx, a, 0) == 1
+        assert pow_code(ctx, a, ctx.order - 1) == 1
+        assert pow_code(ctx, a, ctx.order - 2) == ctx.inv_code(a)
+        b = rng.randrange(1, ctx.order)
+        assert ctx.mul_code(ctx.mul_code(a, ctx.inv_code(b)), b) == a
 
 
 def test_fallback_matches_table_arithmetic():
-    """The same field built with and without tables agrees operation by
-    operation (fallback exercised via a context above the table limit is
-    impractical to cross-check directly, so compare a mid-size field against
-    hand-evaluated polynomial products instead)."""
-    ctx = make_ext_field(2, 13)  # order 8192: above the add-table limit
-    x = ctx(2)
-    acc = ctx.one
-    for _ in range(13):
-        acc = acc * x
-    # x^13 reduced by the modulus must equal the modulus tail
-    tail = ctx(list(ctx.modulus[:13]))
-    assert acc == -tail
+    """GF(2^13) is above both table limits, so its context runs the
+    table-less path: x^13 reduced by the modulus is minus its tail."""
+    ctx = make_ext_field(2, 13)
+    assert pow_code(ctx, 2, 13) == ctx.neg_code(ctx.encode(ctx.modulus[:13]))
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_table_less_ops_match_tables(q, n, monkeypatch):
+    """The same field built without tables agrees with the cached table
+    context on every code operation and every pair of codes."""
+    tables = make_ext_field(q, n)
+    monkeypatch.setattr(gfield, "_TABLE_LIMIT", 0)
+    monkeypatch.setattr(gfield, "_ADD_TABLE_LIMIT", 0)
+    bare = ExtFieldCtx(q, n, tables.modulus)
+    codes = range(tables.order)
+    for a in codes:
+        assert bare.neg_code(a) == tables.neg_code(a)
+        if a:
+            assert bare.inv_code(a) == tables.inv_code(a)
+        for b in codes:
+            assert bare.add_code(a, b) == tables.add_code(a, b)
+            assert bare.sub_code(a, b) == tables.sub_code(a, b)
+            assert bare.mul_code(a, b) == tables.mul_code(a, b)
 
 
 @given(st.integers(0, 15), st.integers(0, 15))
 def test_hypothesis_add_sub_roundtrip(a, b):
     ctx = make_ext_field(2, 4)
-    ea, eb = ctx(a), ctx(b)
-    assert (ea + eb) - eb == ea
+    assert ctx.sub_code(ctx.add_code(a, b), b) == a
 
 
 @given(st.integers(0, 8), st.integers(0, 8))
 def test_hypothesis_mul_commutes_f9(a, b):
     ctx = make_ext_field(3, 2)
-    assert ctx(a) * ctx(b) == ctx(b) * ctx(a)
+    assert ctx.mul_code(a, b) == ctx.mul_code(b, a)
 
 
 @given(st.integers(1, 24))
 @settings(max_examples=24)
 def test_hypothesis_inverse_roundtrip_f25(a):
     ctx = make_ext_field(5, 2)
-    ea = ctx(a)
-    assert ea * ea.inv() == ctx.one
-    assert ea.inv().inv() == ea
+    assert ctx.mul_code(a, ctx.inv_code(a)) == 1
+    assert ctx.inv_code(ctx.inv_code(a)) == a
 
 
 def test_element_hash_and_bool():
     ctx = make_ext_field(2, 2)
     assert not ctx.zero
-    assert ctx.one
+    assert ctx(1)
     assert len({ctx(0), ctx(1), ctx(1)}) == 2
     assert ctx(3).coeffs == (1, 1)
+
+
+def test_equal_elements_hash_equal():
+    """An element equals the int of its code, so it hashes as that int;
+    elements of two fields with one code stay distinct."""
+    f4 = make_ext_field(2, 2)
+    f8 = make_ext_field(2, 3)
+    f9 = make_ext_field(3, 2)
+    assert f9(1) in {1}
+    assert len({f9(1), 1}) == 1
+    assert len({f4(1), f8(1)}) == 2
 
 
 def test_ctx_constructor_validates_modulus():

@@ -642,7 +642,7 @@ def _assemble(source, rooted, ext, s, child_mix, surplus_mix):
                 a = child_mix[(node, eid)]
                 for j in range(s):
                     col = [ext.zero] * d
-                    col[lead_rows(up)[j]] = ext.one
+                    col[lead_rows(up)[j]] = ext(1)
                     for i in range(s):
                         col[lead_rows(eid)[i]] = a[i, j]
                     cols.append(col)
@@ -653,7 +653,7 @@ def _assemble(source, rooted, ext, s, child_mix, surplus_mix):
             b = surplus_mix.get(eid)
             for j, row_idx in enumerate(range(block.start + s, block.stop)):
                 col = [ext.zero] * d
-                col[row_idx] = ext.one
+                col[row_idx] = ext(1)
                 for i in range(s):
                     col[lead_rows(eid)[i]] = b[i, j]
                 cols.append(col)
