@@ -35,13 +35,10 @@ __all__ = [
     "RrefResult",
     "rref",
     "rank",
-    "inverse",
     "left_inverse",
-    "solve_right",
     "right_nullspace_basis",
     "left_nullspace_basis",
     "col_space_intersect",
-    "completion_indices",
     "lift",
     "expand_to_base",
 ]
@@ -288,16 +285,10 @@ def _with_identity(codes: Iterable[Sequence[int]], width: int, n: int) -> list[l
     return rows
 
 
-def rref(m: FMatrix, pivot_cols: int | None = None) -> RrefResult:
-    """Reduced row echelon form.
-
-    Pivots are searched only within the first pivot_cols columns (all
-    columns by default), but the whole row is reduced; this is what makes
-    [A | B] style augmented eliminations work.
-    """
-    limit = m.cols if pivot_cols is None else pivot_cols
+def rref(m: FMatrix) -> RrefResult:
+    """Reduced row echelon form."""
     data = m.to_code_rows()
-    pivots = _eliminate(m.ctx, data, limit, full=True)
+    pivots = _eliminate(m.ctx, data, m.cols, full=True)
     return RrefResult(_mat(m.ctx, data, m.cols), tuple(pivots), len(pivots))
 
 
@@ -305,24 +296,6 @@ def rank(m: FMatrix) -> int:
     """Matrix rank via forward elimination (no back substitution)."""
     pivots = _eliminate(m.ctx, m.to_code_rows(), m.cols, full=False)
     return len(pivots)
-
-
-def completion_indices(m: FMatrix) -> tuple[int, ...]:
-    """Standard basis indices, picked greedily in ascending order, whose
-    vectors complete m's columns to a basis of the ambient space.
-
-    One forward elimination of [m | I]: a column is a pivot exactly when it
-    is independent of the columns before it, so the pivots that fall in
-    the identity part are the greedy picks.
-    """
-    pivots = _eliminate(m.ctx, _with_identity(m._codes, m.cols, m.rows), m.cols + m.rows, full=False)
-    return tuple(c - m.cols for c in pivots if c >= m.cols)
-
-
-def inverse(m: FMatrix) -> FMatrix:
-    if m.rows != m.cols:
-        raise ValueError("inverse of a non-square matrix")
-    return left_inverse(m)
 
 
 def left_inverse(m: FMatrix) -> FMatrix:
@@ -336,25 +309,6 @@ def left_inverse(m: FMatrix) -> FMatrix:
     if len(_eliminate(m.ctx, rows, c, full=True)) < c:
         raise ValueError("matrix does not have full column rank")
     return _mat(m.ctx, [r[c:] for r in rows[:c]], m.rows)
-
-
-def solve_right(a: FMatrix, b: FMatrix) -> FMatrix | None:
-    """A particular X with a @ X = b, or None when the system is
-    inconsistent.  Free variables are set to zero."""
-    if not isinstance(b, FMatrix):
-        raise ValueError("right-hand side must be an FMatrix")
-    if a.rows != b.rows:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.ctx.key != b.ctx.key:
-        raise ValueError("field mismatch in solve_right")
-    r = rref(a.hstack(b), pivot_cols=a.cols)
-    red = r.matrix._codes
-    if any(any(row[a.cols:]) for row in red[r.rank:]):
-        return None
-    grid = [(0,) * b.cols] * a.cols
-    for k, c in enumerate(r.pivots):
-        grid[c] = red[k][a.cols:]
-    return _mat(a.ctx, grid, b.cols)
 
 
 def _null_pivot_rows(ctx: ExtFieldCtx, rows: Sequence[Sequence[int]], pivots: Sequence[int], width: int) -> list[list[int]]:

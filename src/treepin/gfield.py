@@ -18,6 +18,7 @@ semantics.  Contexts and elements are immutable and hashable.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 __all__ = [
@@ -370,18 +371,25 @@ class ExtFieldCtx:
     # -- element construction ----------------------------------------------
 
     def __call__(self, value) -> FieldElem:
-        """Coerce an integer code, coefficient sequence or element."""
+        """Coerce an integer code, coefficient sequence or element.
+        Integers (numpy's and bools too) are read through operator.index
+        and stored as plain ints; anything else raises ValueError."""
         if isinstance(value, FieldElem):
             if value.ctx.key != self.key:
                 raise ValueError("element belongs to a different field")
             return value
-        if isinstance(value, int):
-            if not 0 <= value < self.order:
-                raise ValueError(
-                    f"code {value} out of range for field of order {self.order}"
-                )
-            return FieldElem(self, value)
-        coeffs = [int(c) % self.q for c in value]
+        try:
+            code = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if not 0 <= code < self.order:
+                raise ValueError(f"code {code} out of range for field of order {self.order}")
+            return FieldElem(self, code)
+        try:
+            coeffs = [operator.index(c) % self.q for c in value]
+        except TypeError:
+            raise ValueError(f"{value!r} is not a code, coefficient sequence or element") from None
         if len(coeffs) > self.n:
             raise ValueError(f"too many coefficients for degree {self.n}")
         coeffs += [0] * (self.n - len(coeffs))

@@ -8,13 +8,12 @@ same key capacity and the same leakage rate:
 
  * find the common part G of edge e and the eavesdropper (dimension l >= 1),
    presented by the block column basis Me;
- * complete Me to an invertible change of basis [Me | E_J] on the edge
-   block, E_J the unit vectors at the greedy completion J of Me (the block
-   coordinates the step records), so the block splits into G (known to the
-   eavesdropper) and a residual block of mult - l fresh symbols;
- * keep the columns of W at the greedy completion of X, the unique
-   solution of W X = S_e Me (X says which tap columns carry G), and rewrite
-   only the edge's rows of those columns in the residual coordinates.
+ * bring N_W[:, block_e] to reduced row echelon form: its pivots J are the
+   greedy completion of Me (the block coordinates the step records), and
+   its rows map the block to a residual block of mult - l fresh symbols;
+ * keep the columns of W at the pivots past l of [T | W_P], T = S_e Me and
+   W both at the tap's pivot coordinates P, and rewrite only the edge's
+   rows of those columns in the residual coordinates.
 
 The common part on the block is null(N_W[:, block_e]), read off the left-null
 basis N_W the wiretapper keeps (see `capacity` for the overlap identity).
@@ -28,15 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capacity import _edge_overlaps
-from .falinalg import (
-    FMatrix,
-    _mat,
-    completion_indices,
-    inverse,
-    left_nullspace_basis,
-    rref,
-    solve_right,
-)
+from .falinalg import FMatrix, _mat, left_nullspace_basis, rref
 from .model import TreePinSource, Wiretapper
 
 __all__ = [
@@ -83,10 +74,11 @@ def _common_on_block(wiretapper: Wiretapper, block: range) -> FMatrix:
 
 
 def _reduce_step(
-    source: TreePinSource, wiretapper: Wiretapper, edge_id: int, edge_map: FMatrix
+    source: TreePinSource, wiretapper: Wiretapper, edge_id: int
 ) -> tuple[TreePinSource, Wiretapper, ReductionStep]:
-    """Strip the common part of one edge and the eavesdropper, given its
-    basis on the edge's block (mult x l)."""
+    """Strip the common part of one edge and the eavesdropper."""
+    block = source.edge_range(edge_id)
+    edge_map = _common_on_block(wiretapper, block)
     l = edge_map.cols
     if l == 0:
         raise ReductionError(
@@ -98,30 +90,29 @@ def _reduce_step(
             f"edge {edge_id} is fully absorbed by the eavesdropper; the "
             f"reduced source would lose the edge entirely"
         )
-    block = source.edge_range(edge_id)
     w = wiretapper.matrix
 
-    completion = completion_indices(edge_map)
-    # rows l.. of the inverse change of basis [Me | E_J], J the completion,
-    # map the block to its residual coordinates
-    change = edge_map.hstack(FMatrix.basis_columns(edge_map.ctx, edge.mult, completion))
-    residual = inverse(change).take_rows(range(l, edge.mult))
+    # N_W[:, block] has kernel col Me, so a column is a pivot of its RREF
+    # exactly when its unit vector is independent of col Me and the units
+    # before it: the pivots are Me's greedy completion J.  Its rows
+    # annihilate Me and are the identity at J, as only rows l.. of
+    # [Me | E_J]^-1 are: they map the block to its residual coordinates.
+    echelon = rref(wiretapper.null_rows(block).transpose())
+    residual = echelon.matrix.take_rows(range(echelon.rank))
 
-    # The common part is a function of the eavesdropper's view: X with
-    # W X = S_e Me exists and is unique, since W has full column rank, so it
-    # is solved on the tap's pivot coordinates, where W is square and
-    # invertible.
+    # The common part lies in col W: S_e Me = W X, and W's columns at X's
+    # greedy completion span col W together with it.  At the tap's pivot
+    # coordinates P, W_P is invertible and T = (S_e Me)_P = W_P X, so unit
+    # j extends col X exactly when W_P's column j extends col T: the kept
+    # columns are the pivots past l of [T | W_P]; X is never formed.
     pivots = wiretapper.pivot_coords
     on_block = edge_map.to_code_rows()
     zero = [0] * l
-    target = [on_block[c - block.start] if c in block else zero for c in pivots]
-    x = solve_right(w.take_rows(pivots), _mat(w.ctx, target, l))
-
-    # [X | E_J] is invertible for X's greedy completion J, so W's columns at
-    # J and the common part S_e Me span col W together: with the block's
-    # rows rewritten in residual coordinates, they are the eavesdropper's
-    # view of the rest.
-    kept = w.take_cols(completion_indices(x))
+    w_p = w.take_rows(pivots).to_code_rows()
+    t_w = [(on_block[c - block.start] if c in block else zero) + row for c, row in zip(pivots, w_p)]
+    kept = w.take_cols([j - l for j in rref(_mat(w.ctx, t_w, l + w.cols)).pivots[l:]])
+    # with the block's rows rewritten in residual coordinates, the kept
+    # columns are the eavesdropper's view of the rest
     grid = kept.to_code_rows()
     grid[block.start : block.stop] = (residual @ kept.take_rows(block)).to_code_rows()
     reduced = _mat(w.ctx, grid, kept.cols)
@@ -132,7 +123,7 @@ def _reduce_step(
         edge_id=edge_id,
         dim=l,
         edge_map=edge_map,
-        completion=completion,
+        completion=echelon.pivots,
         new_mult=edge.mult - l,
         new_wiretapper=new_wiretapper,
     )
@@ -152,8 +143,7 @@ def reduce_full(
         target = next((e.edge_id for e, dim in overlaps if dim), None)
         if target is None:
             break
-        edge_map = _common_on_block(wiretapper, source.edge_range(target))
-        source, wiretapper, step = _reduce_step(source, wiretapper, target, edge_map)
+        source, wiretapper, step = _reduce_step(source, wiretapper, target)
         steps.append(step)
     return ReductionTrace(
         steps=tuple(steps), original=original, final=(source, wiretapper)

@@ -46,8 +46,6 @@ __all__ = ["leakage_symbol_dims", "VerifyReport", "verify_scheme"]
 def _tap_image(null: FMatrix, wiretapper: Wiretapper) -> FMatrix:
     """N @ W_lifted (k x n_w): what is left of the tap once col F is
     factored out."""
-    if wiretapper.dim == 0:
-        return FMatrix.zeros(null.ctx, null.rows, 0)
     return null @ lift(wiretapper.matrix, null.ctx)
 
 

@@ -21,8 +21,8 @@ from treepin import (
     synth_explicit_unit,
     synth_random,
 )
-from treepin.falinalg import inverse, rank, right_nullspace_basis, rref
-from treepin.reduce import ReductionError, _common_on_block, _reduce_step
+from treepin.falinalg import left_inverse, rank, right_nullspace_basis, rref
+from treepin.reduce import ReductionError
 import treepin.scheme as scheme_module
 from treepin.scheme import (
     _MAX_ATTEMPTS,
@@ -39,6 +39,37 @@ def in_col_span(a, v):
     if v.cols == 0:
         return True
     return rank(a.hstack(v)) == rank(a)
+
+
+def inverse(m):
+    """Referee: the inverse of a square matrix, as its left inverse."""
+    if m.rows != m.cols:
+        raise ValueError("inverse of a non-square matrix")
+    return left_inverse(m)
+
+
+def solve_right(a, b):
+    """Referee: a particular X with a @ X = b, free variables zero, or None
+    when the system is inconsistent.  Read off rref([a | b]): the system is
+    consistent exactly when no pivot falls in b's columns, and then the
+    rows are those of an elimination pivoting in a's columns only."""
+    r = rref(a.hstack(b))
+    if r.pivots and r.pivots[-1] >= a.cols:
+        return None
+    red = r.matrix.to_code_rows()
+    grid = [[0] * b.cols for _ in range(a.cols)]
+    for k, c in enumerate(r.pivots):
+        grid[c] = red[k][a.cols :]
+    return FMatrix.from_rows(a.ctx, grid, cols=b.cols)
+
+
+def completion_indices(m):
+    """Referee: the unit vectors, picked greedily in ascending order, that
+    complete m's columns to a basis of the ambient space.  A column of
+    [m | I] is a pivot exactly when it is independent of the columns before
+    it, so the picks are the pivots in the identity part."""
+    pivots = rref(m.hstack(FMatrix.identity(m.ctx, m.rows))).pivots
+    return tuple(c - m.cols for c in pivots if c >= m.cols)
 
 
 def _rank_mod(a: list[list[int]], q: int) -> int:
@@ -337,12 +368,6 @@ def build_reducible_suite(count):
             continue
         out.append((source, wt2))
     return out
-
-
-def reduce_step(src, wt, edge_id):
-    """One reduction step on the given edge, as reduce_full takes it: the
-    common part on the edge's block, then the change of basis."""
-    return _reduce_step(src, wt, edge_id, _common_on_block(wt, src.edge_range(edge_id)))
 
 
 def count_null_builds(monkeypatch):

@@ -19,25 +19,20 @@ from treepin import (
     make_ext_field,
     reduce_full,
 )
-from treepin.falinalg import (
-    col_space_intersect,
-    completion_indices,
-    inverse,
-    rank,
-    right_nullspace_basis,
-    solve_right,
-)
+from treepin.falinalg import col_space_intersect, rank, right_nullspace_basis
 from treepin.oracle import mcf_exhaustive
-from treepin.reduce import _common_on_block
+from treepin.reduce import _common_on_block, _reduce_step
 
 from conftest import (
     build_reducible_suite,
+    completion_indices,
     in_col_span,
     instances,
+    inverse,
     late_pivot_instances,
     parity_path,
-    reduce_step,
     relabelled_instances,
+    solve_right,
     star3_no_wiretap,
     w_minus_e_common,
     wide_path_irreducible,
@@ -54,7 +49,7 @@ def test_is_irreducible_examples():
 
 def test_reduce_step_on_wide_path():
     src, wt = wide_path_reducible()
-    src2, wt2, step = reduce_step(src, wt, 0)
+    src2, wt2, step = _reduce_step(src, wt, 0)
     assert step.edge_id == 0
     assert step.dim == 1
     assert step.new_mult == 1
@@ -73,7 +68,7 @@ def test_reduce_step_on_wide_path():
 def test_reduce_step_preserves_rates():
     src, wt = wide_path_reducible()
     before = capacity_report(src, wt)
-    src2, wt2, _ = reduce_step(src, wt, 0)
+    src2, wt2, _ = _reduce_step(src, wt, 0)
     after = capacity_report(src2, wt2)
     assert before.cw_dims == after.cw_dims
     assert before.rl_dims == after.rl_dims
@@ -86,7 +81,7 @@ def test_reduce_step_requires_overlap():
     for e in src.edges:
         assert _common_on_block(wt, src.edge_range(e.edge_id)).cols == 0
         with pytest.raises(ReductionError):
-            reduce_step(src, wt, e.edge_id)
+            _reduce_step(src, wt, e.edge_id)
 
 
 def test_reduce_step_rejects_fully_absorbed_edge():
@@ -101,7 +96,7 @@ def test_reduce_step_rejects_fully_absorbed_edge():
     )
     assert _common_on_block(full, src.edge_range(0)).cols == 2
     with pytest.raises(ReductionError):
-        reduce_step(src, full, 0)
+        _reduce_step(src, full, 0)
 
 
 def test_reduce_full_trace_on_wide_path():
@@ -269,22 +264,54 @@ def test_reduce_full_trace_matches_referee_on_injected_taps(inst):
     assert_trace_matches_referee(*inst)
 
 
+def assert_steps_match_referee(src, wt):
+    """The full trace matches the referee's, and so does a single step on
+    each edge.  Returns the number of steps of the full trace."""
+    steps = assert_trace_matches_referee(src, wt)
+    for e in src.edges:
+        try:
+            want = referee_reduce_step(src, wt, e.edge_id)
+        except ReductionError as exc:
+            with pytest.raises(ReductionError, match=re.escape(str(exc))):
+                _reduce_step(src, wt, e.edge_id)
+            continue
+        got_src, got_wt, got_step = _reduce_step(src, wt, e.edge_id)
+        assert (got_src, got_wt, _fields(got_step)) == want
+    return steps
+
+
 def test_reduce_full_trace_matches_referee_on_reducible_suite():
     """The injected suite reduces cleanly, so every trace there is a
     full one; a single step on each overlapping edge matches too."""
-    steps = 0
-    for src, wt in build_reducible_suite(40):
-        steps += assert_trace_matches_referee(src, wt)
-        for e in src.edges:
-            try:
-                want = referee_reduce_step(src, wt, e.edge_id)
-            except ReductionError as exc:
-                with pytest.raises(ReductionError, match=re.escape(str(exc))):
-                    reduce_step(src, wt, e.edge_id)
-                continue
-            got_src, got_wt, got_step = reduce_step(src, wt, e.edge_id)
-            assert (got_src, got_wt, _fields(got_step)) == want
+    steps = sum(assert_steps_match_referee(src, wt) for src, wt in build_reducible_suite(40))
     assert steps >= 40
+
+
+def odd_q_instance(q, l):
+    """Edges listed as [4, 2, 7] with multiplicities 2, 3, 1 over F_q; edge
+    2 (coordinates 2..4) shares exactly l of the tap's three dimensions,
+    and the tap mixes those with a crossing column, so no column of W lies
+    in the common part by itself."""
+    src = TreePinSource(q, 4, [(4, 0, 1, 2), (2, 1, 2, 3), (7, 1, 3, 1)])
+    a = [0, 0, 1, 2, q - 1, 0]
+    b = [0, 0, 0, 1, 2, 0]
+    c = [1, 0, 1, 0, 0, 1]
+    d = [0, 1, 2, 0, 1, 0]
+    mix = lambda u, v: [(x + y) % q for x, y in zip(u, v)]
+    cols = [mix(a, c), mix(b, a), c] if l == 2 else [mix(a, d), c, d]
+    return src, Wiretapper(FMatrix.from_cols(src.base_ctx, cols, rows=6))
+
+
+@pytest.mark.parametrize("l", [2, 1])
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_reduce_full_trace_matches_referee_on_odd_q_common_parts(q, l):
+    """Odd q with a common part of dimension 2 (a 1-row residual) or 1 (a
+    2-row residual) on a multiplicity-3 edge; the random suite has l = 2
+    only over F_2."""
+    src, wt = odd_q_instance(q, l)
+    assert assert_steps_match_referee(src, wt) >= 1
+    first = reduce_full(src, wt).steps[0]
+    assert (first.edge_id, first.dim, first.new_mult) == (2, l, 3 - l)
 
 
 def test_reduce_full_follows_listed_edge_order():

@@ -25,8 +25,6 @@ from treepin import (
     verify_scheme,
 )
 from treepin.falinalg import (
-    completion_indices,
-    inverse,
     left_nullspace_basis,
     lift,
     rank,
@@ -43,9 +41,11 @@ from treepin.scheme import (
 from conftest import (
     build_irreducible_suite,
     certified_scheme_over,
+    completion_indices,
     count_null_builds,
     count_null_reads,
     explicit_certificate,
+    inverse,
     parity_path,
     published_scheme,
     replayed_certificate,

@@ -33,7 +33,6 @@ from treepin.falinalg import (
     left_inverse,
     lift,
     rank,
-    solve_right,
 )
 from treepin.simulate import _CHUNK, _code_draws
 
@@ -42,6 +41,7 @@ from conftest import (
     parity_path,
     published_scheme,
     scheme_over as _scheme_over,
+    solve_right,
     star3_no_wiretap,
 )
 
