@@ -5,7 +5,12 @@ row as a tuple of integer element codes (see `gfield`); `FieldElem` objects
 appear only at the API edge: the constructor takes them (next to codes and
 coefficient lists) and turns each entry into a code through `ctx(...)`, and
 `m[i, j]`, `row` and `col` hand them out.  Everything inside works on the
-codes with the context's bound code operations.
+codes with the context's bound code operations, with one exception: over a
+prime field (n = 1) a code is the residue 0..q-1 itself and the code
+operations are arithmetic mod q (see `gfield`), so the kernels below
+(`_eliminate`, `_null_pivot_rows` and the product `@`) compute on the codes
+as integers mod q in their inner loops, with xor over GF(2).  The result is
+the same codes either way; only the closure call per entry is gone.
 
 `rref`, `rank` and `left_inverse` share one elimination kernel,
 `_eliminate`: plain Gaussian elimination with deterministic pivoting (first
@@ -172,16 +177,25 @@ class FMatrix:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         if self.ctx.key != other.ctx.key:
             raise ValueError("field mismatch in matmul")
-        add, mul = self.ctx.add_code, self.ctx.mul_code
+        ctx = self.ctx
+        q, prime = ctx.q, ctx.n == 1
+        xor = prime and q == 2
+        add, mul = ctx.add_code, ctx.mul_code
         width = other.cols
         out = []
         for arow in self._codes:
             acc = [0] * width
             for a, brow in zip(arow, other._codes):
-                if a:
+                if not a:
+                    continue
+                if not prime:
                     acc = [add(x, mul(a, b)) if b else x for x, b in zip(acc, brow)]
+                elif xor:
+                    acc = [x ^ b for x, b in zip(acc, brow)]
+                else:
+                    acc = [(x + a * b) % q for x, b in zip(acc, brow)]
             out.append(acc)
-        return _mat(self.ctx, out, width)
+        return _mat(ctx, out, width)
 
     # -- misc ----------------------------------------------------------------
 
@@ -229,7 +243,15 @@ def _eliminate(ctx: ExtFieldCtx, rows: list[list[int]], limit: int, full: bool) 
     when the row is scaled or some row is hit): the scaling and each hit
     row's update touch those entries and no others, and a hit row's entry
     at the pivot column is cleared outright.
+
+    The row operations run through the context's code operations, except
+    over a prime field (ctx.n == 1), where a code is its residue mod q:
+    there the scaling is `pinv * y % q` and a hit row's update `(x - f*y) %
+    q`, and over GF(2), where every pivot row is 1 on its support, the
+    update is `x ^ 1`.  The route is chosen once per call.
     """
+    q, prime = ctx.q, ctx.n == 1
+    xor = prime and q == 2
     mul, sub, inv = ctx.mul_code, ctx.sub_code, ctx.inv_code
     nrows = len(rows)
     width = len(rows[0]) if rows else 0
@@ -253,8 +275,12 @@ def _eliminate(ctx: ExtFieldCtx, rows: list[list[int]], limit: int, full: bool) 
             support = list(compress(range(c + 1, width), p[c + 1 :]))
             pinv = inv(pv)
             p[c] = 1
-            for j in support:
-                p[j] = mul(pinv, p[j])
+            if prime:
+                for j in support:
+                    p[j] = pinv * p[j] % q
+            else:
+                for j in support:
+                    p[j] = mul(pinv, p[j])
         for i in range(0 if full else prow + 1, nrows):
             r = rows[i]
             f = r[c]
@@ -262,13 +288,20 @@ def _eliminate(ctx: ExtFieldCtx, rows: list[list[int]], limit: int, full: bool) 
                 if support is None:
                     support = list(compress(range(c + 1, width), p[c + 1 :]))
                 r[c] = 0
-                # f == 1 saves the multiply; over GF(2) every factor is 1
-                if f == 1:
+                if not prime:
+                    # f == 1 saves the multiply
+                    if f == 1:
+                        for j in support:
+                            r[j] = sub(r[j], p[j])
+                    else:
+                        for j in support:
+                            r[j] = sub(r[j], mul(f, p[j]))
+                elif xor:
                     for j in support:
-                        r[j] = sub(r[j], p[j])
+                        r[j] ^= 1
                 else:
                     for j in support:
-                        r[j] = sub(r[j], mul(f, p[j]))
+                        r[j] = (r[j] - f * p[j]) % q
         pivots.append(c)
         prow += 1
     return pivots
@@ -328,7 +361,12 @@ def _null_pivot_rows(ctx: ExtFieldCtx, rows: Sequence[Sequence[int]], pivots: Se
     All free columns are substituted together, from the last pivot up:
     coordinate pivots[k] of every vector is -(rows[k] at the free columns +
     rows[k][p] times coordinate p of every vector, for each later pivot p),
-    one row operation per nonzero rows[k][p]."""
+    one row operation per nonzero rows[k][p].  Over a prime field the row
+    operation is `x + a*y` on Python ints, reduced once by the negation `-x
+    % q` (delayed reduction: the sum is exact, so its residue is the same);
+    over GF(2) they are `x ^ y` and nothing."""
+    q, prime = ctx.q, ctx.n == 1
+    xor = prime and q == 2
     add, mul, neg = ctx.add_code, ctx.mul_code, ctx.neg_code
     pivotset = set(pivots)
     free = [c for c in range(width) if c not in pivotset]
@@ -338,9 +376,20 @@ def _null_pivot_rows(ctx: ExtFieldCtx, rows: Sequence[Sequence[int]], pivots: Se
         acc = [row[f] for f in free]
         for j in range(k + 1, len(pivots)):
             a = row[pivots[j]]
-            if a:
+            if not a:
+                continue
+            if not prime:
                 acc = [add(x, mul(a, y)) if y else x for x, y in zip(acc, out[j])]
-        out[k] = [neg(x) for x in acc]
+            elif xor:
+                acc = [x ^ y for x, y in zip(acc, out[j])]
+            else:
+                acc = [x + a * y for x, y in zip(acc, out[j])]
+        if not prime:
+            out[k] = [neg(x) for x in acc]
+        elif xor:
+            out[k] = acc
+        else:
+            out[k] = [-x % q for x in acc]
     return out
 
 

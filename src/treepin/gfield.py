@@ -9,7 +9,11 @@ below q.
 
 All arithmetic is the context's code operations (`ctx.add_code`,
 `mul_code`, ...) on codes; `FieldElem`, a code tagged with its context, is
-a plain value for the API edge.  Small contexts precompute discrete log/exp
+a plain value for the API edge.  The one exception is a prime field (n =
+1): there a code is the residue 0..q-1 itself and the code operations are
+arithmetic mod q, so `falinalg`'s elimination, back substitution and
+product compute `(x - f*y) % q` (xor over GF(2)) on the codes directly,
+which gives the same codes.  Small contexts precompute discrete log/exp
 tables once (and, in odd characteristic, a full addition table), which
 turns the code operations into table lookups.  Larger contexts fall back to
 direct polynomial arithmetic.  Which path is active never changes the

@@ -25,10 +25,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .falinalg import FMatrix, _mat, _null_basis_rows, _right_null_parts, rank
-from .gfield import ExtFieldCtx, make_ext_field
+from .gfield import _TABLE_LIMIT, ExtFieldCtx, make_ext_field
 
 __all__ = [
     "InstanceError",
@@ -323,9 +324,7 @@ def load_instance(text: str) -> tuple[TreePinSource, Wiretapper]:
             raise InstanceError(
                 f"line {lineno}: expected 'edge <id> <u> <v> <mult>'"
             )
-        edges.append(
-            EdgeSpec(*(_parse_int(p, lineno) for p in eparts[1:]))
-        )
+        edges.append(EdgeSpec(*_parse_ints(eparts[1:], lineno)))
 
     lineno, wline = take("'wiretap cols=<n_w>'")
     wparts = wline.split()
@@ -337,17 +336,26 @@ def load_instance(text: str) -> tuple[TreePinSource, Wiretapper]:
 
     source = TreePinSource(q, vertex_count, edges)
 
+    _, codes = _entry_tables(q)
     rows: list[list[int]] = []
     if n_w:
         for _ in range(source.base_dim):
             lineno, rline = take("wiretap matrix row")
-            vals = [_parse_int(p, lineno) for p in rline.split()]
-            if len(vals) != n_w:
-                raise InstanceError(
-                    f"line {lineno}: expected {n_w} entries, got {len(vals)}"
-                )
-            for v in vals:
-                if not 0 <= v < q:
+            tokens = rline.split()
+            try:
+                vals = [codes[t] for t in tokens]
+            except KeyError:
+                vals = None
+            if vals is None or len(vals) != n_w:
+                # a row spelled otherwise than save_instance writes it, or
+                # malformed: the checks in order, each with its message
+                vals = _parse_ints(tokens, lineno)
+                if len(vals) != n_w:
+                    raise InstanceError(
+                        f"line {lineno}: expected {n_w} entries, got {len(vals)}"
+                    )
+                if min(vals) < 0 or max(vals) >= q:
+                    v = next(v for v in vals if not 0 <= v < q)
                     raise InstanceError(
                         f"line {lineno}: entry {v} out of range for F_{q}"
                     )
@@ -355,7 +363,7 @@ def load_instance(text: str) -> tuple[TreePinSource, Wiretapper]:
     if pos != len(lines):
         raise InstanceError(f"line {lines[pos][0]}: trailing content")
 
-    # every entry passed the range check above
+    # every entry came from the token table or passed the range check above
     matrix = _mat(source.base_ctx, rows or [()] * source.base_dim, n_w)
     return source, Wiretapper(matrix)
 
@@ -367,6 +375,16 @@ def _parse_int(token: str, lineno: int) -> int:
         raise InstanceError(f"line {lineno}: expected integer, got {token!r}") from None
 
 
+def _parse_ints(tokens: list[str], lineno: int) -> list[int]:
+    """The integers of one line's tokens, parsed in one pass; on a token
+    that is not an integer, the token-by-token parse raises _parse_int's
+    message for the first one."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return [_parse_int(p, lineno) for p in tokens]
+
+
 def save_instance(source: TreePinSource, wiretapper: Wiretapper) -> str:
     if wiretapper.rows != source.base_dim:
         raise InstanceError("wiretap matrix row count does not match the source")
@@ -375,9 +393,25 @@ def save_instance(source: TreePinSource, wiretapper: Wiretapper) -> str:
         lines.append(f"edge {e.edge_id} {e.u} {e.v} {e.mult}")
     lines.append(f"wiretap cols={wiretapper.dim}")
     if wiretapper.dim:
-        for row in wiretapper.matrix.to_code_rows():
-            lines.append(" ".join(map(str, row)))
+        tokens, _ = _entry_tables(source.q)
+        codes = wiretapper.matrix._codes
+        if not tokens:
+            lines += [" ".join(map(str, row)) for row in codes]
+        else:
+            lines += [" ".join([tokens[v] for v in row]) for row in codes]
     return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=16)
+def _entry_tables(q: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The tokens str(v) of the entries v in [0, q), indexed by v, and the
+    map back, built once per q: a lookup costs about a third of str(v) or
+    int(token).  Both are empty above gfield._TABLE_LIMIT, the orders
+    without field tables, where each entry is converted alone."""
+    if q > _TABLE_LIMIT:
+        return (), {}
+    tokens = tuple(map(str, range(q)))
+    return tokens, dict(zip(tokens, range(q)))
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,9 @@ def _code_draws(rng: random.Random, order: int, dtype):
     """draw(count): the next `count` values of rng.randrange(order), as a
     dtype array.  Up to 32 bits, randrange's rule (top bits of one MT19937
     word, rejected while >= order) runs on whole words from getrandbits;
-    the module docstring has the details."""
+    the module docstring has the details.  The filter is needed for a
+    power of two as well: randrange(2**m) reads m + 1 bits
+    (order.bit_length()) and draws again on about half of the values."""
     shift = 32 - order.bit_length()
     if shift < 0:
         randrange = rng.randrange

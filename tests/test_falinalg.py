@@ -528,6 +528,92 @@ def test_hypothesis_sparse_kernel_matches_dense_referee(field, rows, cols, densi
 
 
 # ---------------------------------------------------------------------------
+# Over a prime field the kernels compute on the codes as integers mod q (xor
+# over GF(2)); every other context runs the code operations.  The referees
+# below compute each entry through mul_code, add_code and neg_code alone,
+# an inverse included (a power of a), on every referee field and on 4099,
+# a prime whose context has no tables.
+
+
+def _power_inverse(ctx, a):
+    """a**(order - 2), the inverse of a nonzero a, by square and multiply."""
+    out, e = 1, ctx.order - 2
+    while e:
+        if e & 1:
+            out = ctx.mul_code(out, a)
+        a = ctx.mul_code(a, a)
+        e >>= 1
+    return out
+
+
+def _referee_null_rows(ctx, grid, cols):
+    """Basis of {x : grid @ x = 0} as code rows: Gauss-Jordan on dense
+    rows, then per free column f, 1 at f and -red[k][f] at the k-th pivot."""
+    add, mul, neg = ctx.add_code, ctx.mul_code, ctx.neg_code
+    red = [list(r) for r in grid]
+    pivots = []
+    for c in range(cols):
+        k = len(pivots)
+        pr = next((i for i in range(k, len(red)) if red[i][c]), None)
+        if pr is None:
+            continue
+        red[k], red[pr] = red[pr], red[k]
+        pinv = _power_inverse(ctx, red[k][c])
+        red[k] = [mul(pinv, v) for v in red[k]]
+        for i in range(len(red)):
+            if i != k and red[i][c]:
+                f = neg(red[i][c])
+                red[i] = [add(x, mul(f, y)) for x, y in zip(red[i], red[k])]
+        pivots.append(c)
+    out = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [0] * cols
+            v[f] = 1
+            for k, pc in enumerate(pivots):
+                v[pc] = neg(red[k][f])
+            out.append(v)
+    return out
+
+
+def _referee_product(ctx, a, b, width):
+    """a @ b as code rows, one sum of products per entry."""
+    add, mul = ctx.add_code, ctx.mul_code
+    out = []
+    for arow in a:
+        row = []
+        for j in range(width):
+            acc = 0
+            for x, brow in zip(arow, b):
+                acc = add(acc, mul(x, brow[j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("q, n", REFEREE_FIELDS + [(4099, 1)])
+def test_nullspaces_and_product_match_code_operation_referees(q, n):
+    """right_nullspace_basis (forward elimination, then _null_pivot_rows'
+    back substitution and negation), left_nullspace_basis and @, entry for
+    entry, on wide, square and tall grids, dense and sparse, each with a
+    dependent last row."""
+    ctx = make_ext_field(q, n)
+    rng = random.Random(q * 100 + n + 7)
+    for rows, cols in ((3, 9), (6, 9), (5, 5), (8, 3), (1, 6), (0, 3), (3, 0)):
+        for density in (1.0, 0.3):
+            grid = _grid(ctx, rows, cols, density, rng)
+            if rows > 2:
+                grid[-1] = [ctx.add_code(a, b) for a, b in zip(grid[0], grid[1])]
+            m = FMatrix.from_rows(ctx, grid, cols=cols)
+            grid_t = [list(c) for c in zip(*grid)]
+            assert right_nullspace_basis(m).transpose().to_code_rows() == _referee_null_rows(ctx, grid, cols)
+            assert left_nullspace_basis(m).to_code_rows() == _referee_null_rows(ctx, grid_t, rows)
+            other = _grid(ctx, cols, 4, density, rng)
+            got = m @ FMatrix.from_rows(ctx, other, cols=4)
+            assert got.to_code_rows() == _referee_product(ctx, grid, other, 4)
+
+
+# ---------------------------------------------------------------------------
 # One expansion of several matrices: each piece is the matrix's own
 # expansion, whatever its neighbours, empty pieces included.
 

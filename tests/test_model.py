@@ -178,6 +178,39 @@ def test_load_rejects_malformed_input():
             load_instance(text)
 
 
+@pytest.mark.parametrize("q", [5, 4099])
+def test_load_pins_wiretap_row_messages(q):
+    """Each malformed wiretap row is refused with its line number and the
+    message of the first check it fails: a token that is not an integer
+    (named, the first one), then the entry count, then the first entry
+    outside [0, q).  Any spelling int() reads is an entry, whether or not
+    save_instance writes it so.  4099 is above the field-table orders."""
+    head = f"treepin q={q}\nvertices 3\nedge 0 0 1 1\nedge 1 1 2 2\nwiretap cols=2\n"
+    # the middle wiretap row is on line 8: the comment takes line 7
+    text = head + "1 0\n# comment\n{row}\n2 3\n"
+    cases = [
+        ("1 x", "expected integer, got 'x'"),
+        ("y 1", "expected integer, got 'y'"),
+        ("1.0 1", "expected integer, got '1.0'"),
+        ("-1 3", f"entry -1 out of range for F_{q}"),
+        (f"3 {q}", f"entry {q} out of range for F_{q}"),
+        (f"{q + 2} -2", f"entry {q + 2} out of range for F_{q}"),
+        ("2 -3", f"entry -3 out of range for F_{q}"),
+        ("1", "expected 2 entries, got 1"),
+        ("1 2 3", "expected 2 entries, got 3"),
+        (f"{q}", "expected 2 entries, got 1"),       # count before range
+        ("x", "expected integer, got 'x'"),          # token before count
+        ("1 2 z", "expected integer, got 'z'"),
+    ]
+    for row, message in cases:
+        with pytest.raises(InstanceError) as err:
+            load_instance(text.format(row=row))
+        assert str(err.value) == f"line 8: {message}", row
+    src, wt = load_instance(text.format(row="0 1"))
+    assert load_instance(text.format(row="00 +1")) == (src, wt)
+    assert save_instance(src, wt) == head + "1 0\n0 1\n2 3\n"
+
+
 def test_random_instance_deterministic():
     a = random_instance(123, vertex_count=5, max_multiplicity=3, q=3, n_w_target=2)
     b = random_instance(123, vertex_count=5, max_multiplicity=3, q=3, n_w_target=2)
