@@ -8,14 +8,17 @@ coefficient lists) and turns each entry into a code through `ctx(...)`, and
 codes with the context's bound code operations, with one exception: over a
 prime field (n = 1) a code is the residue 0..q-1 itself and the code
 operations are arithmetic mod q (see `gfield`), so the kernels below
-(`_eliminate`, `_null_pivot_rows` and the product `@`) compute on the codes
-as integers mod q in their inner loops, with xor over GF(2).  The result is
-the same codes either way; only the closure call per entry is gone.
+(`_eliminate`, `_null_pivot_rows` and the product `_product`) compute on
+the codes as integers mod q in their inner loops, with xor over GF(2).  The
+result is the same codes either way; only the closure call per entry is
+gone.  `_product` is the one code-row product: `@` runs it, and so do
+synthesis's mix blocks (`scheme`), on code rows it never wraps.
 
 `rref`, `rank` and `left_inverse` share one elimination kernel,
-`_eliminate`: plain Gaussian elimination with deterministic pivoting (first
-nonzero entry scanning top to bottom), so repeated runs produce identical
-results.  One kernel over integer codes, with the field arithmetic supplied
+`_eliminate`: plain Gaussian elimination with deterministic pivoting
+(first nonzero entry scanning top to bottom), so repeated runs produce
+identical results.  Synthesis inverts its lead blocks with left_inverse's
+own routine, `_left_inverse_rows`.  One kernel over integer codes, with the field arithmetic supplied
 by the context, follows the design of the galois package
 (https://github.com/mhostetter/galois).  The kernel uses no floats, and
 touches only the pivot row's nonzero entries: it scales them, and updates
@@ -177,25 +180,7 @@ class FMatrix:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         if self.ctx.key != other.ctx.key:
             raise ValueError("field mismatch in matmul")
-        ctx = self.ctx
-        q, prime = ctx.q, ctx.n == 1
-        xor = prime and q == 2
-        add, mul = ctx.add_code, ctx.mul_code
-        width = other.cols
-        out = []
-        for arow in self._codes:
-            acc = [0] * width
-            for a, brow in zip(arow, other._codes):
-                if not a:
-                    continue
-                if not prime:
-                    acc = [add(x, mul(a, b)) if b else x for x, b in zip(acc, brow)]
-                elif xor:
-                    acc = [x ^ b for x, b in zip(acc, brow)]
-                else:
-                    acc = [(x + a * b) % q for x, b in zip(acc, brow)]
-            out.append(acc)
-        return _mat(ctx, out, width)
+        return _mat(self.ctx, _product(self.ctx, self._codes, other._codes, other.cols), other.cols)
 
     # -- misc ----------------------------------------------------------------
 
@@ -220,6 +205,28 @@ class FMatrix:
 
     def __repr__(self):
         return f"FMatrix({self.rows}x{self.cols} over GF({self.ctx.q}^{self.ctx.n}))"
+
+
+def _product(ctx: ExtFieldCtx, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """Code rows of a @ b for code rows a and b (width columns): each
+    nonzero entry of a scales a whole row of b into the row's sum."""
+    q, prime = ctx.q, ctx.n == 1
+    xor = prime and q == 2
+    add, mul = ctx.add_code, ctx.mul_code
+    out = []
+    for arow in a:
+        acc = [0] * width
+        for x, brow in zip(arow, b):
+            if not x:
+                continue
+            if not prime:
+                acc = [add(y, mul(x, z)) if z else y for y, z in zip(acc, brow)]
+            elif xor:
+                acc = [y ^ z for y, z in zip(acc, brow)]
+            else:
+                acc = [(y + x * z) % q for y, z in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 class RrefResult(NamedTuple):
@@ -331,17 +338,23 @@ def rank(m: FMatrix) -> int:
     return len(pivots)
 
 
-def left_inverse(m: FMatrix) -> FMatrix:
-    """E with E @ m = identity; requires full column rank.
+def _left_inverse_rows(ctx: ExtFieldCtx, codes: Sequence[Sequence[int]], width: int) -> list[list[int]] | None:
+    """Code rows of E with E @ a = identity for the code rows `codes` of a
+    (width columns), None unless a has full column rank: one Gauss-Jordan
+    elimination of [a | I], pivoting in a's columns only, leaves E in the
+    right half of the first `width` rows."""
+    rows = _with_identity(codes, width, len(codes))
+    if len(_eliminate(ctx, rows, width, full=True)) < width:
+        return None
+    return [r[width:] for r in rows[:width]]
 
-    One Gauss-Jordan elimination of the code rows of [m | I], pivoting in
-    m's columns only: the first m.cols rows then end in E.
-    """
-    c = m.cols
-    rows = _with_identity(m._codes, c, m.rows)
-    if len(_eliminate(m.ctx, rows, c, full=True)) < c:
+
+def left_inverse(m: FMatrix) -> FMatrix:
+    """E with E @ m = identity; requires full column rank."""
+    inv = _left_inverse_rows(m.ctx, m._codes, m.cols)
+    if inv is None:
         raise ValueError("matrix does not have full column rank")
-    return _mat(m.ctx, [r[c:] for r in rows[:c]], m.rows)
+    return _mat(m.ctx, inv, m.rows)
 
 
 def _null_pivot_rows(ctx: ExtFieldCtx, rows: Sequence[Sequence[int]], pivots: Sequence[int], width: int) -> list[list[int]]:

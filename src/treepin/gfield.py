@@ -23,6 +23,7 @@ semantics.  Contexts and elements are immutable and hashable.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from typing import Sequence
 
 __all__ = [
@@ -407,6 +408,29 @@ class ExtFieldCtx:
 
     def __repr__(self):
         return f"ExtFieldCtx(q={self.q}, n={self.n}, modulus={list(self.modulus)})"
+
+
+@lru_cache(maxsize=16)
+def _entry_tables(ctx: ExtFieldCtx) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The file token of every element, indexed by code, and the map back,
+    built once per field: a token is the element's coefficients,
+    comma-joined, lowest degree first (str(code) at n = 1).  Both are empty
+    above _TABLE_LIMIT, where each entry is converted alone."""
+    if ctx.order > _TABLE_LIMIT:
+        return (), {}
+    tokens = tuple(",".join(map(str, ctx.decode(c))) for c in range(ctx.order))
+    return tokens, dict(zip(tokens, range(ctx.order)))
+
+
+def _entry_lines(ctx: ExtFieldCtx, rows: Sequence[Sequence[int]]) -> list[str]:
+    """One line per row of codes: its tokens (see _entry_tables), spaced."""
+    tokens = _entry_tables(ctx)[0]
+    if tokens:
+        return [" ".join([tokens[c] for c in row]) for row in rows]
+    if ctx.n == 1:
+        return [" ".join(map(str, row)) for row in rows]
+    decode = ctx.decode
+    return [" ".join([",".join(map(str, decode(c))) for c in row]) for row in rows]
 
 
 _CTX_CACHE: dict[tuple[int, int], ExtFieldCtx] = {}

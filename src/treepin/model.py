@@ -25,11 +25,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .falinalg import FMatrix, _mat, _null_basis_rows, _right_null_parts, rank
-from .gfield import _TABLE_LIMIT, ExtFieldCtx, make_ext_field
+from .gfield import ExtFieldCtx, _entry_lines, _entry_tables, make_ext_field
 
 __all__ = [
     "InstanceError",
@@ -336,7 +335,7 @@ def load_instance(text: str) -> tuple[TreePinSource, Wiretapper]:
 
     source = TreePinSource(q, vertex_count, edges)
 
-    _, codes = _entry_tables(q)
+    codes = _entry_tables(source.base_ctx)[1]
     rows: list[list[int]] = []
     if n_w:
         for _ in range(source.base_dim):
@@ -393,25 +392,8 @@ def save_instance(source: TreePinSource, wiretapper: Wiretapper) -> str:
         lines.append(f"edge {e.edge_id} {e.u} {e.v} {e.mult}")
     lines.append(f"wiretap cols={wiretapper.dim}")
     if wiretapper.dim:
-        tokens, _ = _entry_tables(source.q)
-        codes = wiretapper.matrix._codes
-        if not tokens:
-            lines += [" ".join(map(str, row)) for row in codes]
-        else:
-            lines += [" ".join([tokens[v] for v in row]) for row in codes]
+        lines += _entry_lines(source.base_ctx, wiretapper.matrix._codes)
     return "\n".join(lines) + "\n"
-
-
-@lru_cache(maxsize=16)
-def _entry_tables(q: int) -> tuple[tuple[str, ...], dict[str, int]]:
-    """The tokens str(v) of the entries v in [0, q), indexed by v, and the
-    map back, built once per q: a lookup costs about a third of str(v) or
-    int(token).  Both are empty above gfield._TABLE_LIMIT, the orders
-    without field tables, where each entry is converted alone."""
-    if q > _TABLE_LIMIT:
-        return (), {}
-    tokens = tuple(map(str, range(q)))
-    return tokens, dict(zip(tokens, range(q)))
 
 
 # ---------------------------------------------------------------------------

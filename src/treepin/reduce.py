@@ -6,17 +6,17 @@ vector supported on a single edge's coordinate block).  A reducible instance
 can be transformed, one edge at a time, into an irreducible one with the
 same key capacity and the same leakage rate:
 
- * find the common part G of edge e and the eavesdropper (dimension l >= 1),
-   presented by the block column basis Me;
- * bring N_W[:, block_e] to reduced row echelon form: its pivots J are the
-   greedy completion of Me (the block coordinates the step records), and
-   its rows map the block to a residual block of mult - l fresh symbols;
+ * bring N_W[:, block_e] to reduced row echelon form, reading it off the
+   left-null basis N_W the wiretapper keeps.  That one echelon form gives
+   all three parts of the step: its null space is the common part G of
+   edge e and the eavesdropper (dimension l >= 1, presented by the block
+   column basis Me; see `capacity` for the overlap identity), its pivots J
+   are the greedy completion of Me (the block coordinates the step
+   records), and its rows map the block to a residual block of mult - l
+   fresh symbols;
  * keep the columns of W at the pivots past l of [T | W_P], T = S_e Me and
    W both at the tap's pivot coordinates P, and rewrite only the edge's
    rows of those columns in the residual coordinates.
-
-The common part on the block is null(N_W[:, block_e]), read off the left-null
-basis N_W the wiretapper keeps (see `capacity` for the overlap identity).
 
 Both endpoints of e can compute G, the eavesdropper can compute G, and G is
 independent of everything else, so removing it changes no rate of interest.
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capacity import _edge_overlaps
-from .falinalg import FMatrix, _mat, left_nullspace_basis, rref
+from .falinalg import FMatrix, _mat, _null_basis_rows, _null_pivot_rows, rref
 from .model import TreePinSource, Wiretapper
 
 __all__ = [
@@ -67,37 +67,34 @@ def is_irreducible(source: TreePinSource, wiretapper: Wiretapper) -> bool:
     return not any(_edge_overlaps(source, wiretapper))
 
 
-def _common_on_block(wiretapper: Wiretapper, block: range) -> FMatrix:
-    """mult x l basis of the common part on the block: the reduced row
-    echelon basis of null(N_W[:, block]), read as rows."""
-    return rref(left_nullspace_basis(wiretapper.null_rows(block))).matrix.transpose()
-
-
 def _reduce_step(
     source: TreePinSource, wiretapper: Wiretapper, edge_id: int
 ) -> tuple[TreePinSource, Wiretapper, ReductionStep]:
     """Strip the common part of one edge and the eavesdropper."""
     block = source.edge_range(edge_id)
-    edge_map = _common_on_block(wiretapper, block)
-    l = edge_map.cols
-    if l == 0:
-        raise ReductionError(
-            f"edge {edge_id} shares nothing with the eavesdropper"
-        )
-    edge = source.edge(edge_id)
-    if l == edge.mult:
-        raise ReductionError(
-            f"edge {edge_id} is fully absorbed by the eavesdropper; the "
-            f"reduced source would lose the edge entirely"
-        )
     w = wiretapper.matrix
-
     # N_W[:, block] has kernel col Me, so a column is a pivot of its RREF
     # exactly when its unit vector is independent of col Me and the units
     # before it: the pivots are Me's greedy completion J.  Its rows
     # annihilate Me and are the identity at J, as only rows l.. of
     # [Me | E_J]^-1 are: they map the block to its residual coordinates.
+    # Me itself is the reduced row echelon basis of that kernel, read as
+    # rows, and the kernel is read off the same echelon form.
     echelon = rref(wiretapper.null_rows(block).transpose())
+    j, mult = echelon.pivots, len(block)
+    null_rows = _null_pivot_rows(w.ctx, echelon.matrix._codes, j, mult)
+    null = _null_basis_rows(w.ctx, j, null_rows, range(mult), mult - echelon.rank)
+    edge_map = rref(null.transpose()).matrix.transpose()
+    l = edge_map.cols
+    if l == 0:
+        raise ReductionError(
+            f"edge {edge_id} shares nothing with the eavesdropper"
+        )
+    if l == mult:
+        raise ReductionError(
+            f"edge {edge_id} is fully absorbed by the eavesdropper; the "
+            f"reduced source would lose the edge entirely"
+        )
     residual = echelon.matrix.take_rows(range(echelon.rank))
 
     # The common part lies in col W: S_e Me = W X, and W's columns at X's
@@ -117,14 +114,14 @@ def _reduce_step(
     grid[block.start : block.stop] = (residual @ kept.take_rows(block)).to_code_rows()
     reduced = _mat(w.ctx, grid, kept.cols)
 
-    new_source = source.with_multiplicity(edge_id, edge.mult - l)
+    new_source = source.with_multiplicity(edge_id, mult - l)
     new_wiretapper = Wiretapper(reduced)
     step = ReductionStep(
         edge_id=edge_id,
         dim=l,
         edge_map=edge_map,
-        completion=echelon.pivots,
-        new_mult=edge.mult - l,
+        completion=j,
+        new_mult=mult - l,
         new_wiretapper=new_wiretapper,
     )
     return new_source, new_wiretapper, step

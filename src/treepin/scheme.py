@@ -48,28 +48,30 @@ Synthesis strategies, both on the path above:
    GF(q**k), k = edge_count - wiretap_dim.
 
 Scheme files are line oriented and round-trip exactly; entries are written
-as comma-joined coefficient lists, lowest degree first.  For a field of order
-at most gfield._TABLE_LIMIT, save and load map each entry through a token
-table built once per field (code -> token and its inverse); any other
-spelling of an entry, and every entry of a larger field, is parsed alone.
+as comma-joined coefficient lists, lowest degree first.  Save and load map
+each entry through the field's token table, `gfield._entry_tables`, which
+instance files share; a row with another spelling of an entry, and every
+row of a field above `gfield._TABLE_LIMIT` (which has no table), is parsed
+token by token.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress, filterfalse
 
 from .falinalg import (
     FMatrix,
     _eliminate,
+    _left_inverse_rows,
     _mat,
-    _with_identity,
+    _product,
     left_nullspace_basis,
     rank,
 )
-from .gfield import _TABLE_LIMIT, ExtFieldCtx, make_ext_field
+from .gfield import ExtFieldCtx, _entry_lines, _entry_tables, make_ext_field
 from .model import TreePinSource, Wiretapper
 from .reduce import is_irreducible
 
@@ -213,33 +215,14 @@ def choose_extension_degree(source: TreePinSource) -> int:
 # FMatrix objects.
 
 
-def _neg_product(ext: ExtFieldCtx, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """-(a @ b) on code rows (b has at least one row): each nonzero entry
-    of a is negated once and scales a whole row of b."""
-    add, mul, neg = ext.add_code, ext.mul_code, ext.neg_code
-    width = len(b[0])
-    out = []
-    for arow in a:
-        acc = [0] * width
-        for x, brow in zip(arow, b):
-            if x:
-                x = neg(x)
-                acc = [add(y, mul(x, z)) if z else y for y, z in zip(acc, brow)]
-        out.append(acc)
-    return out
-
-
 def _lead_inverse(ext: ExtFieldCtx, cert: list[list[int]], start: int, s: int) -> list[list[int]] | None:
     """S_e^-1 for the s x s block of cert at columns start..start+s-1, from
-    one Gauss-Jordan elimination of [S_e | I]; None when S_e is singular.
-    For s = 1, S_e is one entry and its inverse is the field's."""
+    the elimination left_inverse runs; None when S_e is singular.  For s =
+    1, S_e is one entry and its inverse is the field's."""
     if s == 1:
         lead = cert[0][start]
         return [[ext.inv_code(lead)]] if lead else None
-    rows = _with_identity((r[start : start + s] for r in cert), s, s)
-    if len(_eliminate(ext, rows, s, full=True)) < s:
-        return None
-    return [r[s:] for r in rows]
+    return _left_inverse_rows(ext, [r[start : start + s] for r in cert], s)
 
 
 def _certificate(
@@ -338,15 +321,18 @@ def _synth_from_certificate(
                 child_edges[v].append(e.edge_id)
                 stack.append(other)
 
-    # S_e B_e = -T_e for the surplus block T_e
+    # -S_e^-1 once per edge; S_e B_e = -T_e for the surplus block T_e
+    neg = ext.neg_code
+    neg_inv: dict[int, list[list[int]]] = {}
     lead: dict[int, list[list[int]]] = {}
     surplus: dict[int, list[list[int]]] = {}
     for e in source.edges:
         block = source.edge_range(e.edge_id)
+        neg_inv[e.edge_id] = [[neg(x) for x in r] for r in lead_inv[e.edge_id]]
         lead[e.edge_id] = [r[block.start : block.start + s] for r in cert]
         if e.mult > s:
             tail = [r[block.start + s : block.stop] for r in cert]
-            surplus[e.edge_id] = _neg_product(ext, lead_inv[e.edge_id], tail)
+            surplus[e.edge_id] = _product(ext, neg_inv[e.edge_id], tail, e.mult - s)
 
     cols: list[list[int]] = []
     owners: list[int] = []
@@ -370,7 +356,7 @@ def _synth_from_certificate(
         block = source.edge_range(up)
         for eid in sorted(child_edges[v]):
             # S_up + S_e A = 0 aligns the relayed pair with the certificate
-            a = _neg_product(ext, lead_inv[eid], lead[up])
+            a = _product(ext, neg_inv[eid], lead[up], s)
             child_mix[(v, eid)] = _mat(ext, a, s)
             add_columns(v, range(block.start, block.start + s), source.edge_range(eid).start, a)
         if up in surplus:
@@ -465,45 +451,13 @@ def synth_explicit_unit(
 # Serialization
 
 
-class _TokenCodes(dict):
-    """Entry token -> code for one field.  A token the table lacks (another
-    spelling of an entry, such as '01,0', a malformed token, or any token of
-    a field too large for a table) goes through _parse_elem."""
-
-    def __init__(self, ext: ExtFieldCtx, tokens: tuple[str, ...]):
-        super().__init__(zip(tokens, range(len(tokens))))
-        self.ext = ext
-
-    def __missing__(self, token: str) -> int:
-        return _parse_elem(token, self.ext)
-
-
-@lru_cache(maxsize=16)
-def _entry_tables(ext: ExtFieldCtx) -> tuple[tuple[str, ...] | None, _TokenCodes]:
-    """The field's entry tokens indexed by code (None above _TABLE_LIMIT)
-    and the token -> code map, built once per field."""
-    if ext.order > _TABLE_LIMIT:
-        return None, _TokenCodes(ext, ())
-    tokens = tuple(",".join(map(str, ext.decode(c))) for c in range(ext.order))
-    return tokens, _TokenCodes(ext, tokens)
-
-
-def _fmt_matrix_lines(m: FMatrix, tokens: tuple[str, ...] | None) -> list[str]:
-    if not m.cols:
-        return []
-    if tokens is None:
-        decode = m.ctx.decode
-        return [
-            " ".join(",".join(map(str, decode(c))) for c in row)
-            for row in m.to_code_rows()
-        ]
-    return [" ".join(map(tokens.__getitem__, row)) for row in m.to_code_rows()]
+def _fmt_matrix_lines(m: FMatrix) -> list[str]:
+    return _entry_lines(m.ctx, m._codes) if m.cols else []
 
 
 def save_scheme(scheme: CommScheme) -> str:
     ext = scheme.ext_ctx
     n = ext.n
-    tokens, _ = _entry_tables(ext)
     lines = [
         f"treepin-scheme q={ext.q} n={n}",
         "modulus " + ",".join(str(c) for c in ext.modulus),
@@ -511,18 +465,18 @@ def save_scheme(scheme: CommScheme) -> str:
         f"s {scheme.s}",
         "owners" + ("" if not scheme.owners else " " + " ".join(str(o) for o in scheme.owners)),
         f"fmat rows={scheme.comm_matrix.rows} cols={scheme.comm_matrix.cols}",
-        *_fmt_matrix_lines(scheme.comm_matrix, tokens),
+        *_fmt_matrix_lines(scheme.comm_matrix),
     ]
     for (node, eid) in sorted(scheme.child_mix):
         a = scheme.child_mix[(node, eid)]
         lines.append(f"amat node={node} edge={eid} rows={a.rows} cols={a.cols}")
-        lines.extend(_fmt_matrix_lines(a, tokens))
+        lines.extend(_fmt_matrix_lines(a))
     for eid in sorted(scheme.surplus_mix):
         b = scheme.surplus_mix[eid]
         if b.cols == 0:
             continue
         lines.append(f"bmat edge={eid} rows={b.rows} cols={b.cols}")
-        lines.extend(_fmt_matrix_lines(b, tokens))
+        lines.extend(_fmt_matrix_lines(b))
     if scheme.key is not None:
         lines.append("keycols" + "".join(f" {c}" for c in scheme.key))
     return "\n".join(lines) + "\n"
@@ -646,7 +600,10 @@ def load_scheme(text: str) -> CommScheme:
             if len(tokens) != cols:
                 raise SchemeError(f"expected {cols} entries in matrix row")
             # each code is valid in ext: a table hit or a parsed token
-            grid.append(tuple(map(codes.__getitem__, tokens)))
+            try:
+                grid.append([codes[t] for t in tokens])
+            except KeyError:
+                grid.append([_parse_elem(t, ext) for t in tokens])
         return _mat(ext, grid, cols)
 
     fline = take("fmat").split()

@@ -62,14 +62,15 @@ def _omniscience(null: FMatrix, source: TreePinSource) -> dict[int, bool]:
     }
 
 
-def _leakage_dims(null: FMatrix, tap: FMatrix) -> int:
-    return null.cols - null.rows + rank(tap) - tap.cols
+def _leakage_dims(null: FMatrix, tap: FMatrix, tap_rank: int) -> int:
+    """(d - k) + rank(N @ W) - n_w, with tap = N @ W of rank tap_rank."""
+    return null.cols - null.rows + tap_rank - tap.cols
 
 
-def _key_secret(scheme: CommScheme, null: FMatrix, tap: FMatrix) -> bool:
+def _key_secret(scheme: CommScheme, null: FMatrix, tap: FMatrix, tap_rank: int) -> bool:
     if scheme.key is None:
         return False
-    return rank(tap.hstack(null.take_cols(scheme.key))) == rank(tap) + scheme.s
+    return rank(tap.hstack(null.take_cols(scheme.key))) == tap_rank + scheme.s
 
 
 def leakage_symbol_dims(scheme: CommScheme, wiretapper: Wiretapper) -> int:
@@ -77,7 +78,8 @@ def leakage_symbol_dims(scheme: CommScheme, wiretapper: Wiretapper) -> int:
     eavesdropper already observes: rank([F | W]) - rank(W)."""
     _check_rows(scheme, wiretapper.rows)
     null = scheme.null
-    return _leakage_dims(null, _tap_image(null, wiretapper))
+    tap = _tap_image(null, wiretapper)
+    return _leakage_dims(null, tap, rank(tap))
 
 
 @dataclass(frozen=True)
@@ -113,11 +115,12 @@ def verify_scheme(
     report = capacity_report(source, wiretapper)
     null = scheme.null
     tap = _tap_image(null, wiretapper)
+    tap_rank = rank(tap)  # once, for the leakage and the key's secrecy
     return VerifyReport(
         omniscient=_omniscience(null, source),
         aligned=tap.is_zero(),
-        key_secret=_key_secret(scheme, null, tap),
-        leakage_dims=_leakage_dims(null, tap),
+        key_secret=_key_secret(scheme, null, tap, tap_rank),
+        leakage_dims=_leakage_dims(null, tap, tap_rank),
         optimal_leakage_dims=report.rl_dims,
         key_dims=scheme.s if scheme.key is not None else 0,
         optimal_key_dims=report.cw_dims,

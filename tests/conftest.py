@@ -21,7 +21,13 @@ from treepin import (
     synth_explicit_unit,
     synth_random,
 )
-from treepin.falinalg import left_inverse, rank, right_nullspace_basis, rref
+from treepin.falinalg import (
+    left_inverse,
+    left_nullspace_basis,
+    rank,
+    right_nullspace_basis,
+    rref,
+)
 from treepin.reduce import ReductionError
 import treepin.scheme as scheme_module
 from treepin.scheme import (
@@ -70,6 +76,13 @@ def completion_indices(m):
     it, so the picks are the pivots in the identity part."""
     pivots = rref(m.hstack(FMatrix.identity(m.ctx, m.rows))).pivots
     return tuple(c - m.cols for c in pivots if c >= m.cols)
+
+
+def _common_on_block(wiretapper, block):
+    """Referee: mult x l basis of the common part of an edge block and the
+    eavesdropper, the reduced row echelon basis of null(N_W[:, block]),
+    read as rows, from an elimination of its own."""
+    return rref(left_nullspace_basis(wiretapper.null_rows(block))).matrix.transpose()
 
 
 def _rank_mod(a: list[list[int]], q: int) -> int:

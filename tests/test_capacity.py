@@ -19,9 +19,9 @@ from treepin import (
 from treepin.capacity import _edge_overlaps
 from treepin.falinalg import col_space_intersect, rank
 from treepin.oracle import MCF_BUDGET, mcf_exhaustive
-from treepin.reduce import _common_on_block
 
 from conftest import (
+    _common_on_block,
     build_irreducible_suite,
     instances,
     late_pivot_instances,

@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
-import pytest
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
-from treepin import save_instance, save_scheme, synth_explicit_unit
+import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
+
+from treepin import (
+    InstanceError,
+    SchemeError,
+    load_instance,
+    load_scheme,
+    save_instance,
+    save_scheme,
+    synth_explicit_unit,
+)
 from treepin.cli import main
 
 from conftest import count_null_builds, parity_path, wide_path_reducible
@@ -513,3 +525,114 @@ def test_scheme_commands_build_one_left_null_basis(capsys, monkeypatch, tmp_path
     sch.write_text(text)
     assert run(capsys, command, "--in", inst, "--scheme", str(sch))[0] == 0
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing both file parsers through the CLI
+
+# replacement tokens: every integer in them, and every integer the strategy
+# draws, is at most 99, so no mutation can ask for a huge matrix
+FUZZ_TOKENS = (
+    "0", "1", "2", "3", "7", "99", "-1", "+1", "01", "x", "", "=", "1,0",
+    "0,1,1", "1,1,0", "2,0,0", "q=2", "q=3", "n=1", "n=3", "rows=0",
+    "rows=2", "cols=0", "cols=99", "none", "edge", "fmat", "amat", "bmat",
+    "keycols", "node=0", "edge=99",
+)
+
+# (kind, line index, token index or cut point out of 99, replacement)
+_mutation = st.tuples(
+    st.sampled_from(("token", "drop", "duplicate", "truncate")),
+    st.integers(0, 99),
+    st.integers(0, 99),
+    st.sampled_from(FUZZ_TOKENS),
+)
+
+
+def mutate(text, mutations):
+    """Apply the mutations in order: a token of a line replaced, a line
+    dropped or duplicated, or the file cut after j/99 of its characters."""
+    for kind, i, j, token in mutations:
+        if kind == "truncate":
+            text = text[: len(text) * j // 99]
+            continue
+        lines = text.split("\n")
+        i %= len(lines)
+        if kind == "token":
+            parts = lines[i].split()
+            if parts:
+                parts[j % len(parts)] = token
+                lines[i] = " ".join(parts)
+        elif kind == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        text = "\n".join(lines)
+    return text
+
+
+def quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def readme_chain(tmp_path_factory):
+    """The README chain's red.txt and scheme.txt, and a directory for
+    mutated copies."""
+    d = tmp_path_factory.mktemp("fuzz")
+    inst, red, sch = (str(d / name) for name in ("inst.txt", "red.txt", "scheme.txt"))
+    assert quiet_main(["gen", "--seed", "2", "--vertices", "5", "--max-mult", "2",
+                       "--q", "2", "--nw", "2", "--out", inst])[0] == 0
+    assert quiet_main(["reduce", "--in", inst, "--out", red])[0] == 0
+    assert quiet_main(["synth", "--in", red, "--method", "random", "--seed", "1",
+                       "--out", sch])[0] == 0
+    return d, (d / "red.txt").read_text(), (d / "scheme.txt").read_text()
+
+
+def assert_resaves_to_a_fixed_point(text, load, save, error):
+    try:
+        loaded = load(text)
+    except error:
+        return
+    once = save(loaded)
+    assert save(load(once)) == once
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    red_mutations=st.lists(_mutation, max_size=2),
+    scheme_mutations=st.lists(_mutation, max_size=3),
+)
+def test_mutated_files_exit_cleanly(readme_chain, red_mutations, scheme_mutations):
+    """Mutated copies of the README chain's files go through analyze,
+    verify, simulate and oracle-check in process: each exits 0, 1, 2 or 3
+    and prints no traceback; a scheme verify refuses (exit 1) is refused by
+    simulate and oracle-check --scheme with the same message; and any text
+    a loader accepts re-saves to a fixed point."""
+    d, red_text, scheme_text = readme_chain
+    red_text = mutate(red_text, red_mutations)
+    scheme_text = mutate(scheme_text, scheme_mutations)
+    red, sch = d / "fuzz-red.txt", d / "fuzz-scheme.txt"
+    red.write_text(red_text)
+    sch.write_text(scheme_text)
+    files = ["--in", str(red), "--scheme", str(sch)]
+    got = {
+        "analyze": quiet_main(["analyze", "--in", str(red)]),
+        "verify": quiet_main(["verify", *files]),
+        "simulate": quiet_main(["simulate", *files, "--trials", "8"]),
+        "oracle-check": quiet_main(["oracle-check", *files]),
+    }
+    for code, _, err in got.values():
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+    code, _, err = got["verify"]
+    if code == 1:
+        assert got["simulate"] == (1, "", err)
+        assert got["oracle-check"] == (1, "", err)
+    assert_resaves_to_a_fixed_point(
+        red_text, load_instance, lambda pair: save_instance(*pair), InstanceError
+    )
+    assert_resaves_to_a_fixed_point(scheme_text, load_scheme, save_scheme, SchemeError)

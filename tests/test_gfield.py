@@ -7,8 +7,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treepin import ExtFieldCtx, FieldElem, FMatrix, make_ext_field
+from treepin import (
+    CommScheme,
+    ExtFieldCtx,
+    FieldElem,
+    FMatrix,
+    SchemeError,
+    load_instance,
+    load_scheme,
+    make_ext_field,
+    random_instance,
+    save_instance,
+    save_scheme,
+)
 from treepin import gfield
+
+from conftest import REFEREE_FIELDS
 
 
 def pow_code(ctx, a, e):
@@ -223,3 +237,72 @@ def test_ctx_constructor_validates_modulus():
 def test_isinstance_surface():
     ctx = make_ext_field(2, 2)
     assert isinstance(ctx(1), FieldElem)
+
+
+# ---------------------------------------------------------------------------
+# The one entry-token table of instance and scheme files
+
+
+def coeff_token(code, q, n):
+    """Referee: an entry as its file writes it, its n coefficients (the
+    base-q digits of its code), comma-joined, lowest degree first."""
+    digits = []
+    for _ in range(n):
+        code, digit = divmod(code, q)
+        digits.append(str(digit))
+    return ",".join(digits)
+
+
+def matrix_scheme(m):
+    """A scheme (not a valid design) whose only block is fmat = m."""
+    return CommScheme(ext_ctx=m.ctx, s=m.rows, comm_matrix=m, owners=(0,) * m.cols)
+
+
+@pytest.mark.parametrize("q, n", REFEREE_FIELDS + [(4099, 1)])
+def test_file_formats_share_one_entry_spelling(q, n):
+    """Both file formats write an entry as its coefficients, comma-joined,
+    lowest degree first, through gfield's one table where the field has
+    one and entry by entry where it has none (q = 4099 at n = 1, GF(2^13),
+    q = 2^32 + 15); both read it back and re-save the same text."""
+    ctx = make_ext_field(q, n)
+    assert bool(gfield._entry_tables(ctx)[0]) == (ctx.order <= gfield._TABLE_LIMIT)
+    rng = random.Random(17 * q + n)
+    rows = [[rng.randrange(ctx.order) for _ in range(6)] for _ in range(5)]
+    rows[0][:2] = [0, ctx.order - 1]
+    m = FMatrix.from_rows(ctx, rows, cols=6)
+    text = save_scheme(matrix_scheme(m))
+    # header, modulus, root, s, owners and the fmat tag come first
+    assert text.splitlines()[6:] == [" ".join(coeff_token(c, q, n) for c in row) for row in rows]
+    back = load_scheme(text)
+    assert back.comm_matrix == m
+    assert save_scheme(back) == text
+    if n == 1:
+        source, wt = random_instance(q + 1, 8, 3, q, 4)
+        text = save_instance(source, wt)
+        want = [" ".join(coeff_token(c, q, 1) for c in row) for row in wt.matrix.to_code_rows()]
+        assert text.splitlines()[-source.base_dim :] == want
+        assert load_instance(text) == (source, wt)
+        assert save_instance(source, wt) == save_instance(*load_instance(text))
+
+
+def test_a_row_that_misses_the_table_is_parsed_token_by_token():
+    """In a field with a table, a row holding another spelling of an entry
+    loads through the per-token parse, and the first bad token there, even
+    after a table hit or another spelling, raises that parse's message."""
+    ctx = make_ext_field(3, 2)
+    m = FMatrix.from_rows(ctx, [[1, 5, 0]], cols=3)
+    text = save_scheme(matrix_scheme(m))
+    row = "1,0 2,1 0,0"
+    assert text.endswith("\n" + row + "\n")
+    for spelling in ("01,0 2,1 0,0", "1,0 2,1 +0,00", "1,0 0002,1 0,0"):
+        assert load_scheme(text.replace(row, spelling)).comm_matrix == m
+    for bad, message in [
+        ("1,0 2,x 0,0", "bad element '2,x'"),
+        ("01,0 2,1 3,0", "coefficient 3 out of range for F_3"),
+        ("1,0 2 0,0", "element '2' needs 2 coefficients"),
+        ("1,0 01,0 -1,0", "coefficient -1 out of range for F_3"),
+        ("1,0 2,9 x,0", "coefficient 9 out of range for F_3"),  # the first one
+    ]:
+        with pytest.raises(SchemeError) as exc:
+            load_scheme(text.replace(row, bad))
+        assert str(exc.value) == message

@@ -21,9 +21,10 @@ from treepin import (
 )
 from treepin.falinalg import col_space_intersect, rank, right_nullspace_basis
 from treepin.oracle import mcf_exhaustive
-from treepin.reduce import _common_on_block, _reduce_step
+from treepin.reduce import _reduce_step
 
 from conftest import (
+    _common_on_block,
     build_reducible_suite,
     completion_indices,
     in_col_span,
@@ -354,6 +355,32 @@ def test_reduction_steps_carry_fresh_tap_bases():
         steps += len(trace.steps)
     assert steps >= 40
     assert_steps_carry_fresh_bases(reduce_full(*wide_path_reducible()))
+
+
+def test_a_reduction_step_runs_four_eliminations(monkeypatch):
+    """One RREF of N_W[:, block] gives a step its common part, completion
+    and residual rows; the RREF of the common part's basis, the one of
+    [T | W_P] and the new wiretapper's elimination make four."""
+    import treepin.falinalg as falinalg
+
+    calls = []
+    eliminate = falinalg._eliminate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    steps = 0
+    for src, wt in [wide_path_reducible(), *build_reducible_suite(20)]:
+        trace = reduce_full(src, wt)
+        with monkeypatch.context() as m:
+            m.setattr(falinalg, "_eliminate", counting)
+            for step in trace.steps:
+                calls.clear()
+                src, wt, _ = _reduce_step(src, wt, step.edge_id)
+                assert len(calls) == 4
+                steps += 1
+    assert steps >= 20
 
 
 # ---------------------------------------------------------------------------
