@@ -26,15 +26,19 @@ each row it clears at those columns alone.  Most matrices eliminated here
 are sparse (an identity half, or a communication matrix whose columns use
 a few coordinates each), so the work per pivot follows the row's support,
 not its width.
+
+Only the base-field digit arrays at the end of this module use numpy
+(`_floor_mod`, `_int_dtype`, `_to_digits`, `_expand` and so
+`expand_to_base`), and each imports it where it runs: importing numpy
+adds about 60 ms to a process's start-up (2-core VM), and analysis,
+reduction, synthesis and verification never build an array.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, compress
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .gfield import ExtFieldCtx, FieldElem, make_ext_field
 
@@ -50,6 +54,9 @@ __all__ = [
     "lift",
     "expand_to_base",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _mat(ctx: ExtFieldCtx, rows: Iterable[Sequence[int]], cols: int) -> "FMatrix":
@@ -558,6 +565,8 @@ def _floor_mod(a: np.ndarray, q: int) -> np.ndarray:
 
     The quotient is taken _MOD_BLOCK entries at a time: a temporary the
     size of a would cost more in fresh pages than the arithmetic."""
+    import numpy as np
+
     if not a.flags.c_contiguous:
         raise ValueError("_floor_mod reduces in place: a must be C-contiguous")
     flat = a.reshape(-1)
@@ -574,6 +583,8 @@ def _int_dtype(ctx: ExtFieldCtx, inner: int):
     """Array dtype for digit arithmetic in ctx: int64 while every code of
     ctx and every sum of `inner` digit products fits in it, Python ints
     (object arrays) beyond that."""
+    import numpy as np
+
     if ctx.order <= 2**63 and (ctx.q - 1) ** 2 * inner < 2**63:
         return np.int64
     return object
@@ -582,6 +593,8 @@ def _int_dtype(ctx: ExtFieldCtx, inner: int):
 def _to_digits(codes: np.ndarray, ctx: ExtFieldCtx) -> np.ndarray:
     """Base-q digits, lowest first, of an array of codes: shape (..., k)
     becomes (..., k*n), entry j spread over columns j*n .. j*n+n-1."""
+    import numpy as np
+
     powers = np.array([ctx.q**k for k in range(ctx.n)], dtype=codes.dtype)
     digits = codes[..., None] // powers % ctx.q
     return digits.reshape(*codes.shape[:-1], codes.shape[-1] * ctx.n)
@@ -599,6 +612,8 @@ def _expand(mats: Sequence[FMatrix], dtype) -> list[np.ndarray]:
     copied into its final layout and dtype in one step.  The blocks are
     computed in int64 for float64 output (their inner dimension is n).
     """
+    import numpy as np
+
     ctx = mats[0].ctx
     q, n = ctx.q, ctx.n
     work = np.int64 if dtype is np.float64 else dtype

@@ -14,16 +14,21 @@ a plain value for the API edge.  The one exception is a prime field (n =
 arithmetic mod q, so `falinalg`'s elimination, back substitution and
 product compute `(x - f*y) % q` (xor over GF(2)) on the codes directly,
 which gives the same codes.  Small contexts precompute discrete log/exp
-tables once (and, in odd characteristic, a full addition table), which
-turns the code operations into table lookups.  Larger contexts fall back to
-direct polynomial arithmetic.  Which path is active never changes the
-semantics.  Contexts and elements are immutable and hashable.
+tables once, which turns multiplication and inversion into table lookups.
+Addition is digitwise addition mod q of the codes, whatever the modulus:
+xor in characteristic 2, and in odd characteristic, up to order
+_ADD_TABLE_LIMIT, a full addition table and a negation table, built one
+digit at a time and shared by every context of that (q, n), whichever its
+modulus (`_add_tables`).  Larger contexts fall back to direct polynomial
+arithmetic.  Which path is active never changes the semantics.  Contexts
+and elements are immutable and hashable.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 __all__ = [
@@ -186,6 +191,35 @@ def _poly_is_irreducible(f: Sequence[int], q: int) -> bool:
         if len(_pgcd(h, f, q)) != 1:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _add_tables(q: int, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The addition table (row a, column b: the code of a + b) and the
+    negation table of GF(q**n) for an odd prime q, built once per (q, n).
+
+    Addition is digitwise addition mod q of the base-q codes, whatever the
+    modulus, so every context of the order shares them, and they are built
+    one digit at a time.  Write a code as c = c0 + q*c' (c0 its lowest
+    digit): then a + b = (a0 + b0 mod q) + q*(a' + b'), so row a is the
+    blocks of the mod-q row of a0, each shifted by q times an entry of the
+    (q, n-1) table's row of a'.  Over F_q itself row a is 0..q-1 rotated by
+    a, and -a is q - a.  Each row is a concatenation of q**(n-1) prebuilt
+    blocks, so no entry is computed twice, and the tables are tuples
+    because they are shared."""
+    if n == 1:
+        codes = tuple(range(q))
+        return tuple(codes[a:] + codes[:a] for a in codes), (0,) + codes[:0:-1]
+    low_add, low_neg = _add_tables(q, 1)
+    high_add, high_neg = _add_tables(q, n - 1)
+    # blocks[a0][h] = the codes q*h + (a0 + b0 mod q) for b0 = 0..q-1
+    blocks = [[tuple(q * h + x for x in row) for h in range(q ** (n - 1))] for row in low_add]
+    add = tuple(
+        tuple(chain.from_iterable(map(block.__getitem__, high)))
+        for high in high_add
+        for block in blocks
+    )
+    return add, tuple(q * h + x for h in high_neg for x in low_neg)
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +387,20 @@ class ExtFieldCtx:
             self.neg_code = lambda a: a
             return
 
-        def add_generic(a: int, b: int) -> int:
-            ca, cb = self.decode(a), self.decode(b)
-            return self.encode(tuple((x + y) % q for x, y in zip(ca, cb)))
-
-        def neg_generic(a: int) -> int:
-            return self.encode(tuple((-x) % q for x in self.decode(a)))
-
         if order <= _ADD_TABLE_LIMIT:
-            addt = [
-                [add_generic(a, b) for b in range(order)] for a in range(order)
-            ]
-            negt = [neg_generic(a) for a in range(order)]
+            addt, negt = _add_tables(q, n)
             self.add_code = lambda a, b, _t=addt: _t[a][b]
             self.neg_code = lambda a, _t=negt: _t[a]
             self.sub_code = lambda a, b, _t=addt, _n=negt: _t[a][_n[b]]
         else:
+
+            def add_generic(a: int, b: int) -> int:
+                ca, cb = self.decode(a), self.decode(b)
+                return self.encode(tuple((x + y) % q for x, y in zip(ca, cb)))
+
+            def neg_generic(a: int) -> int:
+                return self.encode(tuple((-x) % q for x in self.decode(a)))
+
             self.add_code = add_generic
             self.neg_code = neg_generic
             self.sub_code = lambda a, b: add_generic(a, neg_generic(b))

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .falinalg import FMatrix, _mat, _null_basis_rows, _right_null_parts, rank
+from .falinalg import FMatrix, _eliminate, _mat, _null_basis_rows, _right_null_parts
 from .gfield import ExtFieldCtx, _entry_lines, _entry_tables, make_ext_field
 
 __all__ = [
@@ -253,14 +253,24 @@ class Wiretapper:
         )
 
     def null_rank(self, coords: range) -> int:
-        """rank(null_rows(coords)).  A range that holds no pivot coordinate
-        reads only distinct unit rows, so its rank is its length, found
-        without an elimination."""
+        """rank(null_rows(coords)) for a range of step 1, without
+        eliminating its unit rows.  With k and k' the numbers of pivot
+        coordinates below its start and stop, the range's other coordinates
+        read the unit rows of columns [start - k, stop - k').  Those span
+        the columns, so the rank is their count plus the rank of the
+        range's pivot rows with those columns removed: a test for one row,
+        one forward elimination of those rows alone for more."""
         pivots = self.pivot_coords
         k = bisect_left(pivots, coords.start)
         if k == len(pivots) or pivots[k] >= coords.stop:
             return len(coords)
-        return rank(self.null_rows(coords))
+        k_stop = bisect_left(pivots, coords.stop, k)
+        lo, hi = coords.start - k, coords.stop - k_stop
+        if k_stop == k + 1:
+            row = self._pivot_rows[k]
+            return hi - lo + (any(row[:lo]) or any(row[hi:]))
+        rest = [r[:lo] + r[hi:] for r in self._pivot_rows[k:k_stop]]
+        return hi - lo + len(_eliminate(self.matrix.ctx, rest, len(rest[0]), full=False))
 
     @property
     def dim(self) -> int:

@@ -32,6 +32,10 @@ vector is mapped once, through [ma|mc|mb], and each joint image is a column
 slice of that one enumeration.  The four slices are packed by one product
 with a (cols x 4) power matrix and their distinct values counted with one
 sort: still full enumeration with exact counts, no rank shortcut.
+
+Each function that builds an array imports numpy itself, so importing the
+CLI, which imports this module for `oracle-check`, loads no numpy for the
+commands that never enumerate.
 """
 
 from __future__ import annotations
@@ -39,8 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .falinalg import _EXACT, FMatrix, _exact_f64, _floor_mod
 
@@ -54,6 +57,9 @@ __all__ = [
     "cond_mutual_info_exhaustive",
 ]
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 class BudgetError(RuntimeError):
     """The requested enumeration exceeds the hard size cap."""
@@ -64,6 +70,8 @@ MCF_BUDGET = 2**14
 
 
 def _base_code_matrix(m: FMatrix) -> np.ndarray:
+    import numpy as np
+
     if m.ctx.n != 1:
         raise ValueError(
             "exhaustive oracles work over the base field; expand extension "
@@ -91,6 +99,8 @@ def _all_vectors(q: int, dim: int) -> np.ndarray:
     because every caller shares them.  Coordinate j is built as one
     contiguous row, the digits broadcast into blocks of q**j, and the
     array is its transpose (BLAS takes either layout)."""
+    import numpy as np
+
     digits = np.arange(q, dtype=np.float64)[:, None]
     coords = np.empty((dim, q**dim))
     for j in range(dim):
@@ -104,6 +114,8 @@ def _all_vectors(q: int, dim: int) -> np.ndarray:
 def _powers(q: int, cols: int) -> np.ndarray:
     """q**0 .. q**(cols-1) as float64, for packing rows with q**cols <= 2**53
     (cached and shared, so read-only)."""
+    import numpy as np
+
     powers = np.array([q**j for j in range(cols)], dtype=np.float64)
     powers.setflags(write=False)
     return powers
@@ -125,6 +137,8 @@ def _image_labels(
     single base-q numbers when q**cols <= 2**53 and labelled by one sort;
     wider images fall back to row-wise uniqueness.
     """
+    import numpy as np
+
     n, cols = vectors.shape[0], m.shape[1]
     img = _image(vectors, m, q)
     if q**cols > _EXACT:
@@ -150,6 +164,8 @@ def _slice_powers(
 ) -> np.ndarray:
     """(len(slices), cols) read-only matrix whose row t packs columns
     lo..hi-1 of slice t into one base-q number; every slice must fit 2**53."""
+    import numpy as np
+
     out = np.zeros((len(slices), cols))
     for t, (lo, hi) in enumerate(slices):
         out[t, lo:hi] = _powers(q, hi - lo)
@@ -164,6 +180,8 @@ def _distinct_counts(
     array of base-q digits.  Slices that fit 2**53 are packed by one
     product and counted with one sort; wider ones fall back to row-wise
     uniqueness."""
+    import numpy as np
+
     packable = tuple(s for s in slices if q ** (s[1] - s[0]) <= _EXACT)
     counts = {}
     if packable:
@@ -178,6 +196,8 @@ def _distinct_counts(
 
 
 def _entropy_from_counts(counts: np.ndarray, total: int) -> float:
+    import numpy as np
+
     counts = np.asarray(counts, dtype=np.int64)
     if np.all(counts == counts[0]):
         return math.log2(len(counts))
@@ -219,6 +239,8 @@ class McfExhaustive:
 def mcf_exhaustive(
     m1: FMatrix, m2: FMatrix, q: int, budget: int = MCF_BUDGET
 ) -> McfExhaustive:
+    import numpy as np
+
     if m1.rows != m2.rows:
         raise ValueError("observation maps must share the base dimension")
     if m1.ctx.q != q or m2.ctx.q != q:

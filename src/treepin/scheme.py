@@ -496,6 +496,27 @@ def _parse_elem(token: str, ext: ExtFieldCtx) -> int:
     return ext.encode(coeffs)
 
 
+def _row_codes(tokens: list[str], ext: ExtFieldCtx, codes: dict[str, int]) -> list[int]:
+    """The codes of one matrix row's tokens, each valid in ext: table hits
+    (`codes`, from _entry_tables, empty above _TABLE_LIMIT), or at n = 1
+    the row's integers when all of them lie in [0, q).  Any other row is
+    parsed token by token, so the first bad token is the one named."""
+    if codes:
+        try:
+            return [codes[t] for t in tokens]
+        except KeyError:
+            pass
+    elif ext.n == 1:
+        try:
+            row = list(map(int, tokens))
+        except ValueError:
+            pass
+        else:
+            if 0 <= min(row) and max(row) < ext.q:
+                return row
+    return [_parse_elem(t, ext) for t in tokens]
+
+
 def _ints(values: list[str], what: str) -> list[int]:
     """The integers of one scheme line; SchemeError naming the line (`what`)
     on a value that is not one."""
@@ -599,11 +620,7 @@ def load_scheme(text: str) -> CommScheme:
             tokens = take("matrix row").split()
             if len(tokens) != cols:
                 raise SchemeError(f"expected {cols} entries in matrix row")
-            # each code is valid in ext: a table hit or a parsed token
-            try:
-                grid.append([codes[t] for t in tokens])
-            except KeyError:
-                grid.append([_parse_elem(t, ext) for t in tokens])
+            grid.append(_row_codes(tokens, ext, codes))
         return _mat(ext, grid, cols)
 
     fline = take("fmat").split()

@@ -81,6 +81,10 @@ arrays above that, each reduced by `%`.  A batch runs:
   tests/test_simulate.py still computes it from each decoded vector.
 - Tap replay.  The prediction comm @ (L @ W) equals x0 @ W, so it misses
   the observation x @ W iff e @ W != 0.
+
+numpy is imported inside the functions that build arrays (`_digit_table`,
+`_code_draws` and `run_protocol`), not with the module: the CLI imports
+this module for every command, and only `simulate` needs numpy.
 """
 
 from __future__ import annotations
@@ -89,8 +93,7 @@ import functools
 import random
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .falinalg import (
     _EXACT,
@@ -110,6 +113,9 @@ from .model import TreePinSource, Wiretapper
 from .scheme import CommScheme, _check_key
 
 __all__ = ["SimulationError", "SimReport", "run_protocol"]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SimulationError(RuntimeError):
@@ -149,6 +155,8 @@ _DIGIT_TABLE = 2**16
 def _digit_table(ctx: ExtFieldCtx) -> np.ndarray:
     """(order, n) float64 array whose row c holds the digits of code c; runs
     over one field share it, so it is read-only."""
+    import numpy as np
+
     table = _to_digits(np.arange(ctx.order).reshape(-1, 1), ctx).astype(np.float64)
     table.setflags(write=False)
     return table
@@ -161,6 +169,8 @@ def _code_draws(rng: random.Random, order: int, dtype):
     the module docstring has the details.  The filter is needed for a
     power of two as well: randrange(2**m) reads m + 1 bits
     (order.bit_length()) and draws again on about half of the values."""
+    import numpy as np
+
     shift = 32 - order.bit_length()
     if shift < 0:
         randrange = rng.randrange
@@ -195,6 +205,8 @@ def run_protocol(
     trials: int = 32,
 ) -> SimReport:
     """Run the protocol `trials` times and tally every mismatch."""
+    import numpy as np
+
     if trials < 0:
         raise SimulationError(f"trials must be non-negative, got {trials}")
     if scheme.key is None:

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
+import treepin
 from treepin import (
     InstanceError,
     SchemeError,
@@ -103,6 +108,42 @@ def test_full_pipeline(capsys, tmp_path, seed):
     assert got["perfect"] == "true"
     assert got["decode_failures"] == "0"
     assert got["key_mismatches"] == "0"
+
+
+# Run in a fresh interpreter: gen .. verify must not import numpy, and
+# simulate must.
+_NUMPY_ON_FIRST_USE = textwrap.dedent("""
+    import contextlib, io, sys
+    import treepin, treepin.cli
+
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = treepin.cli.main(list(argv))
+        assert code == 0, (argv, code)
+
+    run("gen", "--seed", "1", "--vertices", "8", "--max-mult", "2",
+        "--q", "3", "--nw", "2", "--out", "inst.txt")
+    run("analyze", "--in", "inst.txt")
+    run("reduce", "--in", "inst.txt", "--out", "red.txt")
+    run("synth", "--in", "red.txt", "--seed", "1", "--out", "scheme.txt")
+    run("verify", "--in", "red.txt", "--scheme", "scheme.txt")
+    assert "numpy" not in sys.modules, "numpy loaded before simulate"
+    run("simulate", "--in", "red.txt", "--scheme", "scheme.txt", "--trials", "20")
+    assert "numpy" in sys.modules, "simulate ran without numpy"
+""")
+
+
+def test_numpy_is_imported_on_first_use(tmp_path):
+    """A command pays only for what it runs: importing the package and the
+    CLI, and every command up to verify, leave numpy unloaded; simulate
+    loads it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(treepin.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ON_FIRST_USE],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_oracle_check_with_scheme(capsys, tmp_path, parity_file):

@@ -169,7 +169,7 @@ def test_fallback_matches_table_arithmetic():
     assert pow_code(ctx, 2, 13) == ctx.neg_code(ctx.encode(ctx.modulus[:13]))
 
 
-@pytest.mark.parametrize("q,n", [(2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (3, 5), (7, 3)])
 def test_table_less_ops_match_tables(q, n, monkeypatch):
     """The same field built without tables agrees with the cached table
     context on every code operation and every pair of codes."""
@@ -186,6 +186,33 @@ def test_table_less_ops_match_tables(q, n, monkeypatch):
             assert bare.add_code(a, b) == tables.add_code(a, b)
             assert bare.sub_code(a, b) == tables.sub_code(a, b)
             assert bare.mul_code(a, b) == tables.mul_code(a, b)
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 3), (7, 2)])
+def test_other_modulus_shares_the_addition_tables(q, n):
+    """Addition does not depend on the modulus, so a context built with
+    another irreducible reads the cached tables of its (q, n), builds
+    none, and still adds, subtracts and negates digitwise on every pair
+    of codes, while its products follow its own modulus."""
+    canonical = make_ext_field(q, n)
+    monic = [canonical.decode(tail) + (1,) for tail in range(q**n)]
+    others = [f for f in monic if f != canonical.modulus and gfield._poly_is_irreducible(f, q)]
+    before = gfield._add_tables.cache_info()
+    other = ExtFieldCtx(q, n, others[0])
+    after = gfield._add_tables.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert any(
+        other.mul_code(a, b) != canonical.mul_code(a, b)
+        for a in range(other.order)
+        for b in range(other.order)
+    )
+    for a in range(other.order):
+        da = other.decode(a)
+        assert other.neg_code(a) == other.encode([-x % q for x in da])
+        for b in range(other.order):
+            db = other.decode(b)
+            assert other.add_code(a, b) == other.encode([(x + y) % q for x, y in zip(da, db)])
+            assert other.sub_code(a, b) == other.encode([(x - y) % q for x, y in zip(da, db)])
 
 
 @given(st.integers(0, 15), st.integers(0, 15))
@@ -302,6 +329,31 @@ def test_a_row_that_misses_the_table_is_parsed_token_by_token():
         ("1,0 2 0,0", "element '2' needs 2 coefficients"),
         ("1,0 01,0 -1,0", "coefficient -1 out of range for F_3"),
         ("1,0 2,9 x,0", "coefficient 9 out of range for F_3"),  # the first one
+    ]:
+        with pytest.raises(SchemeError) as exc:
+            load_scheme(text.replace(row, bad))
+        assert str(exc.value) == message
+
+
+def test_a_prime_row_above_the_table_limit_reads_as_integers():
+    """q = 4099 has no entry table: a row of in-range integers loads as
+    one integer conversion, and any other row is parsed token by token, so
+    the first bad token, even after good ones, raises that parse's
+    message."""
+    ctx = make_ext_field(4099, 1)
+    assert not gfield._entry_tables(ctx)[0]
+    m = FMatrix.from_rows(ctx, [[1, 4098, 0]], cols=3)
+    text = save_scheme(matrix_scheme(m))
+    row = "1 4098 0"
+    assert text.endswith("\n" + row + "\n")
+    for spelling in ("01 4098 0", "1 +4098 00"):
+        assert load_scheme(text.replace(row, spelling)).comm_matrix == m
+    for bad, message in [
+        ("1 x 4099", "bad element 'x'"),
+        ("1 1,0 -1", "element '1,0' needs 1 coefficients"),
+        ("1 -1 0", "coefficient -1 out of range for F_4099"),
+        ("0 4099 1", "coefficient 4099 out of range for F_4099"),
+        ("4099 -1 0", "coefficient 4099 out of range for F_4099"),  # the first one
     ]:
         with pytest.raises(SchemeError) as exc:
             load_scheme(text.replace(row, bad))

@@ -274,6 +274,37 @@ def assert_holds_its_basis(wt):
             assert wt.null_rank(range(a, b)) == rank(block)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_null_rank_matches_the_rank_of_its_rows(q):
+    """null_rank against its referee, rank(null_rows(range)), on every
+    sub-range of random taps.  Ranges holding 0, 1 and at least 2 pivot
+    coordinates all occur, and so does a single pivot row that vanishes
+    off the range's unit columns (x0 + x1 tapped: over [0, 2) the pivot
+    row at 0 equals the unit row at 1)."""
+    ctx = make_ext_field(q, 1)
+    rng = random.Random(q)
+    taps = [Wiretapper(FMatrix.from_rows(ctx, [[1], [1], [0]], cols=1))]
+    while len(taps) < 40:
+        d = rng.randrange(1, 9)
+        nw = rng.randrange(d + 1)
+        rows = [[rng.randrange(q) for _ in range(nw)] for _ in range(d)]
+        try:
+            taps.append(Wiretapper(FMatrix.from_rows(ctx, rows, cols=nw)))
+        except InstanceError:
+            continue
+    seen = set()
+    for wt in taps:
+        for a in range(wt.rows + 1):
+            for b in range(a, wt.rows + 1):
+                want = rank(wt.null_rows(range(a, b)))
+                assert wt.null_rank(range(a, b)) == want
+                held = sum(a <= c < b for c in wt.pivot_coords)
+                seen.add(min(held, 2))
+                if held == 1 and want == b - a - 1:
+                    seen.add("vanishes")
+    assert seen == {0, 1, 2, "vanishes"}
+
+
 @seed(20260118)
 @settings(max_examples=150, deadline=None)
 @given(instances(max_vertices=8, qs=(2, 3, 5, 7)))
