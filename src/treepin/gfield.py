@@ -21,7 +21,9 @@ _ADD_TABLE_LIMIT, a full addition table and a negation table, built one
 digit at a time and shared by every context of that (q, n), whichever its
 modulus (`_add_tables`).  Larger contexts fall back to direct polynomial
 arithmetic.  Which path is active never changes the semantics.  Contexts
-and elements are immutable and hashable.
+and elements are immutable and hashable, and each field's context is built
+once: `make_ext_field` and a scheme file's modulus both go through one
+cache, `_field_context`.
 """
 
 from __future__ import annotations
@@ -72,6 +74,23 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def _check_field(q: int, n: int) -> None:
+    """Raise ValueError unless q is prime and n >= 1."""
+    if not _is_prime(q):
+        raise ValueError(f"base field size must be prime, got {q}")
+    if n < 1:
+        raise ValueError(f"extension degree must be >= 1, got {n}")
+
+
+def _digits(code: int, q: int, n: int) -> tuple[int, ...]:
+    """The n base-q digits of code, lowest first."""
+    out = []
+    for _ in range(n):
+        code, r = divmod(code, q)
+        out.append(r)
+    return tuple(out)
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -278,10 +297,7 @@ class ExtFieldCtx:
     )
 
     def __init__(self, q: int, n: int, modulus: Sequence[int]):
-        if not _is_prime(q):
-            raise ValueError(f"base field size must be prime, got {q}")
-        if n < 1:
-            raise ValueError(f"extension degree must be >= 1, got {n}")
+        _check_field(q, n)
         modulus = tuple(int(c) % q for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree n")
@@ -298,12 +314,7 @@ class ExtFieldCtx:
     # -- codes <-> coefficient tuples ------------------------------------
 
     def decode(self, code: int) -> tuple[int, ...]:
-        q = self.q
-        out = []
-        for _ in range(self.n):
-            code, r = divmod(code, q)
-            out.append(r)
-        return tuple(out)
+        return _digits(code, self.q, self.n)
 
     def encode(self, coeffs: Sequence[int]) -> int:
         v = 0
@@ -316,8 +327,12 @@ class ExtFieldCtx:
     def _mul_generic(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        prod = _pmod(_pmul(self.decode(a), self.decode(b), self.q), self.modulus, self.q)
-        return self.encode(prod + (0,) * (self.n - len(prod)))
+        return self.encode(_pmod(_pmul(self.decode(a), self.decode(b), self.q), self.modulus, self.q))
+
+    def _inv_generic(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self.encode(_pinvmod(self.decode(a), self.modulus, self.q))
 
     def _pow_generic(self, a: int, e: int) -> int:
         result = 1
@@ -367,18 +382,8 @@ class ExtFieldCtx:
             self.mul_code = mul_code
             self.inv_code = inv_code
         else:
-
-            def mul_code(a: int, b: int) -> int:
-                return self._mul_generic(a, b)
-
-            def inv_code(a: int) -> int:
-                if a == 0:
-                    raise ZeroDivisionError("inverse of zero")
-                invp = _pinvmod(self.decode(a), self.modulus, q)
-                return self.encode(invp + (0,) * (n - len(invp)))
-
-            self.mul_code = mul_code
-            self.inv_code = inv_code
+            self.mul_code = self._mul_generic
+            self.inv_code = self._inv_generic
 
         if q == 2:
             # Characteristic 2: coefficientwise addition is xor of codes.
@@ -465,36 +470,27 @@ def _entry_lines(ctx: ExtFieldCtx, rows: Sequence[Sequence[int]]) -> list[str]:
     return [" ".join([",".join(map(str, decode(c))) for c in row]) for row in rows]
 
 
-_CTX_CACHE: dict[tuple[int, int], ExtFieldCtx] = {}
+@lru_cache(maxsize=None)
+def _field_context(q: int, n: int, modulus: tuple[int, ...]) -> ExtFieldCtx:
+    """GF(q**n) = F_q[x] / (modulus), built once per modulus reduced mod q
+    (as ExtFieldCtx keeps it): another spelling gets its residues' context."""
+    ctx = ExtFieldCtx(q, n, modulus)
+    return ctx if ctx.modulus == modulus else _field_context(q, n, ctx.modulus)
 
 
+@lru_cache(maxsize=None)
 def make_ext_field(q: int, n: int) -> ExtFieldCtx:
     """Build GF(q**n) with the canonical modulus.
 
     The modulus is the first monic irreducible polynomial of degree n over
     F_q in ascending integer-encoding order (coefficients as base-q digits,
     constant term least significant).  For n = 1 this is the polynomial x,
-    and arithmetic is plain arithmetic mod q.
+    and arithmetic is plain arithmetic mod q.  The context is
+    _field_context's, which a scheme file naming this modulus gets too.
     """
-    if not _is_prime(q):
-        raise ValueError(f"base field size must be prime, got {q}")
-    if n < 1:
-        raise ValueError(f"extension degree must be >= 1, got {n}")
-    cached = _CTX_CACHE.get((q, n))
-    if cached is not None:
-        return cached
-    ctx = None
+    _check_field(q, n)
     for tail in range(q**n):
-        coeffs = []
-        t = tail
-        for _ in range(n):
-            t, r = divmod(t, q)
-            coeffs.append(r)
-        cand = tuple(coeffs) + (1,)
+        cand = _digits(tail, q, n) + (1,)
         if _poly_is_irreducible(cand, q):
-            ctx = ExtFieldCtx(q, n, cand)
-            break
-    if ctx is None:  # pragma: no cover - an irreducible always exists
-        raise AssertionError(f"no irreducible polynomial of degree {n} over F_{q}")
-    _CTX_CACHE[(q, n)] = ctx
-    return ctx
+            return _field_context(q, n, cand)
+    raise AssertionError(f"no irreducible polynomial of degree {n} over F_{q}")  # pragma: no cover

@@ -57,10 +57,8 @@ class EdgeSpec(NamedTuple):
 class NodeView:
     """What a single node observes: its incident edges' coordinate ranges."""
 
-    node: int
     base_dim: int
     coords: tuple[int, ...]
-    edge_ids: tuple[int, ...]
 
     def selector(self, ctx: ExtFieldCtx) -> FMatrix:
         """base_dim x len(coords) selector with standard basis columns."""
@@ -150,12 +148,6 @@ class TreePinSource:
     def min_mult(self) -> int:
         return min(e.mult for e in self.edges)
 
-    def edge(self, edge_id: int) -> EdgeSpec:
-        for e in self.edges:
-            if e.edge_id == edge_id:
-                return e
-        raise InstanceError(f"no edge with id {edge_id}")
-
     def edge_range(self, edge_id: int) -> range:
         try:
             return self._ranges[edge_id]
@@ -185,12 +177,7 @@ class TreePinSource:
         for e in self._incident[v]:
             coords.extend(self._ranges[e.edge_id])
         coords.sort()
-        return NodeView(
-            node=v,
-            base_dim=self.base_dim,
-            coords=tuple(coords),
-            edge_ids=tuple(e.edge_id for e in self._incident[v]),
-        )
+        return NodeView(self.base_dim, tuple(coords))
 
     def edge_block_selector(self, edge_id: int) -> FMatrix:
         """base_dim x mult selector for one edge's coordinate block."""

@@ -3,7 +3,9 @@
 Everything in this module enumerates the full base-vector space F_q**D and
 counts: no sampling, no rank shortcuts.  Hard budgets keep the enumeration
 honest; callers that want bigger instances get a BudgetError, not a silently
-subsampled answer.
+subsampled answer.  Every oracle gets its vectors from one front,
+`_vectors`, which makes the refusals in one order: maps of different base
+dimensions, a map over another field, the budget, then exactness.
 
 Entropies are assembled from exact integer counts.  For a linear map the
 fibers are cosets of the kernel, so every image has the same number of
@@ -88,6 +90,20 @@ def _check_exact(q: int, rows: int) -> None:
             f"a {rows}-row image over GF({q}) has entries up to "
             f"{(q - 1) ** 2 * rows}, past the exact float64 range 2**53"
         )
+
+
+def _vectors(q: int, maps: tuple[FMatrix, ...], budget: int, what: str) -> np.ndarray:
+    """All base vectors of the maps, after every oracle's refusals in order:
+    one base dimension, the field, the budget (naming `what`), exactness."""
+    rows = maps[0].rows
+    if any(m.rows != rows for m in maps):
+        raise ValueError("observation maps must share the base dimension")
+    if any(m.ctx.q != q for m in maps):
+        raise ValueError("field mismatch")
+    if q**rows > budget:
+        raise BudgetError(f"{what} needs {q**rows} vectors, budget is {budget}")
+    _check_exact(q, rows)
+    return _all_vectors(q, rows)
 
 
 @functools.lru_cache(maxsize=2)
@@ -208,17 +224,9 @@ def _entropy_from_counts(counts: np.ndarray, total: int) -> float:
 
 def entropy_exhaustive(m: FMatrix, q: int, budget: int = ENTROPY_BUDGET) -> float:
     """Shannon entropy (bits) of X @ m for uniform X, by full enumeration."""
-    if m.ctx.q != q:
-        raise ValueError("field mismatch")
-    total = q**m.rows
-    if total > budget:
-        raise BudgetError(
-            f"entropy enumeration needs {total} vectors, budget is {budget}"
-        )
-    _check_exact(q, m.rows)
-    vectors = _all_vectors(q, m.rows)
+    vectors = _vectors(q, (m,), budget, "entropy enumeration")
     _, counts, _ = _image_labels(vectors, _base_code_matrix(m), q)
-    return _entropy_from_counts(counts, total)
+    return _entropy_from_counts(counts, len(vectors))
 
 
 @dataclass(frozen=True)
@@ -241,17 +249,7 @@ def mcf_exhaustive(
 ) -> McfExhaustive:
     import numpy as np
 
-    if m1.rows != m2.rows:
-        raise ValueError("observation maps must share the base dimension")
-    if m1.ctx.q != q or m2.ctx.q != q:
-        raise ValueError("field mismatch")
-    total = q**m1.rows
-    if total > budget:
-        raise BudgetError(
-            f"mcf enumeration needs {total} vectors, budget is {budget}"
-        )
-    _check_exact(q, m1.rows)
-    vectors = _all_vectors(q, m1.rows)
+    vectors = _vectors(q, (m1, m2), budget, "mcf enumeration")
     left, _, left_values = _image_labels(vectors, _base_code_matrix(m1), q)
     right, _, right_values = _image_labels(vectors, _base_code_matrix(m2), q)
 
@@ -272,7 +270,7 @@ def mcf_exhaustive(
     left_ids, right_ids = ids[comp], ids[via_right]
     counts = np.sort(np.bincount(left_ids[left]))
     return McfExhaustive(
-        bits=_entropy_from_counts(counts, total),
+        bits=_entropy_from_counts(counts, len(vectors)),
         n_components=len(counts),
         labels_left=dict(zip(map(tuple, left_values.tolist()), left_ids.tolist())),
         labels_right=dict(zip(map(tuple, right_values.tolist()), right_ids.tolist())),
@@ -293,21 +291,11 @@ def cond_mutual_info_exhaustive(
     bit-exact value ``(ea + eb - eab - ec) * log2(q)``.  The four joint
     images are column slices of one image of [ma|mc|mb] (module docstring).
     """
-    if not (ma.rows == mb.rows == mc.rows):
-        raise ValueError("observation maps must share the base dimension")
-    for m in (ma, mb, mc):
-        if m.ctx.q != q:
-            raise ValueError("field mismatch")
-    total = q**ma.rows
-    if total > budget:
-        raise BudgetError(
-            f"enumeration needs {total} vectors, budget is {budget}"
-        )
-    _check_exact(q, ma.rows)
+    vectors = _vectors(q, (ma, mb, mc), budget, "enumeration")
     # in [ma | mc | mb] every joint map is a contiguous run of columns
     a, c = ma.cols, mc.cols
     stacked = ma.hstack(mc, mb)
-    img = _image(_all_vectors(q, ma.rows), _base_code_matrix(stacked), q)
+    img = _image(vectors, _base_code_matrix(stacked), q)
     slices = ((0, a + c), (a, stacked.cols), (0, stacked.cols), (a, a + c))
     exponents = []
     for n_values in _distinct_counts(img, q, slices):

@@ -19,9 +19,9 @@ and only its columns at the tap's n_w pivot coordinates are products: a
 draw costs s * m * n_w field products, whether it is kept or rejected.
 Each S_e is inverted once, when the certificate is drawn: the inversion is
 also the draw's nonsingularity test.  The certificate and those inverses,
-all code rows, unfold into the scheme in one pass: a walk from the root
-records each node's parent edge and child edges, and node v's relay block
-for child edge e is -S_e^-1 S_up (S_up the block of v's parent edge), edge
+all code rows, unfold into the scheme in one pass over F's column groups,
+which `_layout` lists from a walk from the root: node v's relay block for
+child edge e is -S_e^-1 S_up (S_up the block of v's parent edge), edge
 e's surplus block -S_e^-1 T_e (T_e the rest of S on e).  Their columns are
 written straight into F as integer codes; an FMatrix is built only for
 each stored block and F.  C itself is a synthesis intermediate: the scheme
@@ -36,7 +36,9 @@ pivot columns of the reduced echelon form of N.  The certificate C spans
 the same row space as N (C F = 0 and rank C = s = base_dim - rank F), so
 synthesis reads them off the pivots of C, which equal those of N.  The
 scheme is valid by construction and is not validated again; a loaded
-scheme is.
+scheme is.  `validate` checks F's rank, each mix block's rank, the key,
+and that the stored blocks are F's entries at `_layout`'s groups, so a
+file cannot state F and its blocks differently.
 
 Synthesis strategies, both on the path above:
 
@@ -71,7 +73,7 @@ from .falinalg import (
     left_nullspace_basis,
     rank,
 )
-from .gfield import ExtFieldCtx, _entry_lines, _entry_tables, make_ext_field
+from .gfield import ExtFieldCtx, _entry_lines, _entry_tables, _field_context, make_ext_field
 from .model import TreePinSource, Wiretapper
 from .reduce import is_irreducible
 
@@ -111,7 +113,8 @@ class CommScheme:
     is the node that can compute column j from its own observation; key
     holds the s coordinates of the block vector that form the secret key.
     The synthesis fields (root, child_mix, surplus_mix) are optional so
-    hand-written schemes can be represented; verification never needs them.
+    hand-written schemes can be represented, with root None and no blocks;
+    a scheme that carries them has them checked against F by `validate`.
     The scheme is frozen, so N, derived from comm_matrix, never goes stale:
     `dataclasses.replace` gives a scheme with another field and its own N.
     """
@@ -134,11 +137,6 @@ class CommScheme:
     @property
     def base_dim(self) -> int:
         return self.comm_matrix.rows
-
-    @property
-    def block_len(self) -> int:
-        """Realisations per transmitted symbol (the extension degree)."""
-        return self.ext_ctx.n
 
     def check_owners(self, source: TreePinSource) -> None:
         """Raise SchemeError unless the scheme has one row per coordinate
@@ -187,9 +185,46 @@ class CommScheme:
                 raise SchemeError(f"mix block for node {node}, edge {edge_id} has wrong shape")
             if rank(a) < self.s:
                 raise SchemeError(f"mix block for node {node}, edge {edge_id} is singular")
+        self._check_blocks(source)
         if self.key is not None:
             if rank(null.take_cols(self.key)) != null.rows:
                 raise SchemeError("key columns do not complete the communication")
+
+    def _check_blocks(self, source: TreePinSource) -> None:
+        """Raise SchemeError, naming the first offending block, unless the
+        stored blocks are F's entries at the groups of _layout from the
+        root, one block per group, and F has no other column; a scheme
+        without a root stores no block."""
+        blocks = {**self.child_mix, **self.surplus_mix}
+
+        def name(key=None) -> str:
+            # amat blocks are keyed (node, edge), bmat blocks by their edge;
+            # no key: the first block left, in file order
+            key = min(blocks, key=lambda k: (isinstance(k, int), k)) if key is None else key
+            if isinstance(key, int):
+                return f"surplus block for edge {key}"
+            return f"mix block for node {key[0]}, edge {key[1]}"
+
+        if self.root is None:
+            if blocks:
+                raise SchemeError(f"{name()} is stored without a root")
+            return
+        if self.root not in source.leaves():
+            raise SchemeError(f"root {self.root} is not a leaf of the tree")
+        f, col = self.comm_matrix._codes, 0
+        for node, eid, units, relay in _layout(source, self.root, self.s):
+            key = (node, eid) if relay else eid
+            block = blocks.pop(key, None)
+            if block is None:
+                raise SchemeError(f"{name(key)} is missing")
+            start = source.edge_range(eid).start
+            if block._codes != tuple(r[col : col + len(units)] for r in f[start : start + self.s]):
+                raise SchemeError(f"{name(key)} differs from the communication matrix")
+            col += len(units)
+        if blocks:
+            raise SchemeError(f"{name()} is not on the walk from root {self.root}")
+        if col != self.comm_matrix.cols:
+            raise SchemeError(f"communication matrix has {self.comm_matrix.cols} columns, the walk gives {col}")
 
 
 def _default_root(source: TreePinSource) -> int:
@@ -286,6 +321,37 @@ def sample_alignment_certificate(
 # Synthesis entry points
 
 
+def _layout(source: TreePinSource, root: int, s: int) -> list[tuple[int, int, range, bool]]:
+    """F's column groups in the order synthesis writes them: a walk from
+    the root (a leaf) finds each node's parent and child edges; then, nodes
+    ascending, the root sending nothing, one relay group per child edge e
+    (sorted), units the parent edge's first s coordinates and block
+    child_mix[(node, e)], and one surplus group when the parent edge u
+    carries more than s symbols, units u's other coordinates and block
+    surplus_mix[u].  A group is (node, e or u, units, relay): one column
+    per unit, 1 there and its block's column in the s rows from that
+    edge's first coordinate."""
+    parent_edge: dict[int, int] = {}
+    child_edges: dict[int, list[int]] = {v: [] for v in range(source.vertex_count)}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for e in source.incident_edges(v):
+            other = e.v if e.u == v else e.u
+            if other != root and other not in parent_edge:
+                parent_edge[other] = e.edge_id
+                child_edges[v].append(e.edge_id)
+                stack.append(other)
+    groups = []
+    for v in range(source.vertex_count):
+        if v != root:
+            up = source.edge_range(parent_edge[v])
+            groups += [(v, eid, up[:s], True) for eid in sorted(child_edges[v])]
+            if len(up) > s:
+                groups.append((v, parent_edge[v], up[s:], False))
+    return groups
+
+
 def _synth_from_certificate(
     source: TreePinSource,
     ext: ExtFieldCtx,
@@ -293,8 +359,8 @@ def _synth_from_certificate(
     lead_inv: dict[int, list[list[int]]],
     root: int,
 ) -> CommScheme:
-    """Unfold the certificate (code rows) into the scheme in one walk from
-    the root; lead_inv holds the code rows of S_e^-1 for every edge, as
+    """Unfold the certificate (code rows) into the scheme, group by group
+    of _layout; lead_inv holds the code rows of S_e^-1 for every edge, as
     sample_alignment_certificate gives them.
 
     The result is valid by construction, so it is not validated again:
@@ -309,58 +375,30 @@ def _synth_from_certificate(
     """
     s = source.min_mult
     d = source.base_dim
-    parent_edge: dict[int, int] = {}
-    child_edges: dict[int, list[int]] = {v: [] for v in range(source.vertex_count)}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for e in source.incident_edges(v):
-            other = e.v if e.u == v else e.u
-            if other != root and other not in parent_edge:
-                parent_edge[other] = e.edge_id
-                child_edges[v].append(e.edge_id)
-                stack.append(other)
-
-    # -S_e^-1 once per edge; S_e B_e = -T_e for the surplus block T_e
     neg = ext.neg_code
-    neg_inv: dict[int, list[list[int]]] = {}
-    lead: dict[int, list[list[int]]] = {}
-    surplus: dict[int, list[list[int]]] = {}
-    for e in source.edges:
-        block = source.edge_range(e.edge_id)
-        neg_inv[e.edge_id] = [[neg(x) for x in r] for r in lead_inv[e.edge_id]]
-        lead[e.edge_id] = [r[block.start : block.start + s] for r in cert]
-        if e.mult > s:
-            tail = [r[block.start + s : block.stop] for r in cert]
-            surplus[e.edge_id] = _product(ext, neg_inv[e.edge_id], tail, e.mult - s)
-
+    neg_inv = {eid: [[neg(x) for x in r] for r in inv] for eid, inv in lead_inv.items()}
     cols: list[list[int]] = []
     owners: list[int] = []
-
-    def add_columns(owner: int, units: range, start: int, mix: list[list[int]]) -> None:
-        # one column per unit row; column j of mix fills rows start..start+s-1
+    child_mix: dict[tuple[int, int], FMatrix] = {}
+    surplus_mix: dict[int, FMatrix] = {}
+    for v, eid, units, relay in _layout(source, root, s):
+        # a relay's S_up + S_e A = 0 aligns the relayed pair with the
+        # certificate, a surplus block has S_e B_e = -T_e: either way the
+        # block is -S_e^-1 times C's columns at the group's units
+        width = len(units)
+        mix = _product(ext, neg_inv[eid], [r[units.start : units.stop] for r in cert], width)
+        if relay:
+            child_mix[(v, eid)] = _mat(ext, mix, width)
+        else:
+            surplus_mix[eid] = _mat(ext, mix, width)
+        # one column per unit; column j of mix fills rows start..start+s-1
+        start = source.edge_range(eid).start
         for unit, codes in zip(units, zip(*mix)):
             col = [0] * d
             col[unit] = 1
             col[start : start + s] = codes
             cols.append(col)
-            owners.append(owner)
-
-    # nodes ascending: relay columns per child edge (sorted), then the
-    # parent edge's surplus columns; the root (a leaf) sends nothing
-    child_mix: dict[tuple[int, int], FMatrix] = {}
-    for v in range(source.vertex_count):
-        if v == root:
-            continue
-        up = parent_edge[v]
-        block = source.edge_range(up)
-        for eid in sorted(child_edges[v]):
-            # S_up + S_e A = 0 aligns the relayed pair with the certificate
-            a = _product(ext, neg_inv[eid], lead[up], s)
-            child_mix[(v, eid)] = _mat(ext, a, s)
-            add_columns(v, range(block.start, block.start + s), source.edge_range(eid).start, a)
-        if up in surplus:
-            add_columns(v, range(block.start + s, block.stop), block.start, surplus[up])
+            owners.append(v)
 
     # C's pivots: a forward elimination finds the columns rref would
     pivots = _eliminate(ext, [list(r) for r in cert], d, full=False)
@@ -371,7 +409,7 @@ def _synth_from_certificate(
         owners=tuple(owners),
         root=root,
         child_mix=child_mix,
-        surplus_mix={eid: _mat(ext, b, len(b[0])) for eid, b in surplus.items()},
+        surplus_mix=surplus_mix,
         key=tuple(pivots),
     )
 
@@ -575,35 +613,25 @@ def load_scheme(text: str) -> CommScheme:
         raise SchemeError(f"malformed scheme header {header!r}")
     q, n = _ints([parts[1][2:], parts[2][2:]], f"scheme header {header!r}")
 
-    mline = take("modulus").split()
-    if len(mline) != 2 or mline[0] != "modulus":
-        raise SchemeError("expected modulus line")
-    modulus = tuple(_ints(mline[1].split(","), "modulus line"))
+    def values(tag: str, count: int | None = 1) -> list[str]:
+        """The next line's values: it must be `tag` and `count` values (any if None)."""
+        parts = take(tag).split()
+        if parts[0] != tag or count is not None and len(parts) != count + 1:
+            raise SchemeError(f"expected {tag} line")
+        return parts[1:]
+
+    (coeffs,) = values("modulus")
+    modulus = tuple(_ints(coeffs.split(","), "modulus line"))
     try:
         if len(modulus) != n + 1:
             raise ValueError("modulus must be monic of degree n")
-        # Reuse the cached canonical context; build one only for another
-        # modulus.
-        ext = make_ext_field(q, n)
-        if ext.modulus != tuple(c % q for c in modulus):
-            ext = ExtFieldCtx(q, n, modulus)
+        ext = _field_context(q, n, modulus)
     except ValueError as exc:
         raise SchemeError(str(exc)) from None
-
-    rline = take("root").split()
-    if len(rline) != 2 or rline[0] != "root":
-        raise SchemeError("expected root line")
-    root = None if rline[1] == "none" else _ints(rline[1:], "root line")[0]
-
-    sline = take("s").split()
-    if len(sline) != 2 or sline[0] != "s":
-        raise SchemeError("expected s line")
-    (s,) = _ints(sline[1:], "s line")
-
-    oline = take("owners").split()
-    if oline[0] != "owners":
-        raise SchemeError("expected owners line")
-    owners = tuple(_ints(oline[1:], "owners line"))
+    (root,) = values("root")
+    root = None if root == "none" else _ints([root], "root line")[0]
+    (s,) = _ints(values("s"), "s line")
+    owners = tuple(_ints(values("owners", None), "owners line"))
     codes = _entry_tables(ext)[1]
 
     def read_matrix(tag: str, fields: dict[str, str], s_rows: bool = False) -> FMatrix:

@@ -47,6 +47,13 @@ def in_col_span(a, v):
     return rank(a.hstack(v)) == rank(a)
 
 
+def edge_spec(source, edge_id):
+    """The EdgeSpec with this id; InstanceError, as edge_range raises it,
+    when the source has none."""
+    source.edge_range(edge_id)
+    return next(e for e in source.edges if e.edge_id == edge_id)
+
+
 def inverse(m):
     """Referee: the inverse of a square matrix, as its left inverse."""
     if m.rows != m.cols:

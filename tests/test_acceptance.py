@@ -66,7 +66,7 @@ def test_path3_reference_values_and_handwritten_scheme(tmp_path, capsys):
     # the relay multiplier 1+x acts on base coordinate pairs as [[1,1],[1,0]]
     mult = FMatrix.from_rows(scheme.ext_ctx, [[3]], cols=1)
     assert expand_to_base(mult).to_code_rows() == [[1, 1], [1, 0]]
-    assert scheme.block_len == 2
+    assert scheme.ext_ctx.n == 2
 
     rep = verify_scheme(scheme, src, wt)
     assert rep.omniscient == {0: True, 1: True, 2: True, 3: True}

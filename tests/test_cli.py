@@ -20,7 +20,6 @@ from treepin import (
     load_scheme,
     save_instance,
     save_scheme,
-    synth_explicit_unit,
 )
 from treepin.cli import main
 
@@ -163,23 +162,42 @@ def test_oracle_check_with_scheme(capsys, tmp_path, parity_file):
 
 def test_verify_exit_code_on_suboptimal_scheme(capsys, tmp_path, parity_file):
     """A structurally valid but misaligned scheme verifies with exit 2."""
-    ext_scheme = synth_explicit_unit(*parity_path())
-    text = save_scheme(ext_scheme)
-    # swap the two communication columns for raw coordinate transmissions
-    # owned by nodes that can see them: still rank 2, still a valid scheme,
-    # but no longer aligned with the wiretap
-    lines = text.splitlines()
-    fstart = next(i for i, l in enumerate(lines) if l.startswith("fmat"))
-    lines[fstart + 1] = "1,0 0,0"
-    lines[fstart + 2] = "1,0 0,1"
-    lines[fstart + 3] = "0,0 1,0"
+    # the explicit scheme's field, owners and key, with its two columns
+    # swapped for raw coordinate transmissions owned by nodes that can see
+    # them: still rank 2, still a valid scheme, but no longer aligned with
+    # the wiretap.  It is hand-written (root none, no mix blocks), since
+    # the explicit scheme's blocks describe its own F, not this one
     bad = str(tmp_path / "bad.txt")
-    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    (tmp_path / "bad.txt").write_text(
+        "treepin-scheme q=2 n=2\nmodulus 1,1,1\nroot none\ns 1\nowners 1 2\n"
+        "fmat rows=3 cols=2\n1,0 0,0\n1,0 0,1\n0,0 1,0\nkeycols 0\n"
+    )
     code, out, _ = run(capsys, "verify", "--in", parity_file, "--scheme", bad)
     assert code == 2
     got = lines_of(out)
     assert got["aligned"] == "false"
     assert got["all_pass"] == "false"
+
+
+def test_blocks_that_disagree_with_f_exit_1(capsys, tmp_path):
+    """The README chain's scheme with the entry of its first mix block
+    changed from 1,1,0 to 1,0,1: the block stays nonsingular, so only the
+    comparison of the blocks with F refuses it, and verify, simulate and
+    oracle-check all exit 1 with the same line."""
+    inst, red, sch = (str(tmp_path / name) for name in ("inst.txt", "red.txt", "scheme.txt"))
+    gen = ["--seed", "2", "--vertices", "5", "--max-mult", "2", "--q", "2", "--nw", "2"]
+    assert run(capsys, "gen", *gen, "--out", inst)[0] == 0
+    assert run(capsys, "reduce", "--in", inst, "--out", red)[0] == 0
+    assert run(capsys, "synth", "--in", red, "--method", "random", "--seed", "1", "--out", sch)[0] == 0
+    block = "amat node=0 edge=1 rows=1 cols=1\n"
+    text = (tmp_path / "scheme.txt").read_text()
+    assert block + "1,1,0\n" in text
+    edited = tmp_path / "edited.txt"
+    edited.write_text(text.replace(block + "1,1,0\n", block + "1,0,1\n"))
+    for argv in (["verify"], ["simulate", "--trials", "200"], ["oracle-check"]):
+        code, out, err = run(capsys, *argv, "--in", red, "--scheme", str(edited))
+        assert (code, out) == (1, "")
+        assert err == "error: mix block for node 0, edge 1 differs from the communication matrix\n"
 
 
 def test_exit_1_on_missing_and_malformed_input(capsys, tmp_path):

@@ -20,7 +20,7 @@ from treepin import (
 )
 from treepin.falinalg import rank, right_nullspace_basis, rref
 
-from conftest import instances, parity_path, star3_no_wiretap
+from conftest import edge_spec, instances, parity_path, star3_no_wiretap
 
 
 def test_basic_structure():
@@ -33,7 +33,7 @@ def test_basic_structure():
     assert tuple(e.edge_id for e in src.edges) == (0, 1, 2)
     assert src.leaves() == (0, 3)
     assert src.degree(1) == 2
-    assert src.edge(1) == EdgeSpec(1, 1, 2, 1)
+    assert edge_spec(src, 1) == EdgeSpec(1, 1, 2, 1)
     assert src.edge_range(2) == range(2, 3)
     assert wt.dim == 1 and wt.rows == 3
 
@@ -46,14 +46,14 @@ def test_coordinate_layout_follows_edge_order():
     with pytest.raises(InstanceError):
         src.edge_range(0)
     with pytest.raises(InstanceError):
-        src.edge(0)
+        edge_spec(src, 0)
 
 
 def test_node_view():
     src = TreePinSource(3, 3, [EdgeSpec(7, 0, 1, 2), EdgeSpec(2, 1, 2, 3)])
     nv = src.node_view(1)
     assert nv.coords == (0, 1, 2, 3, 4)
-    assert sorted(nv.edge_ids) == [2, 7]
+    assert sorted(e.edge_id for e in src.incident_edges(1)) == [2, 7]
     leaf = src.node_view(2)
     assert leaf.coords == (2, 3, 4)
     sel = leaf.selector(src.base_ctx)
@@ -83,9 +83,9 @@ def test_with_multiplicity():
     src, _ = parity_path()
     wider = src.with_multiplicity(1, 4)
     assert wider.base_dim == 6
-    assert wider.edge(1).mult == 4
-    assert wider.edge(0).mult == 1
-    assert src.edge(1).mult == 1
+    assert edge_spec(wider, 1).mult == 4
+    assert edge_spec(wider, 0).mult == 1
+    assert edge_spec(src, 1).mult == 1
     with pytest.raises(InstanceError):
         src.with_multiplicity(1, 0)
 

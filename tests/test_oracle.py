@@ -273,6 +273,38 @@ def test_exactness_guard_refuses_before_enumerating(monkeypatch):
         oracle._check_exact(2**26 + 1, 2)
 
 
+def test_refusals_are_pinned_in_order():
+    """Every oracle refuses in one order, with one message each: maps of
+    different base dimensions, a map over another field, an enumeration
+    over budget, then an image past the exact float64 range.  Each case
+    also breaks every later check, so a check run out of order would name
+    the wrong fault.  The entropy oracle reads one map, so it has no
+    base-dimension case."""
+    p = 94906297  # (p-1)**2 >= 2**53: one row is already past exactness
+    fp = make_ext_field(p, 1)
+    oracles = {
+        "entropy enumeration": lambda maps, q, budget: entropy_exhaustive(maps[0], q, budget),
+        "mcf enumeration": lambda maps, q, budget: mcf_exhaustive(*maps[:2], q, budget),
+        "enumeration": lambda maps, q, budget: cond_mutual_info_exhaustive(*maps, q, budget),
+    }
+    rows = (FMatrix.zeros(F3, 20, 1), FMatrix.zeros(F3, 21, 1), FMatrix.zeros(F3, 20, 1))
+    field = (FMatrix.zeros(F3, 20, 1),) * 3
+    budget = (FMatrix.zeros(fp, 2, 1),) * 3
+    exact = (FMatrix.zeros(fp, 1, 1),) * 3
+    for what, call in oracles.items():
+        cases = [
+            (rows, 2, 8, ValueError, "observation maps must share the base dimension"),
+            (field, 2, 8, ValueError, "field mismatch"),
+            (budget, p, 8, BudgetError, f"{what} needs {p**2} vectors, budget is 8"),
+            (exact, p, 2**27, BudgetError, f"a 1-row image over GF({p}) has entries up to "
+             f"{(p - 1) ** 2}, past the exact float64 range 2**53"),
+        ]
+        for maps, q, cap, kind, message in cases[what == "entropy enumeration" :]:
+            with pytest.raises(kind) as err:
+                call(maps, q, cap)
+            assert str(err.value) == message
+
+
 def test_entropy_examples():
     assert entropy_exhaustive(FMatrix.zeros(F2, 3, 2), 2) == 0.0
     assert entropy_exhaustive(FMatrix.identity(F2, 3), 2) == 3.0

@@ -27,6 +27,7 @@ from conftest import (
     _common_on_block,
     build_reducible_suite,
     completion_indices,
+    edge_spec,
     in_col_span,
     instances,
     inverse,
@@ -59,7 +60,7 @@ def test_reduce_step_on_wide_path():
     unit = FMatrix.basis_columns(step.edge_map.ctx, 2, step.completion)
     assert rank(step.edge_map.hstack(unit)) == 2
     assert src2.base_dim == 3
-    assert src2.edge(0).mult == 1
+    assert edge_spec(src2, 0).mult == 1
     assert wt2.dim == 1
     # the column inside the removed block is gone; the crossing one remains
     assert [x.code for x in wt2.matrix.col(0)] == [0, 1, 1]
@@ -161,7 +162,7 @@ def referee_reduce_step(src, wt, edge_id):
     l = common.cols
     if l == 0:
         raise ReductionError(f"edge {edge_id} shares nothing with the eavesdropper")
-    edge = src.edge(edge_id)
+    edge = edge_spec(src, edge_id)
     if l == edge.mult:
         raise ReductionError(
             f"edge {edge_id} is fully absorbed by the eavesdropper; the "

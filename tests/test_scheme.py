@@ -355,6 +355,48 @@ def test_validate_rejects_broken_schemes():
         good.validate(other_src)
 
 
+def test_validate_checks_the_blocks_against_f():
+    """A scheme's mix blocks are F's entries at the column groups of the
+    walk from its root.  validate refuses, naming the first offending
+    block: a block that differs from F, a missing or an extra block,
+    blocks without a root, a root that is not a leaf, and an F with a
+    column the walk does not give."""
+    src, wt = wide_path_irreducible()
+    good = synth_random(src, wt, seed=5)
+    good.validate(src)
+    ext = good.ext_ctx
+    assert good.root == 0
+    assert sorted(good.child_mix) == [(1, 1), (2, 2)] and sorted(good.surplus_mix) == [0]
+
+    def other(m):
+        # another nonzero 1 x 1 block, so the rank loop still passes it
+        return FMatrix.from_rows(ext, [[m[0, 0].code % (ext.order - 1) + 1]], cols=1)
+
+    amat, bmat = good.child_mix[(1, 1)], good.surplus_mix[0]
+    zero_col = FMatrix.zeros(ext, good.base_dim, 1)
+    cases = [
+        (replace(good, child_mix={**good.child_mix, (1, 1): other(amat)}),
+         "mix block for node 1, edge 1 differs from the communication matrix"),
+        (replace(good, surplus_mix={0: other(bmat)}),
+         "surplus block for edge 0 differs from the communication matrix"),
+        (replace(good, child_mix={(1, 1): amat}), "mix block for node 2, edge 2 is missing"),
+        (replace(good, surplus_mix={0: bmat, 1: bmat}),
+         "surplus block for edge 1 is not on the walk from root 0"),
+        (replace(good, root=None), "mix block for node 1, edge 1 is stored without a root"),
+        (replace(good, root=None, child_mix={}), "surplus block for edge 0 is stored without a root"),
+        (replace(good, root=1), "root 1 is not a leaf of the tree"),
+        (replace(good, root=4), "root 4 is not a leaf of the tree"),
+        (replace(good, comm_matrix=good.comm_matrix.hstack(zero_col), owners=good.owners + (0,)),
+         "communication matrix has 4 columns, the walk gives 3"),
+    ]
+    for scheme, message in cases:
+        with pytest.raises(SchemeError) as err:
+            scheme.validate(src)
+        assert str(err.value) == message
+    # without a root and without blocks, F alone is checked
+    replace(good, root=None, child_mix={}, surplus_mix={}).validate(src)
+
+
 def test_validate_checks_wiretap_annihilation():
     src, wt = parity_path()
     scheme = synth_explicit_unit(src, wt)
@@ -556,6 +598,11 @@ def test_load_scheme_reuses_the_canonical_context():
     # another irreducible cubic gets a context of its own
     other = load_scheme(header.format("1,0,1,1")).ext_ctx
     assert other.modulus == (1, 0, 1, 1) and other.key != canonical.key
+    # which is built once: a second load of that modulus shares it
+    assert load_scheme(header.format("1,0,1,1")).ext_ctx is other
+    # coefficients outside [0, q) name the field of their residues
+    assert load_scheme(header.format("3,1,2,1")).ext_ctx is canonical
+    assert load_scheme(header.format("1,2,3,1")).ext_ctx is other
     for bad in ("1,0,0,1", "1,1,0", "1,1,0,1,1", "1,x,0,1"):
         with pytest.raises(SchemeError):
             load_scheme(header.format(bad))
